@@ -24,11 +24,13 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct FileScope {
     /// DET-001: engine crates (`core`, `sim`, `baselines`, `topology`).
     pub det_hash: bool,
-    /// DET-002: every data-plane crate (bench harness and criterion shim exempt).
+    /// DET-002: every data-plane crate (the measurement harness exempt).
     pub det_clock: bool,
-    /// DET-003: everywhere except `lgfi_sim::shard`, the sanctioned spawn site.
+    /// DET-003: everywhere except `lgfi_sim::shard`, the sanctioned spawn site,
+    /// and the measurement harness.
     pub det_thread: bool,
-    /// PANIC-001: library targets only (no bins, benches, tests, examples).
+    /// PANIC-001: library targets only (no bins, benches, tests, examples, no
+    /// measurement harness).
     pub panic: bool,
     /// LINT-001 `#[allow]`-needs-a-comment check: all source.
     pub allow_comment: bool,
@@ -36,16 +38,17 @@ pub struct FileScope {
 
 /// Derive the applicable passes from a workspace-relative path (always `/`
 /// separated).  This encodes the contract boundaries of the workspace:
-/// engine crates carry the determinism guarantees, `crates/bench` and
-/// `crates/criterion` are the measurement harness (wall-clock reads are their
-/// job), and `crates/sim/src/shard.rs` is the one sanctioned thread-spawn
-/// site (the launch-order-merge contract lives there).
+/// engine crates carry the determinism guarantees, `crates/bench`,
+/// `crates/criterion` and the end-to-end benchmark `perfbench/` are the
+/// measurement harness (reading clocks and spawning the concurrent reader are
+/// their job), and `crates/sim/src/shard.rs` is the one sanctioned
+/// thread-spawn site (the launch-order-merge contract lives there).
 pub fn classify(rel: &str) -> FileScope {
     let crate_name = rel
         .strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
         .unwrap_or(""); // root facade files have no crate prefix
-    let harness = matches!(crate_name, "bench" | "criterion");
+    let harness = matches!(crate_name, "bench" | "criterion") || rel.starts_with("perfbench/");
     let engine = matches!(crate_name, "core" | "sim" | "baselines" | "topology");
     let in_src = rel.contains("/src/") || rel.starts_with("src/");
     let in_bin = rel.contains("/src/bin/");

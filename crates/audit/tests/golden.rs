@@ -59,9 +59,33 @@ fn det_002_flags_clock_and_thread_identity_reads() {
         "Instant::now, SystemTime::now, thread::current, RandomState fire; \
          the audit:allow(clock) line is waived"
     );
-    // The bench harness is exempt: measuring wall-clock time is its job.
-    let violations = scan_source("crates/bench/src/clock.rs", DET002, &[]);
-    assert_eq!(hits(&violations), Vec::<(&str, u32)>::new());
+    // The measurement harness is exempt: reading wall-clock time is its job.
+    for rel in ["crates/bench/src/clock.rs", "perfbench/src/clock.rs"] {
+        let violations = scan_source(rel, DET002, &[]);
+        assert_eq!(hits(&violations), Vec::<(&str, u32)>::new(), "{rel}");
+    }
+}
+
+#[test]
+fn perfbench_is_scoped_as_measurement_harness_and_engine_code_still_fires() {
+    // The end-to-end benchmark reads clocks, spawns its reader thread and fails
+    // loudly on a broken check; the same source in an engine crate still fires.
+    for (fixture, lint) in [
+        (DET002, "DET-002"),
+        (DET003, "DET-003"),
+        (PANIC001, "PANIC-001"),
+    ] {
+        let harness = scan_source("perfbench/src/fixture.rs", fixture, &[]);
+        assert!(
+            hits(&harness).iter().all(|(id, _)| *id != lint),
+            "{lint} must not apply to perfbench/"
+        );
+        let engine = scan_source("crates/core/src/fixture.rs", fixture, &[]);
+        assert!(
+            hits(&engine).iter().any(|(id, _)| *id == lint),
+            "{lint} must still fire in crates/core"
+        );
+    }
 }
 
 #[test]

@@ -13,11 +13,12 @@
 //! preferred direction pointing inside becomes *preferred but detour* (critical
 //! routing, Algorithm 3).
 //!
-//! [`BoundaryMap::construct`] builds the boundaries of every block of a [`BlockSet`]
-//! and records, for every node, the [`BoundaryEntry`] list it stores together with the
-//! number of rounds (counted from the moment the block information is available at the
-//! block's frame) after which the information reaches it; the maximum of these offsets
-//! is the paper's `c_i`.
+//! A per-block builder constructs the boundaries of one block at a time, listing
+//! every node of the boundary with the [`BoundaryEntry`] it stores and the number of
+//! rounds (counted from the moment the block information is available at the block's
+//! frame) after which the information reaches it; the maximum of these offsets is the
+//! paper's `c_i`.  [`BoundaryMap::construct`] runs it over every block of a
+//! [`BlockSet`]; the dynamic network runs it over the blocks that changed.
 //!
 //! ## Merging (Figure 3 (d))
 //!
@@ -33,8 +34,6 @@
 //!   every enabled neighbor of `v` that is also adjacent to `B2`, and continues away
 //!   from the block from those of `B2`'s frame nodes that lie on `B2`'s own starting
 //!   edges for the same guard direction.
-
-use std::collections::{BTreeMap, VecDeque};
 
 use lgfi_topology::{Coord, Direction, FrameLevel, Mesh, NodeId, Region};
 
@@ -99,139 +98,18 @@ impl BoundaryMap {
         }
     }
 
-    /// Constructs the boundaries of every block in `blocks`.
+    /// Constructs the boundaries of every block in `blocks`: the per-block builder
+    /// run over each block in id order, so every node lists its entries by block,
+    /// then by guard in [`Direction::all`] order.
     pub fn construct(mesh: &Mesh, blocks: &BlockSet) -> Self {
         let mut map = BoundaryMap::empty(mesh);
-        // Pre-compute, for every node, which block's expanded frame it belongs to
-        // (used by the merge rule).  A node adjacent to a block is in that block's
-        // extent expanded by one but not inside the extent.
-        let adjacency: Vec<Option<BlockId>> = (0..mesh.node_count())
-            .map(|id| {
-                let c = mesh.coord_of(id);
-                blocks
-                    .blocks()
-                    .iter()
-                    .find(|b| matches!(b.region.frame_level(&c), FrameLevel::Frame(_)))
-                    .map(|b| b.id)
-            })
-            .collect();
-        let in_block: Vec<bool> = (0..mesh.node_count())
-            .map(|id| blocks.block_of(id).is_some())
-            .collect();
-
+        let mut builder = BoundaryBuilder::new(mesh, blocks);
         for block in blocks.blocks() {
-            for guard in Direction::all(mesh.ndim()) {
-                map.propagate_boundary(mesh, blocks, &adjacency, &in_block, block.id, guard);
+            for (node, entry) in builder.block_entries(block.id) {
+                map.entries[node].push(entry);
             }
         }
         map
-    }
-
-    /// Propagates the boundary of `block_id` for surface direction `guard`.
-    fn propagate_boundary(
-        &mut self,
-        mesh: &Mesh,
-        blocks: &BlockSet,
-        adjacency: &[Option<BlockId>],
-        in_block: &[bool],
-        block_id: BlockId,
-        guard: Direction,
-    ) {
-        let region = blocks.blocks()[block_id].region.clone();
-        let away = guard.opposite();
-        // If there is no shadow on the far side (the block touches the mesh surface
-        // there) the dangerous area is empty and no boundary is needed.
-        if region.shadow_prism(mesh, away).is_none() {
-            return;
-        }
-
-        // Seeds: the edge nodes (2-level frame nodes, not corners) of the opposite
-        // adjacent surface S_{(g+n) mod 2n}, i.e. frame nodes whose coordinate in the
-        // guard dimension is one unit outside the block on the `away` side.
-        let away_coord = if away.positive {
-            region.hi()[guard.dim] + 1
-        } else {
-            region.lo()[guard.dim] - 1
-        };
-        let mut seeds: Vec<NodeId> = Vec::new();
-        for c in region.expand(1).iter_coords() {
-            if !mesh.contains(&c) {
-                continue;
-            }
-            if c[guard.dim] != away_coord {
-                continue;
-            }
-            if region.frame_level(&c) == FrameLevel::Frame(2) {
-                seeds.push(mesh.id_of(&c));
-            }
-        }
-
-        // Breadth-first propagation, one hop per round.
-        let mut arrival: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        for s in seeds {
-            arrival.insert(s, 0);
-            queue.push_back(s);
-        }
-        while let Some(u) = queue.pop_front() {
-            let t = arrival[&u];
-            let uc = mesh.coord_of(u);
-            let mut targets: Vec<NodeId> = Vec::new();
-
-            let adjacent_other = adjacency[u].filter(|&b| b != block_id);
-            match adjacent_other {
-                None => {
-                    // Plain wall node: continue straight away from the block.
-                    if let Some(nc) = mesh.neighbor(&uc, away) {
-                        targets.push(mesh.id_of(&nc));
-                    }
-                }
-                Some(other) => {
-                    // Merge into the other block's frame: spread over its adjacent
-                    // nodes...
-                    for dir in Direction::iter_all(mesh.ndim()) {
-                        let Some(nid) = mesh.neighbor_id(u, dir) else {
-                            continue;
-                        };
-                        if adjacency[nid] == Some(other) && !in_block[nid] {
-                            targets.push(nid);
-                        }
-                    }
-                    // ...and continue away from the block from the other block's own
-                    // starting edge for the same guard direction.
-                    let other_region = &blocks.blocks()[other].region;
-                    let other_away_coord = if away.positive {
-                        other_region.hi()[guard.dim] + 1
-                    } else {
-                        other_region.lo()[guard.dim] - 1
-                    };
-                    if uc[guard.dim] == other_away_coord
-                        && other_region.frame_level(&uc) == FrameLevel::Frame(2)
-                    {
-                        if let Some(nc) = mesh.neighbor(&uc, away) {
-                            targets.push(mesh.id_of(&nc));
-                        }
-                    }
-                }
-            }
-
-            for v in targets {
-                if in_block[v] || arrival.contains_key(&v) {
-                    continue;
-                }
-                arrival.insert(v, t + 1);
-                queue.push_back(v);
-            }
-        }
-
-        for (node, offset) in arrival {
-            self.entries[node].push(BoundaryEntry {
-                block_id,
-                block: region.clone(),
-                guard,
-                arrival_offset: offset,
-            });
-        }
     }
 
     /// The boundary entries stored at a node.
@@ -277,6 +155,165 @@ impl BoundaryMap {
                     .any(|e| e.block_id == block_id && e.guard == guard)
             })
             .collect()
+    }
+}
+
+/// Builds the boundaries of single blocks of a [`BlockSet`].
+///
+/// The merge rule needs, for every node, the block whose expanded frame holds it.
+/// The builder computes that adjacency once per block set by walking each block's
+/// `expand(1)` frame in block-id order, where the first block to claim a node
+/// wins.  Building one block's boundaries then costs the size of its frame and
+/// walls, not the mesh.  [`BoundaryMap::construct`] runs the builder over every
+/// block; the dynamic network runs it over the blocks that changed.
+#[derive(Debug)]
+pub(crate) struct BoundaryBuilder<'a> {
+    mesh: &'a Mesh,
+    blocks: &'a BlockSet,
+    /// For every node, the first block whose expanded frame (not its extent)
+    /// holds it.
+    adjacency: Vec<Option<BlockId>>,
+    /// Per-node visit stamp: `seen[v] == pass` once the current propagation
+    /// reached `v`.
+    seen: Vec<u32>,
+    pass: u32,
+    /// `(node, offset)` in the order the current propagation reached them (the
+    /// breadth-first queue itself).
+    reached: Vec<(NodeId, u64)>,
+    /// Expansion targets of the node being visited.
+    targets: Vec<NodeId>,
+}
+
+impl<'a> BoundaryBuilder<'a> {
+    /// Prepares a builder for the blocks of `blocks`.
+    pub(crate) fn new(mesh: &'a Mesh, blocks: &'a BlockSet) -> Self {
+        let mut adjacency = vec![None; mesh.node_count()];
+        for block in blocks.blocks() {
+            for c in block.region.expand(1).iter_coords() {
+                if !mesh.contains(&c) || block.region.contains(&c) {
+                    continue;
+                }
+                let slot = &mut adjacency[mesh.id_of(&c)];
+                if slot.is_none() {
+                    *slot = Some(block.id);
+                }
+            }
+        }
+        BoundaryBuilder {
+            mesh,
+            blocks,
+            adjacency,
+            seen: vec![0; mesh.node_count()],
+            pass: 0,
+            reached: Vec::new(),
+            targets: Vec::new(),
+        }
+    }
+
+    /// The boundary entries of block `block_id` for every surface direction, as
+    /// `(node, entry)` pairs sorted by node, with a node's guards in
+    /// [`Direction::all`] order.
+    pub(crate) fn block_entries(&mut self, block_id: BlockId) -> Vec<(NodeId, BoundaryEntry)> {
+        let region = &self.blocks.blocks()[block_id].region;
+        let mut out = Vec::new();
+        for guard in Direction::iter_all(self.mesh.ndim()) {
+            self.propagate(block_id, guard);
+            out.extend(self.reached.iter().map(|&(node, offset)| {
+                let entry = BoundaryEntry {
+                    block_id,
+                    block: region.clone(),
+                    guard,
+                    arrival_offset: offset,
+                };
+                (node, entry)
+            }));
+        }
+        // Stable: a node's entries keep the guard order they were produced in.
+        out.sort_by_key(|&(node, _)| node);
+        out
+    }
+
+    /// Propagates the boundary of `block_id` for surface direction `guard`,
+    /// leaving the reached nodes and their arrival offsets in `self.reached`.
+    fn propagate(&mut self, block_id: BlockId, guard: Direction) {
+        self.reached.clear();
+        let mesh = self.mesh;
+        let blocks = self.blocks;
+        let region = &blocks.blocks()[block_id].region;
+        let away = guard.opposite();
+        // If there is no shadow on the far side (the block touches the mesh surface
+        // there) the dangerous area is empty and no boundary is needed.
+        if region.shadow_prism(mesh, away).is_none() {
+            return;
+        }
+        self.pass += 1;
+        let pass = self.pass;
+
+        // Seeds: the edge nodes (2-level frame nodes, not corners) of the opposite
+        // adjacent surface S_{(g+n) mod 2n}, i.e. frame nodes whose coordinate in the
+        // guard dimension is one unit outside the block on the `away` side.
+        let expanded = region.expand(1);
+        let away_coord = if away.positive {
+            expanded.hi()[guard.dim]
+        } else {
+            expanded.lo()[guard.dim]
+        };
+        let mut lo = Coord::from_slice(expanded.lo());
+        let mut hi = Coord::from_slice(expanded.hi());
+        lo[guard.dim] = away_coord;
+        hi[guard.dim] = away_coord;
+        for c in Region::from_bounds(lo, hi).iter_coords() {
+            if mesh.contains(&c) && region.frame_level(&c) == FrameLevel::Frame(2) {
+                let s = mesh.id_of(&c);
+                self.seen[s] = pass;
+                self.reached.push((s, 0));
+            }
+        }
+
+        // Breadth-first propagation, one hop per round.
+        let mut head = 0;
+        while let Some(&(u, t)) = self.reached.get(head) {
+            head += 1;
+            let uc = mesh.coord_of(u);
+            self.targets.clear();
+            match self.adjacency[u].filter(|&b| b != block_id) {
+                None => {
+                    // Plain wall node: continue straight away from the block.
+                    self.targets.extend(mesh.neighbor_id(u, away));
+                }
+                Some(other) => {
+                    // Merge into the other block's frame: spread over its adjacent
+                    // nodes...
+                    for dir in Direction::iter_all(mesh.ndim()) {
+                        if let Some(v) = mesh.neighbor_id(u, dir) {
+                            if self.adjacency[v] == Some(other) {
+                                self.targets.push(v);
+                            }
+                        }
+                    }
+                    // ...and continue away from the block from the other block's own
+                    // starting edge for the same guard direction.
+                    let other_region = &blocks.blocks()[other].region;
+                    let other_away_coord = if away.positive {
+                        other_region.hi()[guard.dim] + 1
+                    } else {
+                        other_region.lo()[guard.dim] - 1
+                    };
+                    if uc[guard.dim] == other_away_coord
+                        && other_region.frame_level(&uc) == FrameLevel::Frame(2)
+                    {
+                        self.targets.extend(mesh.neighbor_id(u, away));
+                    }
+                }
+            }
+            for &v in &self.targets {
+                if blocks.block_of(v).is_some() || self.seen[v] == pass {
+                    continue;
+                }
+                self.seen[v] = pass;
+                self.reached.push((v, t + 1));
+            }
+        }
     }
 }
 

@@ -21,13 +21,14 @@
 //! `D(i)` at every fault occurrence) so the experiment harness can compare measured
 //! behaviour against the bounds of Theorems 3–5.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use lgfi_sim::{FaultEvent, FaultEventKind, FaultPlan, FaultPlanCursor, StepConfig};
 use lgfi_topology::{Mesh, NodeId, Region};
 
-use crate::block::{BlockSet, FaultyBlock};
-use crate::boundary::{BoundaryEntry, BoundaryMap};
+use crate::block::{BlockId, BlockSet, FaultyBlock};
+use crate::boundary::{BoundaryBuilder, BoundaryEntry};
 use crate::bounds::{DetourBound, IntervalParams};
 use crate::identification::IdentificationProcess;
 use crate::labeling::LabelingEngine;
@@ -113,6 +114,19 @@ impl TimedEntry {
     fn visible_at(&self, round: u64) -> bool {
         self.visible_from <= round && self.visible_until.map(|u| round < u).unwrap_or(true)
     }
+
+    /// True if the entry's window opens or closes at `round`.
+    fn transitions_at(&self, round: u64) -> bool {
+        self.visible_from == round || self.visible_until == Some(round)
+    }
+}
+
+/// A region whose information is distributed, with the nodes holding its entries.
+#[derive(Debug)]
+struct Distributed {
+    region: Region,
+    /// The nodes holding the region's entries, ascending.
+    holders: Vec<NodeId>,
 }
 
 /// One launched probe and its bookkeeping.
@@ -172,28 +186,35 @@ pub struct LgfiNetwork {
     /// Per-node timed information entries.
     info: Vec<Vec<TimedEntry>>,
     /// Regions whose information is currently distributed (to avoid re-propagating
-    /// unchanged blocks, the paper's reactive rule).
-    distributed: Vec<Region>,
+    /// unchanged blocks, the paper's reactive rule), each with its holder nodes so
+    /// a vanished region's entries are deleted without scanning the mesh.
+    distributed: Vec<Distributed>,
+    /// The nodes holding at least one entry whose window closes (`visible_until`
+    /// set); a rebuild drops closed entries from these nodes only.
+    deleting: Vec<NodeId>,
+    /// Pending visibility transitions `(round, node)`: one per entry scheduled
+    /// (`visible_from`) and one per entry marked for deletion (`visible_until`).
+    transitions: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// True if a rebuild ran since the visible arena was last refreshed.
+    rebuilt: bool,
+    /// True if a rebuild pushed some node's timed list past its arena slots.
+    relayout: bool,
     convergence: Vec<ConvergenceRecord>,
     probes: Vec<ProbeState>,
     reports: Vec<ProbeReport>,
-    /// CSR arena of the boundary entries *currently visible* at each node: node
-    /// `i`'s visible entries are `vis_data[vis_off[i]..vis_off[i + 1]]`.  Routing
-    /// decisions borrow these slices directly instead of filtering and cloning the
-    /// timed entry lists per hop; the arena is rebuilt only when the information
-    /// store changes or a visibility window opens/closes (`vis_next_transition`),
-    /// not per hop or per round.
+    /// Slot arena of the boundary entries *currently visible* at each node: node
+    /// `i` owns the slots `vis_data[vis_off[i]..vis_off[i + 1]]`, one per entry of
+    /// its timed list at the last relayout, and its visible entries are
+    /// `vis_data[vis_off[i]..vis_end[i]]`.  Routing decisions borrow these slices
+    /// directly instead of filtering the timed lists per hop.  A due visibility
+    /// transition rewrites only its node's slots; the whole arena is laid out
+    /// afresh only when a rebuild pushes a node past its slots.
     vis_data: Vec<BoundaryEntry>,
     vis_off: Vec<usize>,
-    /// False when the timed entries changed since the arena was last built.
-    vis_valid: bool,
-    /// The earliest future round at which some entry becomes visible or expires;
-    /// the arena is refreshed lazily when the round clock passes it.
-    vis_next_transition: Option<u64>,
-    /// Generation counter of the visible arena, bumped on every actual rebuild.
-    /// This is the single dirty signal the epoch publisher keys off: a step whose
-    /// refresh leaves the generation unchanged (and applied no fault events)
-    /// publishes nothing.
+    vis_end: Vec<usize>,
+    /// Generation counter of the visible arena.  This is the single dirty signal
+    /// the epoch publisher keys off: a step whose refresh leaves the generation
+    /// unchanged (and applied no fault events) publishes nothing.
     vis_gen: u64,
     /// True while fault/recovery events applied at the current step have not yet
     /// been folded into the query plane's info-change count.
@@ -228,6 +249,8 @@ impl LgfiNetwork {
         let blocks = BlockSet::extract(&mesh, labeling.statuses());
         LgfiNetwork {
             info: vec![Vec::new(); mesh.node_count()],
+            vis_off: vec![0; mesh.node_count() + 1],
+            vis_end: vec![0; mesh.node_count()],
             labeling,
             blocks,
             mesh,
@@ -240,13 +263,14 @@ impl LgfiNetwork {
             rounds_since_disturbance: 0,
             disturbance_step: 0,
             distributed: Vec::new(),
+            deleting: Vec::new(),
+            transitions: BinaryHeap::new(),
+            rebuilt: false,
+            relayout: false,
             convergence: Vec::new(),
             probes: Vec::new(),
             reports: Vec::new(),
             vis_data: Vec::new(),
-            vis_off: Vec::new(),
-            vis_valid: false,
-            vis_next_transition: None,
             vis_gen: 0,
             events_pending: false,
             info_changes: 0,
@@ -379,12 +403,10 @@ impl LgfiNetwork {
         // finished scan below runs serially in launch order either way, keeping
         // parallel execution bit-identical to serial.
         if !self.probes.is_empty() {
-            self.refresh_visible_arena();
             let mesh = &self.mesh;
             let statuses = self.labeling.statuses();
             let blocks = self.blocks.blocks();
-            let vis_data = &self.vis_data;
-            let vis_off = &self.vis_off;
+            let boundary = CsrBoundary::with_slots(&self.vis_data, &self.vis_off, &self.vis_end);
             let max_probe_steps = self.config.max_probe_steps;
             let probes = &mut self.probes;
             let workers = self.probe_threads.min(probes.len());
@@ -397,29 +419,13 @@ impl LgfiNetwork {
                     workers,
                     |_, chunk| {
                         for state in chunk {
-                            advance_probe(
-                                mesh,
-                                statuses,
-                                blocks,
-                                vis_data,
-                                vis_off,
-                                max_probe_steps,
-                                state,
-                            );
+                            advance_probe(mesh, statuses, blocks, boundary, max_probe_steps, state);
                         }
                     },
                 );
             } else {
                 for state in probes.iter_mut() {
-                    advance_probe(
-                        mesh,
-                        statuses,
-                        blocks,
-                        vis_data,
-                        vis_off,
-                        max_probe_steps,
-                        state,
-                    );
+                    advance_probe(mesh, statuses, blocks, boundary, max_probe_steps, state);
                 }
             }
         }
@@ -504,6 +510,7 @@ impl LgfiNetwork {
                 }
             }
         }
+        self.refresh_visible_arena();
     }
 
     /// Executes one Figure-7 step whose routing phase drives the concurrent-traffic
@@ -531,68 +538,80 @@ impl LgfiNetwork {
     ) {
         self.begin_step_with(external);
         self.sync_query_plane();
-        self.refresh_visible_arena();
         traffic.run_cycle(&crate::traffic_engine::CycleEnv {
             statuses: self.labeling.statuses(),
             blocks: self.blocks.blocks(),
-            vis_data: &self.vis_data,
-            vis_off: &self.vis_off,
+            boundary: self.visible_boundary(),
         });
         self.step += 1;
     }
 
-    /// Rebuilds the CSR arena of currently-visible boundary entries if the
-    /// information store changed or a visibility window opened/closed since the last
-    /// build.  Steady state (no disturbance, no pending arrival) costs one branch.
+    /// The boundary entries visible at each node this round.
+    fn visible_boundary(&self) -> CsrBoundary<'_> {
+        CsrBoundary::with_slots(&self.vis_data, &self.vis_off, &self.vis_end)
+    }
+
+    /// Brings the visible arena up to the current round, once per step: pops the
+    /// visibility transitions that came due and rewrites only their nodes' slots
+    /// (after a full relayout if a rebuild outgrew some node's slots).  Due
+    /// transitions are drained even when nothing reads the arena, so they never
+    /// pile up.  `vis_gen` advances iff a rebuild ran since the last refresh or a
+    /// popped transition still belongs to an entry in the store.
     fn refresh_visible_arena(&mut self) {
-        let due = !self.vis_valid
-            || self
-                .vis_next_transition
-                .map(|t| self.round >= t)
-                .unwrap_or(false);
-        if !due {
-            return;
+        let mut changed = std::mem::take(&mut self.rebuilt);
+        if std::mem::take(&mut self.relayout) {
+            self.relayout_arena();
         }
-        self.vis_data.clear();
-        self.vis_off.clear();
-        self.vis_off.push(0);
-        let mut next: Option<u64> = None;
-        let bump = |round: u64, next: &mut Option<u64>| {
-            *next = Some(next.map_or(round, |n: u64| n.min(round)));
-        };
-        for entries in &self.info {
-            for t in entries {
-                if t.visible_at(self.round) {
-                    self.vis_data.push(t.entry.clone());
-                }
-                if t.visible_from > self.round {
-                    bump(t.visible_from, &mut next);
-                }
-                if let Some(u) = t.visible_until {
-                    if u > self.round {
-                        bump(u, &mut next);
-                    }
-                }
+        while let Some(&Reverse((round, node))) = self.transitions.peek() {
+            if round > self.round {
+                break;
             }
-            self.vis_off.push(self.vis_data.len());
+            self.transitions.pop();
+            let timed = &self.info[node];
+            changed = changed || timed.iter().any(|t| t.transitions_at(round));
+            // Rewrite the node even if the rebuild already dropped the entry this
+            // transition was scheduled for: it may still sit in the node's slots.
+            let (start, slots_end) = (self.vis_off[node], self.vis_off[node + 1]);
+            let visible = patch_slots(timed, self.round, &mut self.vis_data[start..slots_end]);
+            self.vis_end[node] = start + visible;
         }
-        self.vis_valid = true;
-        self.vis_next_transition = next;
-        self.vis_gen += 1;
+        if changed {
+            self.vis_gen += 1;
+        }
+    }
+
+    /// Lays the arena out afresh: every node gets one slot per entry of its timed
+    /// list, its visible entries first.
+    fn relayout_arena(&mut self) {
+        let round = self.round;
+        self.vis_data.clear();
+        for (node, timed) in self.info.iter().enumerate() {
+            self.vis_off[node] = self.vis_data.len();
+            let visible = |t: &&TimedEntry| t.visible_at(round);
+            self.vis_data
+                .extend(timed.iter().filter(visible).map(|t| t.entry.clone()));
+            self.vis_end[node] = self.vis_data.len();
+            self.vis_data.extend(
+                timed
+                    .iter()
+                    .filter(|t| !visible(t))
+                    .map(|t| t.entry.clone()),
+            );
+        }
+        self.vis_off[self.info.len()] = self.vis_data.len();
     }
 
     /// Publishes a new [`EpochSnapshot`](crate::route_service::EpochSnapshot) to the
     /// attached route service if (and only if) the information observable by the
-    /// query plane changed this step: fault/recovery events took effect, or the
-    /// visible-boundary arena actually rebuilt (information change or a visibility
-    /// window opening/closing).  Quiescent steps publish nothing — the publish seam
-    /// and the arena's dirty tracking are the same signal (`vis_gen`), so the
-    /// service's epoch number always equals [`LgfiNetwork::info_changes`].
+    /// query plane changed this step: fault/recovery events took effect, a rebuild
+    /// ran, or a visibility window opened/closed.  Quiescent steps publish nothing
+    /// — the publish seam and the arena's dirty tracking are the same signal
+    /// (`vis_gen`), so the service's epoch number always equals
+    /// [`LgfiNetwork::info_changes`].
     fn sync_query_plane(&mut self) {
         let Some(mut publisher) = self.publisher.take() else {
             return;
         };
-        self.refresh_visible_arena();
         if self.vis_gen != publisher.published_gen() || self.events_pending {
             self.info_changes += 1;
             publisher.publish(
@@ -601,8 +620,7 @@ impl LgfiNetwork {
                 self.round,
                 self.labeling.statuses(),
                 self.blocks.blocks(),
-                &self.vis_data,
-                &self.vis_off,
+                self.visible_boundary(),
             );
             publisher.set_published_gen(self.vis_gen);
         }
@@ -619,7 +637,6 @@ impl LgfiNetwork {
         if let Some(publisher) = &self.publisher {
             return publisher.handle();
         }
-        self.refresh_visible_arena();
         self.events_pending = false;
         let mut publisher = RoutePublisher::attach(
             &self.mesh,
@@ -627,8 +644,7 @@ impl LgfiNetwork {
             self.round,
             self.labeling.statuses(),
             self.blocks.blocks(),
-            &self.vis_data,
-            &self.vis_off,
+            self.visible_boundary(),
         );
         publisher.set_published_gen(self.vis_gen);
         let handle = publisher.handle();
@@ -650,19 +666,18 @@ impl LgfiNetwork {
     /// snapshot-resolved route at the same epoch is the query plane's correctness
     /// contract (`tests/route_service_equivalence.rs`).
     pub fn resolve_live(
-        &mut self,
+        &self,
         router: &dyn Router,
         source: NodeId,
         dest: NodeId,
         max_steps: u64,
         engine: &mut ProbeEngine,
     ) -> ProbeOutcome {
-        self.refresh_visible_arena();
         engine.route_view(
             &self.mesh,
             self.labeling.statuses(),
             self.blocks.blocks(),
-            CsrBoundary::new(&self.vis_data, &self.vis_off),
+            self.visible_boundary(),
             router,
             source,
             dest,
@@ -688,46 +703,62 @@ impl LgfiNetwork {
 
     /// Rebuilds blocks, identification outcomes and boundary maps after the labeling
     /// has stabilised, scheduling the visibility of every piece of information.
+    /// Only the blocks that changed are identified and propagated, and only the
+    /// nodes holding a vanished block's entries are touched.
     fn rebuild_information(&mut self) {
         let new_blocks = BlockSet::extract(&self.mesh, self.labeling.statuses());
-        let new_regions = new_blocks.regions();
+        let round = self.round;
+
+        // Entries whose window already closed can never become visible again —
+        // dropping them keeps the store proportional to the *live* information
+        // under long fail/repair churn instead of every entry ever distributed.
+        // Only the nodes on the `deleting` list can hold such an entry.
+        let info = &mut self.info;
+        self.deleting.retain(|&node| {
+            info[node].retain(|t| t.visible_until.map_or(true, |u| u > round));
+            info[node].iter().any(|t| t.visible_until.is_some())
+        });
 
         // Information for regions that no longer exist is deleted; the deletion wave
         // travels the same path as the original distribution, so the entry disappears
-        // `arrival_offset` rounds after the deletion starts (now).  Entries whose
-        // window already closed can never become visible again — dropping them here
-        // keeps the store (and the arena rebuild cost) proportional to the *live*
-        // information under long fail/repair churn instead of every entry ever
-        // distributed.
-        for entries in self.info.iter_mut() {
-            entries.retain(|t| t.visible_until.map_or(true, |u| u > self.round));
-            for t in entries.iter_mut() {
-                if t.visible_until.is_none() && !new_regions.contains(&t.entry.block) {
-                    t.visible_until = Some(self.round + t.entry.arrival_offset + 1);
+        // `arrival_offset` rounds after the deletion starts (now).
+        let deleting = &mut self.deleting;
+        let transitions = &mut self.transitions;
+        self.distributed.retain(|d| {
+            if new_blocks.blocks().iter().any(|b| b.region == d.region) {
+                return true;
+            }
+            for &node in &d.holders {
+                let timed = &mut info[node];
+                if timed.iter().all(|t| t.visible_until.is_none()) {
+                    deleting.push(node);
+                }
+                for t in timed
+                    .iter_mut()
+                    .filter(|t| t.visible_until.is_none() && t.entry.block == d.region)
+                {
+                    let until = round + t.entry.arrival_offset + 1;
+                    t.visible_until = Some(until);
+                    transitions.push(Reverse((until, node)));
                 }
             }
-        }
-        self.distributed.retain(|r| new_regions.contains(r));
+            false
+        });
 
         // Identification + boundary construction for regions that are new or changed.
-        let changed: Vec<Region> = new_regions
+        let changed: Vec<BlockId> = new_blocks
+            .blocks()
             .iter()
-            .filter(|r| !self.distributed.contains(r))
-            .cloned()
+            .filter(|b| !self.distributed.iter().any(|d| d.region == b.region))
+            .map(|b| b.id)
             .collect();
         let mut b_rounds = 0u64;
         let mut c_rounds = 0u64;
         if !changed.is_empty() {
             let ident = IdentificationProcess::default();
-            let boundary = BoundaryMap::construct(&self.mesh, &new_blocks);
-            for region in &changed {
-                let block_id = new_blocks
-                    .blocks()
-                    .iter()
-                    .find(|b| &b.region == region)
-                    .map(|b| b.id)
-                    // audit:allow(panic): `changed` was computed as the set difference against exactly these blocks one statement earlier
-                    .expect("changed region must be in the new block set");
+            let mut builder = BoundaryBuilder::new(&self.mesh, &new_blocks);
+            for &block_id in &changed {
+                let region = &new_blocks.blocks()[block_id].region;
                 let outcome =
                     ident.run_from_default_corner(&self.mesh, region, self.labeling.statuses());
                 let b = outcome
@@ -738,20 +769,26 @@ impl LgfiNetwork {
                 b_rounds = b_rounds.max(b);
                 // Schedule the boundary entries of this block: visible b + offset
                 // rounds after now.
-                for node in 0..self.mesh.node_count() {
-                    for entry in boundary.entries(node) {
-                        if entry.block_id != block_id {
-                            continue;
-                        }
-                        c_rounds = c_rounds.max(entry.arrival_offset);
-                        self.info[node].push(TimedEntry {
-                            entry: entry.clone(),
-                            visible_from: self.round + b + entry.arrival_offset,
-                            visible_until: None,
-                        });
+                let mut holders = Vec::new();
+                for (node, entry) in builder.block_entries(block_id) {
+                    c_rounds = c_rounds.max(entry.arrival_offset);
+                    let visible_from = round + b + entry.arrival_offset;
+                    self.transitions.push(Reverse((visible_from, node)));
+                    let timed = &mut self.info[node];
+                    timed.push(TimedEntry {
+                        entry,
+                        visible_from,
+                        visible_until: None,
+                    });
+                    self.relayout |= timed.len() > self.vis_off[node + 1] - self.vis_off[node];
+                    if holders.last() != Some(&node) {
+                        holders.push(node);
                     }
                 }
-                self.distributed.push(region.clone());
+                self.distributed.push(Distributed {
+                    region: region.clone(),
+                    holders,
+                });
             }
         }
 
@@ -763,7 +800,7 @@ impl LgfiNetwork {
             blocks_changed: changed.len(),
         });
         self.blocks = new_blocks;
-        self.vis_valid = false;
+        self.rebuilt = true;
     }
 
     /// Builds the [`DetourBound`] of Theorems 3–5 for a probe launched at `start_step`
@@ -828,8 +865,7 @@ fn advance_probe(
     mesh: &Mesh,
     statuses: &[NodeStatus],
     blocks: &[FaultyBlock],
-    vis_data: &[BoundaryEntry],
-    vis_off: &[usize],
+    boundary: CsrBoundary<'_>,
     max_probe_steps: u64,
     state: &mut ProbeState,
 ) {
@@ -860,13 +896,26 @@ fn advance_probe(
         dest: &dest_coord,
         current_status: statuses[current],
         neighbors: &state.slots,
-        boundary_info: &vis_data[vis_off[current]..vis_off[current + 1]],
+        boundary_info: boundary.entries(current),
         global_blocks: blocks,
         used: state.probe.used_here(),
         incoming: state.probe.incoming,
     };
     let decision = state.router.decide(&ctx);
     state.probe.apply(mesh, decision);
+}
+
+/// Rewrites one node's arena slots with the entries of its timed list that are
+/// visible at `round`, in list order, and returns how many there are.  Clones
+/// into the existing slots, so a patch never allocates; the slots always number
+/// at least the timed entries.
+fn patch_slots(timed: &[TimedEntry], round: u64, slots: &mut [BoundaryEntry]) -> usize {
+    let mut visible = 0;
+    for t in timed.iter().filter(|t| t.visible_at(round)) {
+        slots[visible].clone_from(&t.entry);
+        visible += 1;
+    }
+    visible
 }
 
 #[cfg(test)]

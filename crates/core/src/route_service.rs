@@ -26,9 +26,11 @@
 //!   every query is a pure function of (snapshot, router, source, dest), so any
 //!   interleaving of any number of readers yields the same per-query outcomes.
 //!
-//! Publication is the sanctioned cold path: the publisher double-buffers — the
-//! retired snapshot's buffers are reclaimed on the next publish once the last
-//! reader has moved on — so steady-state fault churn does not grow memory.
+//! Publication is the sanctioned cold path: the publisher keeps a short recycle
+//! list of retired snapshots and refills any one no reader still holds, so
+//! steady-state fault churn does not grow memory, and a reader that lags an epoch
+//! or two behind neither forces a fresh allocation nor frees a snapshot on its
+//! query path.
 //!
 //! ```
 //! use lgfi_core::network::{LgfiNetwork, NetworkConfig};
@@ -77,8 +79,8 @@ pub struct EpochSnapshot {
     mesh: Mesh,
     statuses: Vec<NodeStatus>,
     blocks: Vec<FaultyBlock>,
-    /// Visible boundary entries, CSR: node `i`'s slice is
-    /// `vis_data[vis_off[i]..vis_off[i + 1]]` — same layout as the live arena.
+    /// Visible boundary entries, compact CSR: node `i`'s slice is
+    /// `vis_data[vis_off[i]..vis_off[i + 1]]`.
     vis_data: Vec<BoundaryEntry>,
     vis_off: Vec<usize>,
 }
@@ -99,8 +101,8 @@ impl EpochSnapshot {
     }
 
     /// Refills this snapshot's buffers from the live network state, keeping their
-    /// capacity (the double-buffer warm path of republication).
-    #[allow(clippy::too_many_arguments)]
+    /// capacity (the recycled warm path of republication).  The live arena's
+    /// visible entries are packed into the snapshot's compact CSR.
     fn fill(
         &mut self,
         epoch: u64,
@@ -108,8 +110,7 @@ impl EpochSnapshot {
         round: u64,
         statuses: &[NodeStatus],
         blocks: &[FaultyBlock],
-        vis_data: &[BoundaryEntry],
-        vis_off: &[usize],
+        boundary: CsrBoundary<'_>,
     ) {
         self.epoch = epoch;
         self.step = step;
@@ -118,10 +119,18 @@ impl EpochSnapshot {
         self.statuses.extend_from_slice(statuses);
         self.blocks.clear();
         self.blocks.extend_from_slice(blocks);
+        // Sized exactly, as one bulk copy would be: a snapshot carries no slack.
+        let nodes = boundary.node_count();
+        let visible = (0..nodes).map(|node| boundary.entries(node).len()).sum();
         self.vis_data.clear();
-        self.vis_data.extend_from_slice(vis_data);
+        self.vis_data.reserve_exact(visible);
         self.vis_off.clear();
-        self.vis_off.extend_from_slice(vis_off);
+        self.vis_off.reserve_exact(nodes + 1);
+        self.vis_off.push(0);
+        for node in 0..nodes {
+            self.vis_data.extend_from_slice(boundary.entries(node));
+            self.vis_off.push(self.vis_data.len());
+        }
     }
 
     /// The epoch number this snapshot was published at (0 = the snapshot taken when
@@ -189,7 +198,7 @@ struct Shared {
     cell: EpochCell<EpochSnapshot>,
     /// Publishes so far, including the initial attach snapshot.
     epochs_published: AtomicU64,
-    /// Publishes that reclaimed the retired snapshot's buffers (double-buffer hits).
+    /// Publishes that refilled a recycled snapshot's buffers.
     buffers_reused: AtomicU64,
     /// Heap footprint of the most recently published snapshot.
     snapshot_heap_bytes: AtomicU64,
@@ -203,8 +212,8 @@ pub struct RouteServiceStats {
     /// Snapshots published so far, including the initial attach snapshot (so on a
     /// static plan `epochs_published == info_changes + 1`).
     pub epochs_published: u64,
-    /// Publishes that recycled the retired snapshot's buffers instead of
-    /// allocating fresh ones.
+    /// Publishes that refilled a retired snapshot's buffers instead of allocating
+    /// fresh ones.
     pub buffers_reused: u64,
     /// Approximate heap bytes held by the current snapshot.
     pub snapshot_heap_bytes: u64,
@@ -348,16 +357,20 @@ impl RouteReader {
     }
 }
 
+/// Retired snapshots a [`RoutePublisher`] keeps for reuse: with `k` readers each
+/// holding a different retired epoch, `k + 1` slots still leave one free.
+const RECYCLE_SLOTS: usize = 4;
+
 /// The publishing side of the query plane, owned by the [`LgfiNetwork`] it is
-/// attached to.  Double-buffered: the snapshot retired by a publish is kept as the
-/// spare and its buffers reclaimed on the next publish once every reader has
-/// moved past it.
+/// attached to.  Retired snapshots go onto a short recycle list, and a publish
+/// refills any one of them that no reader holds any more.
 #[derive(Debug)]
 pub(crate) struct RoutePublisher {
     shared: Arc<Shared>,
-    /// The snapshot retired by the last publish; reclaimed via [`Arc::try_unwrap`]
-    /// when no reader still holds it.
-    spare: Option<Arc<EpochSnapshot>>,
+    /// Recently retired snapshots, oldest first, at most [`RECYCLE_SLOTS`]; one is
+    /// reclaimed via [`Arc::try_unwrap`] once no reader holds it.  While the list
+    /// holds a snapshot a reader drops its checkout without freeing it.
+    retired: Vec<Arc<EpochSnapshot>>,
     /// The epoch number the next publish will carry (the cell assigns the same
     /// sequence; kept here so the snapshot can embed its own epoch).
     next_epoch: u64,
@@ -369,18 +382,16 @@ pub(crate) struct RoutePublisher {
 impl RoutePublisher {
     /// Builds the initial epoch-0 snapshot from the live state and the shared cell
     /// around it.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn attach(
         mesh: &Mesh,
         step: u64,
         round: u64,
         statuses: &[NodeStatus],
         blocks: &[FaultyBlock],
-        vis_data: &[BoundaryEntry],
-        vis_off: &[usize],
+        boundary: CsrBoundary<'_>,
     ) -> Self {
         let mut snapshot = EpochSnapshot::empty(mesh);
-        snapshot.fill(0, step, round, statuses, blocks, vis_data, vis_off);
+        snapshot.fill(0, step, round, statuses, blocks, boundary);
         let heap_bytes = snapshot.heap_bytes();
         let shared = Arc::new(Shared {
             cell: EpochCell::new(Arc::new(snapshot)),
@@ -390,7 +401,7 @@ impl RoutePublisher {
         });
         RoutePublisher {
             shared,
-            spare: None,
+            retired: Vec::with_capacity(RECYCLE_SLOTS),
             next_epoch: 1,
             published_gen: 0,
         }
@@ -414,9 +425,8 @@ impl RoutePublisher {
     }
 
     /// Publishes a new epoch from the live network state.  Cold path by contract:
-    /// runs once per information change, never per query, and reuses the spare
-    /// snapshot's buffers when the readers have released it.
-    #[allow(clippy::too_many_arguments)]
+    /// runs once per information change, never per query, and reuses a retired
+    /// snapshot's buffers when the readers have released one.
     pub(crate) fn publish(
         &mut self,
         mesh: &Mesh,
@@ -424,27 +434,19 @@ impl RoutePublisher {
         round: u64,
         statuses: &[NodeStatus],
         blocks: &[FaultyBlock],
-        vis_data: &[BoundaryEntry],
-        vis_off: &[usize],
+        boundary: CsrBoundary<'_>,
     ) {
-        let mut snapshot = match self.spare.take().map(Arc::try_unwrap) {
+        let free = self.retired.iter().position(|s| Arc::strong_count(s) == 1);
+        let mut snapshot = match free.map(|i| Arc::try_unwrap(self.retired.remove(i))) {
             Some(Ok(retired)) => {
                 self.shared.buffers_reused.fetch_add(1, Ordering::Relaxed);
                 retired
             }
-            // Some reader still holds the retired snapshot (or this is the first
-            // republish): leave it to them and build fresh buffers.
+            // Readers hold every retired snapshot (or this is the first
+            // republish): build fresh buffers.
             _ => EpochSnapshot::empty(mesh),
         };
-        snapshot.fill(
-            self.next_epoch,
-            step,
-            round,
-            statuses,
-            blocks,
-            vis_data,
-            vis_off,
-        );
+        snapshot.fill(self.next_epoch, step, round, statuses, blocks, boundary);
         self.shared
             .snapshot_heap_bytes
             .store(snapshot.heap_bytes(), Ordering::Relaxed);
@@ -452,7 +454,11 @@ impl RoutePublisher {
         debug_assert_eq!(self.shared.cell.epoch(), self.next_epoch);
         self.next_epoch += 1;
         self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
-        self.spare = Some(retired);
+        if self.retired.len() == RECYCLE_SLOTS {
+            // Every slot is held by a reader: the oldest is left to its holders.
+            self.retired.remove(0);
+        }
+        self.retired.push(retired);
     }
 }
 

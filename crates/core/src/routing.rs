@@ -65,7 +65,7 @@ pub fn fill_neighbor_slots(
 /// The hop loop of [`ProbeEngine`] only ever asks "what boundary entries are stored
 /// at the node currently holding the probe?".  Abstracting that lookup lets the same
 /// loop route against a live [`BoundaryMap`] (the static experiments) or against the
-/// flattened `vis_data`/`vis_off` CSR arena of an
+/// flattened [`CsrBoundary`] arena of an
 /// [`EpochSnapshot`](crate::route_service::EpochSnapshot) — which is what makes
 /// snapshot-resolved routes bit-identical to routes resolved against the live
 /// network frozen at the same epoch.
@@ -81,17 +81,25 @@ impl BoundarySource for BoundaryMap {
     }
 }
 
-/// A borrowed CSR view over a flattened boundary arena: node `i`'s entries are
-/// `data[off[i]..off[i + 1]]` — the `vis_data`/`vis_off` layout used by
-/// [`LgfiNetwork`](crate::network::LgfiNetwork) and by epoch snapshots.
+/// A borrowed view over a flattened boundary arena: node `i`'s entries are
+/// `data[start[i]..end[i]]`.
+///
+/// Two layouts share the view.  A compact CSR arena (epoch snapshots, static
+/// environments) packs the nodes back to back, so `end` is `start` shifted by one.
+/// The slot arena of [`LgfiNetwork`](crate::network::LgfiNetwork) gives node `i`
+/// the slots `data[off[i]..off[i + 1]]`, of which the first `end[i] - off[i]` hold
+/// its visible entries, so one node's visibility can change without moving any
+/// other node's slots.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrBoundary<'a> {
     data: &'a [BoundaryEntry],
-    off: &'a [usize],
+    start: &'a [usize],
+    end: &'a [usize],
 }
 
 impl<'a> CsrBoundary<'a> {
-    /// Wraps a `(data, off)` arena pair.
+    /// Wraps a compact `(data, off)` CSR arena: node `i`'s entries are
+    /// `data[off[i]..off[i + 1]]`.
     ///
     /// # Panics
     /// Panics if the offset table is empty or its last offset overruns `data`.
@@ -102,14 +110,54 @@ impl<'a> CsrBoundary<'a> {
             off.len(),
             data.len()
         );
-        CsrBoundary { data, off }
+        CsrBoundary {
+            data,
+            start: &off[..off.len() - 1],
+            end: &off[1..],
+        }
+    }
+
+    /// Wraps a slot arena: node `i` owns `data[off[i]..off[i + 1]]` and its entries
+    /// are `data[off[i]..end[i]]`.
+    ///
+    /// # Panics
+    /// Panics if `off` does not hold exactly one offset more than `end`, or its
+    /// last offset overruns `data`.
+    pub(crate) fn with_slots(
+        data: &'a [BoundaryEntry],
+        off: &'a [usize],
+        end: &'a [usize],
+    ) -> Self {
+        assert!(
+            off.len() == end.len() + 1 && off[end.len()] <= data.len(),
+            "malformed boundary slot arena: {} offsets, {} nodes over {} slots",
+            off.len(),
+            end.len(),
+            data.len()
+        );
+        CsrBoundary {
+            data,
+            start: &off[..end.len()],
+            end,
+        }
+    }
+
+    /// Number of nodes the arena covers.
+    pub fn node_count(&self) -> usize {
+        self.end.len()
+    }
+
+    /// The entries of `node`, borrowed for the arena's lifetime.
+    #[inline]
+    pub fn entries(&self, node: NodeId) -> &'a [BoundaryEntry] {
+        &self.data[self.start[node]..self.end[node]]
     }
 }
 
 impl BoundarySource for CsrBoundary<'_> {
     #[inline]
     fn entries_for(&self, node: NodeId) -> &[BoundaryEntry] {
-        &self.data[self.off[node]..self.off[node + 1]]
+        self.entries(node)
     }
 }
 

@@ -64,7 +64,8 @@ use crate::block::FaultyBlock;
 use crate::boundary::{BoundaryEntry, BoundaryMap};
 use crate::linkstate::LinkState;
 use crate::routing::{
-    fill_neighbor_slots, NeighborSlot, Probe, ProbeStatus, RouteCtx, Router, RoutingDecision,
+    fill_neighbor_slots, CsrBoundary, NeighborSlot, Probe, ProbeStatus, RouteCtx, Router,
+    RoutingDecision,
 };
 use crate::status::NodeStatus;
 use lgfi_sim::{TrafficStats, NO_OWNER};
@@ -305,19 +306,16 @@ impl From<TrafficConfig> for TrafficSpec {
 }
 
 /// The frozen per-cycle environment a packet decision is allowed to look at: node
-/// statuses, the global block view (for the idealised baselines) and the CSR arena
-/// of the boundary information *visible at each node this cycle* (node `i`'s entries
-/// are `vis_data[vis_off[i]..vis_off[i + 1]]`).
+/// statuses, the global block view (for the idealised baselines) and the arena of
+/// the boundary information *visible at each node this cycle*.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleEnv<'a> {
     /// Detected status of every node.
     pub statuses: &'a [NodeStatus],
     /// Global block view — only consulted by the global-information baselines.
     pub blocks: &'a [FaultyBlock],
-    /// CSR data array of currently-visible boundary entries.
-    pub vis_data: &'a [BoundaryEntry],
-    /// CSR offset table (`node_count + 1` entries).
-    pub vis_off: &'a [usize],
+    /// The currently-visible boundary entries of every node.
+    pub boundary: CsrBoundary<'a>,
 }
 
 /// An owned, fully-stabilised [`CycleEnv`]: every node holds its complete boundary
@@ -361,8 +359,7 @@ impl StaticTrafficEnv {
         CycleEnv {
             statuses: &self.statuses,
             blocks: &self.blocks,
-            vis_data: &self.vis_data,
-            vis_off: &self.vis_off,
+            boundary: CsrBoundary::new(&self.vis_data, &self.vis_off),
         }
     }
 }
@@ -667,9 +664,9 @@ impl TrafficEngine {
     /// retirement.
     pub fn run_cycle(&mut self, env: &CycleEnv<'_>) {
         debug_assert_eq!(
-            env.vis_off.len(),
-            self.mesh.node_count() + 1,
-            "cycle env CSR offsets must cover the mesh"
+            env.boundary.node_count(),
+            self.mesh.node_count(),
+            "cycle env boundary arena must cover the mesh"
         );
         // --- Decision phase (shardable: pure per-packet functions of `env`). ------
         let mesh = &self.mesh;
@@ -869,7 +866,7 @@ fn decide_packet(
         dest: &dest_coord,
         current_status: env.statuses[current],
         neighbors: &p.slots,
-        boundary_info: &env.vis_data[env.vis_off[current]..env.vis_off[current + 1]],
+        boundary_info: env.boundary.entries(current),
         global_blocks: env.blocks,
         used: p.probe.used_here(),
         incoming: p.probe.incoming,

@@ -7,14 +7,20 @@
 //! * routing between enabled corner nodes always terminates, and delivered routes are
 //!   at least as long as the Manhattan distance;
 //! * boundary information never sits inside a block and the criticality test never
-//!   flags a hop for a destination outside the block's cross-section.
+//!   flags a hop for a destination outside the block's cross-section;
+//! * the per-block boundary builder reproduces the whole-map construction it
+//!   replaced, merging boundaries included.
 //!
 //! The cases are drawn by a seeded [`DetRng`] rather than proptest (the build
 //! environment is offline), so every run explores the same deterministic sample of
 //! the input space. `CASES` seeds per property, each generating a random 2-D or 3-D
 //! mesh plus a random subset of distinct interior faults.
 
+use std::collections::{BTreeMap, VecDeque};
+
 use lgfi::prelude::*;
+use lgfi_core::block::BlockId;
+use lgfi_topology::FrameLevel;
 
 const CASES: u64 = 48;
 
@@ -238,4 +244,118 @@ fn criticality_requires_destination_in_the_opposite_shadow() {
         }
     }
     assert!(executed >= CASES as u32 / 4, "only {executed} cases ran");
+}
+
+/// The whole-map boundary construction the per-block builder replaced, kept as
+/// the builder's oracle: a node-count × blocks adjacency scan, then one
+/// breadth-first propagation per block and guard.  Also returns how often the
+/// merge rule fired.
+fn whole_map_construct(mesh: &Mesh, blocks: &BlockSet) -> (Vec<Vec<BoundaryEntry>>, usize) {
+    let mut entries = vec![Vec::new(); mesh.node_count()];
+    let mut merges = 0;
+    let adjacency: Vec<Option<BlockId>> = (0..mesh.node_count())
+        .map(|id| {
+            let c = mesh.coord_of(id);
+            blocks
+                .blocks()
+                .iter()
+                .find(|b| matches!(b.region.frame_level(&c), FrameLevel::Frame(_)))
+                .map(|b| b.id)
+        })
+        .collect();
+    let in_block: Vec<bool> = (0..mesh.node_count())
+        .map(|id| blocks.block_of(id).is_some())
+        .collect();
+    let away_coord = |region: &Region, guard: Direction| {
+        if guard.opposite().positive {
+            region.hi()[guard.dim] + 1
+        } else {
+            region.lo()[guard.dim] - 1
+        }
+    };
+    for block in blocks.blocks() {
+        for guard in Direction::all(mesh.ndim()) {
+            let region = &block.region;
+            let away = guard.opposite();
+            if region.shadow_prism(mesh, away).is_none() {
+                continue;
+            }
+            let mut arrival: BTreeMap<NodeId, u64> = BTreeMap::new();
+            let mut queue: VecDeque<NodeId> = VecDeque::new();
+            for c in region.expand(1).iter_coords() {
+                if mesh.contains(&c)
+                    && c[guard.dim] == away_coord(region, guard)
+                    && region.frame_level(&c) == FrameLevel::Frame(2)
+                {
+                    arrival.insert(mesh.id_of(&c), 0);
+                    queue.push_back(mesh.id_of(&c));
+                }
+            }
+            while let Some(u) = queue.pop_front() {
+                let t = arrival[&u];
+                let uc = mesh.coord_of(u);
+                let mut targets: Vec<NodeId> = Vec::new();
+                match adjacency[u].filter(|&b| b != block.id) {
+                    None => targets.extend(mesh.neighbor(&uc, away).map(|c| mesh.id_of(&c))),
+                    Some(other) => {
+                        merges += 1;
+                        for dir in Direction::all(mesh.ndim()) {
+                            if let Some(nid) = mesh.neighbor_id(u, dir) {
+                                if adjacency[nid] == Some(other) && !in_block[nid] {
+                                    targets.push(nid);
+                                }
+                            }
+                        }
+                        let other_region = &blocks.blocks()[other].region;
+                        if uc[guard.dim] == away_coord(other_region, guard)
+                            && other_region.frame_level(&uc) == FrameLevel::Frame(2)
+                        {
+                            targets.extend(mesh.neighbor(&uc, away).map(|c| mesh.id_of(&c)));
+                        }
+                    }
+                }
+                for v in targets {
+                    if in_block[v] || arrival.contains_key(&v) {
+                        continue;
+                    }
+                    arrival.insert(v, t + 1);
+                    queue.push_back(v);
+                }
+            }
+            for (node, offset) in arrival {
+                entries[node].push(BoundaryEntry {
+                    block_id: block.id,
+                    block: region.clone(),
+                    guard,
+                    arrival_offset: offset,
+                });
+            }
+        }
+    }
+    (entries, merges)
+}
+
+#[test]
+fn per_block_builder_matches_the_whole_map_construction() {
+    let mut merging_cases = 0;
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(0xB1D).derive(case);
+        let (dims, faults) = sample_mesh_and_faults(&mut rng);
+        let (mesh, _labeling, blocks, boundary) = build(&dims, &faults);
+        let (reference, merges) = whole_map_construct(&mesh, &blocks);
+        for id in mesh.node_ids() {
+            assert_eq!(
+                boundary.entries(id),
+                reference[id].as_slice(),
+                "case {case}: node {:?}",
+                mesh.coord_of(id)
+            );
+        }
+        merging_cases += usize::from(merges > 0);
+    }
+    // Guard against a sample in which boundaries never merge into another block.
+    assert!(
+        merging_cases >= CASES as usize / 4,
+        "only {merging_cases} cases merged boundaries"
+    );
 }

@@ -4,7 +4,9 @@
 //! publishing a new epoch per information change, and records every published
 //! snapshot (`service.latest()` after each step — the writer is the only
 //! publisher, so the history is complete).  Reader threads resolve the query
-//! batch continuously, logging `(epoch, source, dest, outcome)` per query.
+//! batch continuously, logging `(epoch, source, dest, outcome)` per query: at
+//! least [`REPEATS`] times, and on until they have seen the epoch change (the
+//! writer may not have been scheduled yet when a reader finishes its repeats).
 //!
 //! After the pool drains, every logged query is re-resolved **serially** against
 //! the recorded snapshot of the epoch the reader had checked out, with a fresh
@@ -31,6 +33,8 @@ use lgfi_workloads::{ChurnConfig, ChurnProcess, TrafficGenerator, TrafficPattern
 
 const MAX_QUERY_STEPS: u64 = 100_000;
 const REPEATS: usize = 40;
+/// Cap on a reader's repeats while it waits for the writer to publish.
+const MAX_REPEATS: usize = 1_000 * REPEATS;
 
 struct QueryLog {
     epoch: u64,
@@ -45,6 +49,8 @@ struct ReaderState {
     lo: usize,
     hi: usize,
     log: Vec<QueryLog>,
+    /// Passes over the reader's share of the batch.
+    repeats: usize,
 }
 
 struct WriterState {
@@ -99,6 +105,7 @@ fn concurrent_queries_match_serial_reresolution_on_their_epoch() {
             lo: range.start,
             hi: range.end,
             log: Vec::new(),
+            repeats: 0,
         })));
     }
     tasks.push(Task::Writer(Box::new(WriterState {
@@ -115,9 +122,12 @@ fn concurrent_queries_match_serial_reresolution_on_their_epoch() {
     let mut pool = WorkerPool::new(chunks);
     pool.run_chunked(&mut tasks, chunks, |_, chunk| match &mut chunk[0] {
         Task::Reader(r) => {
-            for _ in 0..REPEATS {
+            let mut first_epoch = None;
+            let mut saw_change = false;
+            while r.repeats < REPEATS || (!saw_change && r.repeats < MAX_REPEATS) {
                 for &(source, dest) in &pairs[r.lo..r.hi] {
                     let q = r.reader.resolve(&*r.router, source, dest, MAX_QUERY_STEPS);
+                    saw_change |= q.epoch != *first_epoch.get_or_insert(q.epoch);
                     r.log.push(QueryLog {
                         epoch: q.epoch,
                         source,
@@ -125,6 +135,7 @@ fn concurrent_queries_match_serial_reresolution_on_their_epoch() {
                         outcome: q.outcome,
                     });
                 }
+                r.repeats += 1;
             }
             active_readers.fetch_sub(1, Ordering::Release);
         }
@@ -152,6 +163,7 @@ fn concurrent_queries_match_serial_reresolution_on_their_epoch() {
     // query against the snapshot its reader had checked out.
     let mut by_epoch: HashMap<u64, Arc<EpochSnapshot>> = HashMap::new();
     let mut logs: Vec<Vec<QueryLog>> = Vec::new();
+    let mut expected_queries = 0usize;
     for task in tasks {
         match task {
             Task::Writer(w) => {
@@ -163,7 +175,11 @@ fn concurrent_queries_match_serial_reresolution_on_their_epoch() {
                     by_epoch.insert(snap.epoch(), snap);
                 }
             }
-            Task::Reader(r) => logs.push(r.log),
+            Task::Reader(r) => {
+                assert!(r.repeats >= REPEATS, "a reader stopped early");
+                expected_queries += r.repeats * (r.hi - r.lo);
+                logs.push(r.log);
+            }
         }
     }
     let observed: std::collections::BTreeSet<u64> =
@@ -207,8 +223,7 @@ fn concurrent_queries_match_serial_reresolution_on_their_epoch() {
         }
     }
     assert_eq!(
-        replayed as usize,
-        REPEATS * pairs.len(),
+        replayed as usize, expected_queries,
         "every reader must have resolved (and replayed) its full share of the batch"
     );
 }

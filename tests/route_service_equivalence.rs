@@ -9,8 +9,9 @@
 //! snapshot must faithfully copy the *partial* view, not an idealised one), and
 //! after recovery churn.  Also covered here: reader-count independence (the same
 //! batch resolved through 1 or 4 reader objects is identical), epoch
-//! monotonicity, and the double-buffer memory contract (steady-state republish
-//! reuses retired buffers and snapshot size stays flat).
+//! monotonicity, and the recycled-buffer memory contract (steady-state
+//! republish reuses retired buffers, also beside a lagging reader, and snapshot
+//! size stays flat).
 
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
 use lgfi_core::routing::ProbeEngine;
@@ -208,4 +209,32 @@ fn republish_reuses_buffers_and_size_stays_flat() {
         "epochs must be strictly monotone: {epochs_seen:?}"
     );
     assert!(end.bytes_per_node() > 0.0);
+
+    // A reader lagging by up to two epochs holds one retired snapshot while the
+    // next is published.  The publisher's recycle list still has a free one to
+    // refill, so after one fresh snapshot every publish reuses buffers (and the
+    // reader never drops the last reference to a snapshot on its query path).
+    let mut lagging = service.reader();
+    let start = service.stats();
+    let mut steps = 0u64;
+    while service.epoch() < start.epoch + 20 {
+        let step = net.step();
+        match steps % 60 {
+            0 => net.run_step_with(&[FaultEvent::fail(step, node)]),
+            30 => net.run_step_with(&[FaultEvent::recover(step, node)]),
+            _ => net.run_step(),
+        }
+        steps += 1;
+        if service.epoch() - lagging.epoch() >= 2 {
+            assert!(lagging.refresh());
+        }
+    }
+    let lagged = service.stats();
+    let published = lagged.epochs_published - start.epochs_published;
+    let reused = lagged.buffers_reused - start.buffers_reused;
+    assert!(
+        published - reused <= 1,
+        "a reader lagging by two epochs forced {} fresh snapshots in {published} publishes",
+        published - reused
+    );
 }
