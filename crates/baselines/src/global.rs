@@ -64,7 +64,7 @@ impl Router for GlobalInfoRouter {
             for guard in Direction::iter_all(n) {
                 synthetic.push(BoundaryEntry {
                     block_id: block.id,
-                    block: block.region.clone(),
+                    block: block.region,
                     guard,
                     arrival_offset: 0,
                 });

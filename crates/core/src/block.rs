@@ -150,7 +150,7 @@ impl BlockSet {
 
     /// The regions of all blocks.
     pub fn regions(&self) -> Vec<Region> {
-        self.blocks.iter().map(|b| b.region.clone()).collect()
+        self.blocks.iter().map(|b| b.region).collect()
     }
 
     /// The paper's `e_max`: the maximum edge length over all blocks (0 if there are
@@ -195,13 +195,13 @@ impl BlockSet {
             .blocks
             .iter()
             .filter(|b| !previous.blocks.iter().any(|p| p.region == b.region))
-            .map(|b| b.region.clone())
+            .map(|b| b.region)
             .collect();
         let disappeared = previous
             .blocks
             .iter()
             .filter(|p| !self.blocks.iter().any(|b| b.region == p.region))
-            .map(|p| p.region.clone())
+            .map(|p| p.region)
             .collect();
         (appeared, disappeared)
     }
@@ -342,7 +342,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut rng = DetRng::seed_from_u64(seed);
             let picks = rng.sample_indices(interior.len(), 25);
-            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i].clone()).collect();
+            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i]).collect();
             let mut eng = LabelingEngine::new(mesh.clone());
             eng.apply_faults(&faults);
             let blocks = BlockSet::extract(&mesh, eng.statuses());

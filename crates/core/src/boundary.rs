@@ -41,7 +41,10 @@ use crate::block::{BlockId, BlockSet};
 
 /// One piece of limited-global information stored at a node: "block `block` exists;
 /// this node is on the boundary that guards its surface in direction `guard`".
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Plain data (`Copy`, no heap pointer), so arenas and snapshots of entries copy as
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundaryEntry {
     /// The id of the guarded block within the owning [`BlockSet`].
     pub block_id: BlockId,
@@ -221,7 +224,7 @@ impl<'a> BoundaryBuilder<'a> {
             out.extend(self.reached.iter().map(|&(node, offset)| {
                 let entry = BoundaryEntry {
                     block_id,
-                    block: region.clone(),
+                    block: *region,
                     guard,
                     arrival_offset: offset,
                 };
@@ -323,6 +326,14 @@ mod tests {
     use crate::block::BlockSet;
     use crate::labeling::LabelingEngine;
     use lgfi_topology::coord;
+
+    // Geometry and boundary information are plain data: every copy is a byte copy.
+    const _: () = {
+        const fn assert_copy<T: Copy>() {}
+        assert_copy::<Coord>();
+        assert_copy::<Region>();
+        assert_copy::<BoundaryEntry>();
+    };
 
     fn build(mesh: &Mesh, faults: &[Coord]) -> (BlockSet, BoundaryMap) {
         let mut eng = LabelingEngine::new(mesh.clone());

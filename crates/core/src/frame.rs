@@ -79,7 +79,7 @@ impl BlockFrame {
             }
         }
         BlockFrame {
-            block: block.clone(),
+            block: *block,
             ndim,
             roles,
         }
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn adjacent_nodes_have_a_neighbor_in_the_block() {
         let (mesh, frame) = figure1_frame();
-        let block = frame.block().clone();
+        let block = *frame.block();
         for id in frame.nodes_at_level(1) {
             let c = mesh.coord_of(id);
             assert!(

@@ -143,7 +143,7 @@ impl IdentificationProcess {
         );
 
         // The opposite corner: mirror every coordinate through the block.
-        let mut opp = init_corner.clone();
+        let mut opp = *init_corner;
         for d in 0..n {
             opp[d] = if init_corner[d] == block.lo()[d] - 1 {
                 block.hi()[d] + 1
@@ -186,9 +186,9 @@ impl IdentificationProcess {
         let formed_round = Self::level_duration(&extents);
 
         let mut outcome = IdentificationOutcome {
-            block: block.clone(),
-            init_corner: init_corner.clone(),
-            opposite_corner: opp.clone(),
+            block: *block,
+            init_corner: *init_corner,
+            opposite_corner: opp,
             formed_round,
             info_arrival: BTreeMap::new(),
             completed_round: 0,
@@ -264,7 +264,7 @@ mod tests {
             coord![3, 6, 3],
         ]);
         let blocks = BlockSet::extract(&mesh, eng.statuses());
-        let region = blocks.blocks()[0].region.clone();
+        let region = blocks.blocks()[0].region;
         (mesh, eng.statuses().to_vec(), region)
     }
 
@@ -361,7 +361,7 @@ mod tests {
         // Identifying the *stabilised* extent instead succeeds.
         let blocks = BlockSet::extract(&mesh, eng.statuses());
         assert_eq!(blocks.len(), 1);
-        let full = blocks.blocks()[0].region.clone();
+        let full = blocks.blocks()[0].region;
         let ok = proc
             .run_from_default_corner(&mesh, &full, eng.statuses())
             .unwrap();
@@ -389,7 +389,7 @@ mod tests {
         let mut eng = LabelingEngine::new(mesh.clone());
         eng.apply_faults(&[coord![5, 5], coord![6, 6], coord![5, 6], coord![6, 5]]);
         let blocks = BlockSet::extract(&mesh, eng.statuses());
-        let region = blocks.blocks()[0].region.clone();
+        let region = blocks.blocks()[0].region;
         let proc = IdentificationProcess::default();
         let outcome = proc
             .run_from_default_corner(&mesh, &region, eng.statuses())

@@ -17,7 +17,7 @@ use lgfi_sim::{
 };
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 
-use crate::status::{next_status, NeighborStatus, NodeStatus};
+use crate::status::{next_status, NodeStatus};
 
 /// Per-worker scratch of a sharded labeling round: the shard's changed-id list
 /// and how many nodes the worker evaluated.
@@ -466,8 +466,7 @@ struct StatusView<'a> {
 /// Applies rules 1–4 to the non-faulty nodes of `ids` (ascending), staging changed
 /// statuses into `next_slab` (indexed by `id - base`) and collecting the changed ids.
 /// Neighbor views are built in a fixed-capacity stack array, so evaluation never
-/// touches the heap for meshes of up to `MAX_STACK_NEIGHBORS / 2` dimensions.
-/// Returns the number of nodes evaluated.
+/// touches the heap.  Returns the number of nodes evaluated.
 fn eval_ids(
     view: &StatusView<'_>,
     ids: impl Iterator<Item = NodeId>,
@@ -483,21 +482,11 @@ fn eval_ids(
         }
         evaluated += 1;
         let nbrs = &view.nbr_data[view.nbr_off[id]..view.nbr_off[id + 1]];
-        let ns = if nbrs.len() <= MAX_STACK_NEIGHBORS {
-            let mut buf = [(Direction::pos(0), NodeStatus::Enabled); MAX_STACK_NEIGHBORS];
-            for (slot, &(dir, nid)) in buf.iter_mut().zip(nbrs) {
-                *slot = (dir, view.statuses[nid]);
-            }
-            next_status(prev, &buf[..nbrs.len()])
-        } else {
-            // More than MAX_STACK_NEIGHBORS/2 dimensions: fall back to the heap.
-            let views: Vec<NeighborStatus> = nbrs
-                .iter()
-                .map(|&(dir, nid)| (dir, view.statuses[nid]))
-                // audit:allow(alloc): cold fallback for meshes of more than 8 dimensions; every benchmarked mesh stays on the stack buffer above
-                .collect();
-            next_status(prev, &views)
-        };
+        let mut buf = [(Direction::pos(0), NodeStatus::Enabled); MAX_STACK_NEIGHBORS];
+        for (slot, &(dir, nid)) in buf.iter_mut().zip(nbrs) {
+            *slot = (dir, view.statuses[nid]);
+        }
+        let ns = next_status(prev, &buf[..nbrs.len()]);
         if ns != prev {
             next_slab[id - base] = ns;
             changed.push(id);
@@ -547,16 +536,11 @@ impl Protocol for LabelingProtocol {
                 },
             )
         };
-        if neighbors.len() <= MAX_STACK_NEIGHBORS {
-            let mut buf = [(Direction::pos(0), NodeStatus::Enabled); MAX_STACK_NEIGHBORS];
-            for (slot, nb) in buf.iter_mut().zip(neighbors) {
-                *slot = status_of(nb);
-            }
-            next_status(*prev, &buf[..neighbors.len()])
-        } else {
-            let views: Vec<NeighborStatus> = neighbors.iter().map(status_of).collect();
-            next_status(*prev, &views)
+        let mut buf = [(Direction::pos(0), NodeStatus::Enabled); MAX_STACK_NEIGHBORS];
+        for (slot, nb) in buf.iter_mut().zip(neighbors) {
+            *slot = status_of(nb);
         }
+        next_status(*prev, &buf[..neighbors.len()])
     }
 }
 
@@ -673,7 +657,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut rng = DetRng::seed_from_u64(seed);
             let picks = rng.sample_indices(interior_nodes.len(), 12);
-            let faults: Vec<Coord> = picks.iter().map(|&i| interior_nodes[i].clone()).collect();
+            let faults: Vec<Coord> = picks.iter().map(|&i| interior_nodes[i]).collect();
             let mut array = LabelingEngine::new(mesh.clone());
             array.apply_faults(&faults);
             let (distributed, _) = run_distributed_labeling(&mesh, &faults);

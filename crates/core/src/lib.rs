@@ -81,6 +81,3 @@ pub use safety::is_safe_source;
 pub use slo::SloObserver;
 pub use status::NodeStatus;
 pub use traffic_engine::{CycleEnv, PacketRecord, StaticTrafficEnv, TrafficEngine, TrafficSpec};
-// Deprecated shim: kept for one release so downstream callers can migrate.
-#[allow(deprecated)]
-pub use traffic_engine::TrafficConfig;

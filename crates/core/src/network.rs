@@ -352,7 +352,7 @@ impl LgfiNetwork {
         self.info[id]
             .iter()
             .filter(|t| t.visible_at(self.round))
-            .map(|t| t.entry.clone())
+            .map(|t| t.entry)
             .collect()
     }
 
@@ -589,14 +589,10 @@ impl LgfiNetwork {
             self.vis_off[node] = self.vis_data.len();
             let visible = |t: &&TimedEntry| t.visible_at(round);
             self.vis_data
-                .extend(timed.iter().filter(visible).map(|t| t.entry.clone()));
+                .extend(timed.iter().filter(visible).map(|t| t.entry));
             self.vis_end[node] = self.vis_data.len();
-            self.vis_data.extend(
-                timed
-                    .iter()
-                    .filter(|t| !visible(t))
-                    .map(|t| t.entry.clone()),
-            );
+            self.vis_data
+                .extend(timed.iter().filter(|t| !visible(t)).map(|t| t.entry));
         }
         self.vis_off[self.info.len()] = self.vis_data.len();
     }
@@ -786,7 +782,7 @@ impl LgfiNetwork {
                     }
                 }
                 self.distributed.push(Distributed {
-                    region: region.clone(),
+                    region: *region,
                     holders,
                 });
             }
@@ -906,13 +902,13 @@ fn advance_probe(
 }
 
 /// Rewrites one node's arena slots with the entries of its timed list that are
-/// visible at `round`, in list order, and returns how many there are.  Clones
+/// visible at `round`, in list order, and returns how many there are.  Copies
 /// into the existing slots, so a patch never allocates; the slots always number
 /// at least the timed entries.
 fn patch_slots(timed: &[TimedEntry], round: u64, slots: &mut [BoundaryEntry]) -> usize {
     let mut visible = 0;
     for t in timed.iter().filter(|t| t.visible_at(round)) {
-        slots[visible].clone_from(&t.entry);
+        slots[visible] = t.entry;
         visible += 1;
     }
     visible

@@ -175,8 +175,7 @@ impl EpochSnapshot {
     }
 
     /// Approximate heap footprint of the snapshot's buffers in bytes (capacities ×
-    /// element sizes; per-entry spill beyond the inline coordinate storage of very
-    /// high-dimensional meshes is not counted).
+    /// element sizes; the blocks' member-node lists are not counted).
     pub fn heap_bytes(&self) -> u64 {
         let statuses = self.statuses.capacity() * std::mem::size_of::<NodeStatus>();
         let blocks = self.blocks.capacity() * std::mem::size_of::<FaultyBlock>();

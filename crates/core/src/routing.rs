@@ -1149,7 +1149,7 @@ mod tests {
         for seed in 0..6u64 {
             let mut rng = DetRng::seed_from_u64(1000 + seed);
             let picks = rng.sample_indices(interior.len(), 30);
-            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i].clone()).collect();
+            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i]).collect();
             let env = build_env(mesh.clone(), &faults);
             let out = route(&env, &coord![0, 0, 0], &coord![9, 9, 9]);
             assert!(

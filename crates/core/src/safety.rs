@@ -128,7 +128,7 @@ mod tests {
         for seed in 0..10u64 {
             let mut rng = DetRng::seed_from_u64(seed);
             let picks = rng.sample_indices(interior.len(), 10);
-            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i].clone()).collect();
+            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i]).collect();
             let mut eng = LabelingEngine::new(mesh.clone());
             eng.apply_faults(&faults);
             let blocks = BlockSet::extract(&mesh, eng.statuses());

@@ -76,12 +76,10 @@ use std::collections::VecDeque;
 /// [`TrafficEngine`], `Scenario::run_traffic`, `SloCampaign` and the bench
 /// harness.
 ///
-/// `TrafficSpec` replaces the duplicated `TrafficConfig` (engine knobs) /
-/// `TrafficLoad` (workload knobs) pair.  It is `#[non_exhaustive]`: construct it
-/// with [`TrafficSpec::new`] or [`TrafficSpec::at_rate`] and chain the builder
-/// methods, so future knobs never break call sites.  The defaults reproduce the
-/// PR-5 packet-per-cycle engine exactly (single-flit worms never hold a virtual
-/// channel across cycles).
+/// It is `#[non_exhaustive]`: construct it with [`TrafficSpec::new`] or
+/// [`TrafficSpec::at_rate`] and chain the builder methods, so future knobs never
+/// break call sites.  The defaults reproduce the PR-5 packet-per-cycle engine
+/// exactly (single-flit worms never hold a virtual channel across cycles).
 ///
 /// ```
 /// use lgfi_core::traffic_engine::TrafficSpec;
@@ -150,8 +148,7 @@ impl TrafficSpec {
         TrafficSpec::default()
     }
 
-    /// The default spec at the given offered load (the successor of the deprecated
-    /// `TrafficLoad::at_rate`).
+    /// The default spec at the given offered load.
     pub fn at_rate(rate: f64) -> Self {
         TrafficSpec::new().rate(rate)
     }
@@ -260,48 +257,6 @@ impl TrafficSpec {
             problems.push("deadlock_threshold must be at least 1 cycle".into());
         }
         problems
-    }
-}
-
-/// Legacy configuration of the [`TrafficEngine`], superseded by [`TrafficSpec`].
-#[deprecated(
-    since = "0.10.0",
-    note = "use the unified builder-style TrafficSpec instead"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct TrafficConfig {
-    /// Packets one directed link can carry per cycle (at least 1).
-    pub link_capacity: u32,
-    /// Cycles a packet may stay in flight (hops + stalls) before being declared
-    /// exhausted.
-    pub max_packet_cycles: u64,
-    /// Worker threads for the per-cycle routing decisions (`1` = serial, `0` = one
-    /// per available core).
-    pub traffic_threads: usize,
-}
-
-// Deprecated shim: kept for one release so downstream callers can migrate.
-#[allow(deprecated)]
-impl Default for TrafficConfig {
-    fn default() -> Self {
-        TrafficConfig {
-            link_capacity: 1,
-            max_packet_cycles: 100_000,
-            traffic_threads: 1,
-        }
-    }
-}
-
-// Deprecated shim: kept for one release so downstream callers can migrate.
-#[allow(deprecated)]
-impl From<TrafficConfig> for TrafficSpec {
-    /// Lifts the legacy engine knobs onto the spec defaults (single-flit worms —
-    /// the exact PR-5 behaviour).
-    fn from(config: TrafficConfig) -> TrafficSpec {
-        TrafficSpec::new()
-            .link_capacity(config.link_capacity)
-            .max_packet_cycles(config.max_packet_cycles)
-            .traffic_threads(config.traffic_threads)
     }
 }
 
@@ -503,19 +458,12 @@ pub struct TrafficEngine {
 
 impl TrafficEngine {
     /// A traffic engine over `mesh` whose packets are all driven by routers from
-    /// `make_router` (one instance per decision worker).  Accepts anything
-    /// convertible into a [`TrafficSpec`] (including the deprecated
-    /// `TrafficConfig`).
+    /// `make_router` (one instance per decision worker), configured by `spec`.
     ///
     /// # Panics
     ///
     /// Panics when [`TrafficSpec::validate`] rejects the spec.
-    pub fn new(
-        mesh: Mesh,
-        spec: impl Into<TrafficSpec>,
-        make_router: &dyn Fn() -> Box<dyn Router>,
-    ) -> Self {
-        let spec = spec.into();
+    pub fn new(mesh: Mesh, spec: TrafficSpec, make_router: &dyn Fn() -> Box<dyn Router>) -> Self {
         let problems = spec.validate();
         assert!(
             problems.is_empty(),
@@ -1403,26 +1351,6 @@ mod tests {
     fn engine_rejects_an_invalid_spec() {
         let mesh = Mesh::cubic(4, 2);
         let _ = lgfi_engine(&mesh, TrafficSpec::new().link_capacity(0));
-    }
-
-    #[test]
-    // The shim's own test is the one place the deprecated type is used on purpose.
-    #[allow(deprecated)]
-    fn legacy_traffic_config_lifts_onto_the_spec_defaults() {
-        let config = TrafficConfig {
-            link_capacity: 3,
-            max_packet_cycles: 77,
-            traffic_threads: 2,
-        };
-        let spec: TrafficSpec = config.into();
-        assert_eq!(spec.link_capacity, 3);
-        assert_eq!(spec.max_packet_cycles, 77);
-        assert_eq!(spec.traffic_threads, 2);
-        // Everything else keeps the PR-5-equivalent defaults.
-        assert_eq!(spec.flits_per_packet, 1);
-        assert_eq!(spec.vc_count, 2);
-        assert!(spec.escape_vc);
-        assert!(spec.validate().is_empty());
     }
 
     #[test]

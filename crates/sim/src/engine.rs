@@ -23,9 +23,10 @@
 //!   table — rebuilt at the barrier from the round's send list with a stable
 //!   group-by-recipient pass, so every mailbox keeps the exact serial arrival order
 //!   (ascending sender id);
-//! * neighbor views are built in a fixed-capacity stack array (meshes of up to
-//!   [`MAX_STACK_NEIGHBORS`]`/2` dimensions; larger meshes fall back to a heap
-//!   vector), and the per-node [`Outbox`] is recycled across nodes and rounds.
+//! * neighbor views are built in a fixed-capacity stack array of
+//!   [`MAX_STACK_NEIGHBORS`] entries, which covers every mesh
+//!   ([`Mesh::new`] admits at most [`MAX_DIMS`] dimensions), and the per-node
+//!   [`Outbox`] is recycled across nodes and rounds.
 //!
 //! # Active-frontier scheduling
 //!
@@ -61,15 +62,15 @@
 
 use std::ops::Range;
 
+use lgfi_topology::coord::MAX_DIMS;
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 
 use crate::shard::{resolve_threads, shard_ranges, slab_width, PoolHandle};
 use crate::stats::{EngineStats, RoundStats};
 
-/// Capacity of the stack-allocated neighbor-view scratch: meshes with up to
-/// `MAX_STACK_NEIGHBORS / 2` dimensions build their views without touching the heap;
-/// higher-dimensional meshes fall back to a per-node vector.
-pub const MAX_STACK_NEIGHBORS: usize = 16;
+/// Capacity of the stack-allocated neighbor-view scratch: the `2n` neighbors of a
+/// node in a mesh of the largest admitted dimensionality, [`MAX_DIMS`].
+pub const MAX_STACK_NEIGHBORS: usize = 2 * MAX_DIMS;
 
 /// What a node can see of one of its neighbors during a round.
 #[derive(Debug)]
@@ -898,21 +899,11 @@ impl<'a, P: Protocol> RoundView<'a, P> {
         };
         let inbox = self.inbox(id);
         let nbrs = &self.nbr_data[self.nbr_off[id]..self.nbr_off[id + 1]];
-        if nbrs.len() <= MAX_STACK_NEIGHBORS {
-            for (slot, &(dir, nid)) in views.iter_mut().zip(nbrs) {
-                *slot = self.neighbor_view(dir, nid);
-            }
-            self.protocol
-                .on_round(&ctx, &self.states[id], &views[..nbrs.len()], inbox, outbox)
-        } else {
-            // More than MAX_STACK_NEIGHBORS/2 dimensions: fall back to the heap.
-            let views: Vec<NeighborView<'a, P::State>> = nbrs
-                .iter()
-                .map(|&(dir, nid)| self.neighbor_view(dir, nid))
-                .collect();
-            self.protocol
-                .on_round(&ctx, &self.states[id], &views, inbox, outbox)
+        for (slot, &(dir, nid)) in views.iter_mut().zip(nbrs) {
+            *slot = self.neighbor_view(dir, nid);
         }
+        self.protocol
+            .on_round(&ctx, &self.states[id], &views[..nbrs.len()], inbox, outbox)
     }
 }
 

@@ -5,105 +5,91 @@
 //! nodes `u` and `v` is `|u_1 - v_1| + ... + |u_n - v_n|` (Section 2.1).
 //!
 //! Coordinates are the most frequently built value in the routing hot path (one per
-//! hop for the current node, plus one per candidate direction), so the positions are
-//! stored **inline** in a fixed-capacity array for meshes of up to
-//! [`MAX_INLINE_DIMS`] dimensions: constructing, cloning and stepping a coordinate
-//! never touches the heap.  Beyond that limit a heap vector keeps correctness for
-//! arbitrary dimensionality.
+//! hop for the current node, plus one per candidate direction), so a coordinate is
+//! plain data: a fixed `[i32; MAX_DIMS]` array plus a length, `Copy` and free of heap
+//! pointers.  Constructing, copying and stepping one never allocates, and every
+//! record built from coordinates ([`Region`](crate::region::Region), the boundary
+//! entries of `lgfi-core`) copies as bytes.
+//! [`Mesh::new`](crate::mesh::Mesh::new) enforces the [`MAX_DIMS`] limit.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 use crate::direction::Direction;
 
-/// The number of dimensions a [`Coord`] stores inline without heap allocation.
+/// The largest dimensionality a [`Coord`] (and therefore a
+/// [`Mesh`](crate::mesh::Mesh)) supports.
 ///
-/// Matches `lgfi_sim::MAX_STACK_NEIGHBORS / 2`: the same 8-dimension threshold the
-/// round data plane uses for its stack-allocated neighbor views.
-pub const MAX_INLINE_DIMS: usize = 8;
-
-/// The storage of a [`Coord`]: inline for up to [`MAX_INLINE_DIMS`] dimensions,
-/// heap-backed beyond.  Construction always picks the inline variant when the
-/// dimensionality permits, so the representation is canonical and comparisons can
-/// delegate to the position slice.
-#[derive(Clone)]
-enum Repr {
-    Inline {
-        len: u8,
-        vals: [i32; MAX_INLINE_DIMS],
-    },
-    Heap(Vec<i32>),
-}
+/// `lgfi_sim::MAX_STACK_NEIGHBORS` is `2 * MAX_DIMS`: the round data plane's stack
+/// neighbor views cover every mesh this limit admits.
+pub const MAX_DIMS: usize = 8;
 
 /// An n-dimensional mesh coordinate.
 ///
 /// Coordinates are stored as `i32` so that the "expanded frame" of a faulty block
 /// (one unit outside the block, possibly at `-1` next to the mesh boundary in
-/// intermediate computations) can be represented without wrap-around.
-#[derive(Clone)]
-pub struct Coord(Repr);
+/// intermediate computations) can be represented without wrap-around.  Positions
+/// past `len` stay 0; equality, hashing, ordering and formatting look only at the
+/// first `len` positions.
+#[derive(Clone, Copy)]
+pub struct Coord {
+    len: u8,
+    vals: [i32; MAX_DIMS],
+}
 
 impl Coord {
     /// Creates a coordinate from per-dimension positions (a `Vec`, array, or
-    /// slice — the values are copied into the inline representation, so
-    /// nothing is consumed).
+    /// slice — the values are copied, so nothing is consumed).
+    ///
+    /// # Panics
+    /// Panics if there are more than [`MAX_DIMS`] positions.
     pub fn new(values: impl AsRef<[i32]>) -> Self {
         Coord::from_slice(values.as_ref())
     }
 
     /// Creates the all-zero coordinate (the origin) in `n` dimensions.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds [`MAX_DIMS`].
     #[inline]
     pub fn origin(n: usize) -> Self {
-        if n <= MAX_INLINE_DIMS {
-            Coord(Repr::Inline {
-                len: n as u8,
-                vals: [0; MAX_INLINE_DIMS],
-            })
-        } else {
-            Coord(Repr::Heap(vec![0; n]))
+        assert!(
+            n <= MAX_DIMS,
+            "{n} dimensions exceed the {MAX_DIMS}-dimension limit"
+        );
+        Coord {
+            len: n as u8,
+            vals: [0; MAX_DIMS],
         }
     }
 
     /// Creates a coordinate from a slice.
+    ///
+    /// # Panics
+    /// Panics if the slice is longer than [`MAX_DIMS`].
     #[inline]
     pub fn from_slice(values: &[i32]) -> Self {
-        if values.len() <= MAX_INLINE_DIMS {
-            let mut vals = [0; MAX_INLINE_DIMS];
-            vals[..values.len()].copy_from_slice(values);
-            Coord(Repr::Inline {
-                len: values.len() as u8,
-                vals,
-            })
-        } else {
-            Coord(Repr::Heap(values.to_vec()))
-        }
+        let mut c = Coord::origin(values.len());
+        c.vals[..values.len()].copy_from_slice(values);
+        c
     }
 
     /// The number of dimensions of this coordinate.
     #[inline]
     pub fn ndim(&self) -> usize {
-        match &self.0 {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(v) => v.len(),
-        }
+        self.len as usize
     }
 
     /// Returns the underlying positions as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[i32] {
-        match &self.0 {
-            Repr::Inline { len, vals } => &vals[..*len as usize],
-            Repr::Heap(v) => v,
-        }
+        &self.vals[..self.len as usize]
     }
 
     /// The underlying positions as a mutable slice.
     #[inline]
     fn as_mut_slice(&mut self) -> &mut [i32] {
-        match &mut self.0 {
-            Repr::Inline { len, vals } => &mut vals[..*len as usize],
-            Repr::Heap(v) => v,
-        }
+        &mut self.vals[..self.len as usize]
     }
 
     /// Manhattan (L1) distance to another coordinate.
@@ -138,10 +124,9 @@ impl Coord {
     ///
     /// The result is *not* checked against any mesh bounds; use
     /// [`Mesh::neighbor`](crate::mesh::Mesh::neighbor) for a bounds-checked hop.
-    /// Allocation-free for meshes of up to [`MAX_INLINE_DIMS`] dimensions.
     #[inline]
     pub fn step(&self, dir: Direction) -> Coord {
-        let mut c = self.clone();
+        let mut c = *self;
         c[dir.dim] += dir.delta();
         c
     }
@@ -345,10 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_fallback_above_the_inline_limit_behaves_identically() {
-        // 9 and 12 dimensions exceed MAX_INLINE_DIMS and fall back to the heap; every
-        // operation must behave exactly as for inline coordinates.
-        let n = MAX_INLINE_DIMS + 1;
+    fn eight_dimensions_are_supported_by_every_operation() {
+        use std::collections::HashSet;
+        let n = MAX_DIMS;
         let u = Coord::origin(n);
         let mut v = Coord::origin(n);
         v[n - 1] = 3;
@@ -358,15 +342,24 @@ mod tests {
         assert_eq!(u.chebyshev(&v), 3);
         assert_eq!(u.step(Direction::pos(n - 1))[n - 1], 1);
         assert!(u.step(Direction::pos(n - 1)).is_neighbor_of(&u));
+        assert!(!u.is_neighbor_of(&v));
         assert_eq!(u.differing_dims(&v).collect::<Vec<_>>(), vec![0, n - 1]);
-        // Ordering and equality are slice-based across representations.
+        // Ordering, equality and hashing look at the positions only.
         let w = Coord::from_slice(v.as_slice());
         assert_eq!(v, w);
-        assert!(u < v || v < u);
+        assert!(v < u && u < u.step(Direction::pos(n - 1)));
+        let set: HashSet<Coord> = [u, v].into_iter().collect();
+        assert!(set.contains(&w) && set.contains(&Coord::origin(n)));
     }
 
     #[test]
-    fn inline_and_heap_hash_and_compare_by_positions() {
+    #[should_panic(expected = "8-dimension limit")]
+    fn coordinates_above_the_dimension_limit_are_rejected() {
+        let _ = Coord::from_slice(&[0; MAX_DIMS + 1]);
+    }
+
+    #[test]
+    fn hash_and_compare_by_positions() {
         use std::collections::HashSet;
         let a = coord![1, 2, 3];
         let b = Coord::from_slice(&[1, 2, 3]);

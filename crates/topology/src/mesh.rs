@@ -7,7 +7,7 @@
 //! model of Section 5 additionally assumes that *no fault occurs on the outermost
 //! surface of the mesh*, which is why [`Mesh::on_outermost_surface`] exists.
 
-use crate::coord::Coord;
+use crate::coord::{Coord, MAX_DIMS};
 use crate::direction::Direction;
 use crate::region::Region;
 
@@ -33,9 +33,15 @@ impl Mesh {
     /// Creates a mesh with the given per-dimension radices.
     ///
     /// # Panics
-    /// Panics if `dims` is empty or any radix is < 1.
+    /// Panics if `dims` is empty, has more than [`MAX_DIMS`] entries, or any radix
+    /// is < 1.
     pub fn new(dims: &[i32]) -> Self {
         assert!(!dims.is_empty(), "a mesh needs at least one dimension");
+        assert!(
+            dims.len() <= MAX_DIMS,
+            "{} dimensions exceed the {MAX_DIMS}-dimension limit",
+            dims.len()
+        );
         assert!(
             dims.iter().all(|&k| k >= 1),
             "every dimension must have radix >= 1"
@@ -119,8 +125,7 @@ impl Mesh {
             .sum()
     }
 
-    /// Converts a dense node id back to its coordinate.  Allocation-free for meshes
-    /// of up to [`MAX_INLINE_DIMS`](crate::coord::MAX_INLINE_DIMS) dimensions.
+    /// Converts a dense node id back to its coordinate (plain data, no allocation).
     ///
     /// # Panics
     /// Panics if `id >= node_count()`.
@@ -355,6 +360,20 @@ mod tests {
                 assert_eq!(mesh.coord_of(id).step(dir), mesh.coord_of(nid));
             }
         }
+    }
+
+    #[test]
+    fn eight_dimensional_meshes_round_trip_ids() {
+        let mesh = Mesh::cubic(2, MAX_DIMS);
+        for id in mesh.node_ids() {
+            assert_eq!(mesh.id_of(&mesh.coord_of(id)), id);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "8-dimension limit")]
+    fn meshes_above_eight_dimensions_are_rejected() {
+        let _ = Mesh::new(&[3; 9]);
     }
 
     #[test]

@@ -33,10 +33,9 @@ pub enum FrameLevel {
 
 /// An inclusive n-dimensional box `[lo_1:hi_1, ..., lo_n:hi_n]`.
 ///
-/// The bounds are stored as [`Coord`]s, so for meshes of up to
-/// [`MAX_INLINE_DIMS`](crate::coord::MAX_INLINE_DIMS) dimensions cloning, expanding
-/// and clipping a region never heap-allocates.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// The bounds are stored as [`Coord`]s, so a region is plain data: copying,
+/// expanding and clipping one never touches the heap.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region {
     lo: Coord,
     hi: Coord,
@@ -89,15 +88,15 @@ impl Region {
 
     /// The degenerate region containing a single coordinate.
     pub fn point(c: &Coord) -> Self {
-        Region::from_bounds(c.clone(), c.clone())
+        Region::from_bounds(*c, *c)
     }
 
     /// The smallest region containing both coordinates (the minimal-path bounding box
     /// between a source and a destination).
     pub fn bounding(a: &Coord, b: &Coord) -> Self {
         assert_eq!(a.ndim(), b.ndim(), "dimension mismatch");
-        let mut lo = a.clone();
-        let mut hi = a.clone();
+        let mut lo = *a;
+        let mut hi = *a;
         for d in 0..a.ndim() {
             lo[d] = a[d].min(b[d]);
             hi[d] = a[d].max(b[d]);
@@ -173,8 +172,8 @@ impl Region {
         if !self.intersects(other) {
             return None;
         }
-        let mut lo = self.lo.clone();
-        let mut hi = self.hi.clone();
+        let mut lo = self.lo;
+        let mut hi = self.hi;
         for d in 0..self.ndim() {
             lo[d] = self.lo[d].max(other.lo[d]);
             hi[d] = self.hi[d].min(other.hi[d]);
@@ -185,8 +184,8 @@ impl Region {
     /// The smallest region containing both regions.
     pub fn union(&self, other: &Region) -> Region {
         assert_eq!(self.ndim(), other.ndim(), "dimension mismatch");
-        let mut lo = self.lo.clone();
-        let mut hi = self.hi.clone();
+        let mut lo = self.lo;
+        let mut hi = self.hi;
         for d in 0..self.ndim() {
             lo[d] = self.lo[d].min(other.lo[d]);
             hi[d] = self.hi[d].max(other.hi[d]);
@@ -197,8 +196,8 @@ impl Region {
     /// The smallest region containing this region and the coordinate.
     pub fn union_point(&self, c: &Coord) -> Region {
         assert_eq!(self.ndim(), c.ndim(), "dimension mismatch");
-        let mut lo = self.lo.clone();
-        let mut hi = self.hi.clone();
+        let mut lo = self.lo;
+        let mut hi = self.hi;
         for d in 0..self.ndim() {
             lo[d] = self.lo[d].min(c[d]);
             hi[d] = self.hi[d].max(c[d]);
@@ -206,11 +205,11 @@ impl Region {
         Region::from_bounds(lo, hi)
     }
 
-    /// The region grown by `by` units in every direction (allocation-free up to
-    /// the inline coordinate limit).
+    /// The region grown by `by` units in every direction (a copy of plain data;
+    /// never allocates).
     pub fn expand(&self, by: i32) -> Region {
-        let mut lo = self.lo.clone();
-        let mut hi = self.hi.clone();
+        let mut lo = self.lo;
+        let mut hi = self.hi;
         for d in 0..self.ndim() {
             lo[d] -= by;
             hi[d] += by;
@@ -265,8 +264,8 @@ impl Region {
     /// of coordinates one unit outside the region on that side, spanning the region's
     /// extent in every other dimension.
     pub fn adjacent_surface(&self, dir: Direction) -> Region {
-        let mut lo = self.lo.clone();
-        let mut hi = self.hi.clone();
+        let mut lo = self.lo;
+        let mut hi = self.hi;
         if dir.positive {
             lo[dir.dim] = self.hi[dir.dim] + 1;
             hi[dir.dim] = self.hi[dir.dim] + 1;
@@ -324,8 +323,8 @@ impl Region {
     /// touches the mesh boundary on that side).
     pub fn shadow_prism(&self, mesh: &Mesh, away: Direction) -> Option<Region> {
         let full = mesh.full_region();
-        let mut lo = self.lo.clone();
-        let mut hi = self.hi.clone();
+        let mut lo = self.lo;
+        let mut hi = self.hi;
         if away.positive {
             lo[away.dim] = self.hi[away.dim] + 1;
             hi[away.dim] = full.hi[away.dim];
@@ -342,8 +341,8 @@ impl Region {
     /// Iterates over every coordinate in the region in row-major order.
     pub fn iter_coords(&self) -> RegionIter {
         RegionIter {
-            next: Some(self.lo.clone()),
-            region: self.clone(),
+            next: Some(self.lo),
+            region: *self,
         }
     }
 }
@@ -360,7 +359,7 @@ impl Iterator for RegionIter {
     fn next(&mut self) -> Option<Coord> {
         let current = self.next.take()?;
         // Advance like an odometer with the last dimension varying fastest.
-        let mut succ = current.clone();
+        let mut succ = current;
         let n = self.region.ndim();
         let mut d = n;
         loop {

@@ -230,7 +230,7 @@ impl FaultGenerator {
         match placement {
             FaultPlacement::UniformInterior | FaultPlacement::UniformAnywhere => {
                 let picks = self.rng.sample_indices(candidates.len(), count);
-                picks.into_iter().map(|i| candidates[i].clone()).collect()
+                picks.into_iter().map(|i| candidates[i]).collect()
             }
             // audit:allow(panic): shaped placements take the early return at the top of this function
             FaultPlacement::Shaped(_) => unreachable!("handled above"),
@@ -239,10 +239,7 @@ impl FaultGenerator {
                 let seed_picks = self
                     .rng
                     .sample_indices(candidates.len(), clusters.min(count));
-                let seeds: Vec<Coord> = seed_picks
-                    .into_iter()
-                    .map(|i| candidates[i].clone())
-                    .collect();
+                let seeds: Vec<Coord> = seed_picks.into_iter().map(|i| candidates[i]).collect();
                 let mut chosen: Vec<Coord> = Vec::new();
                 let interior = self
                     .mesh

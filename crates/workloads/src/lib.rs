@@ -28,8 +28,5 @@ pub use faultgen::{
     RegionalOutageConfig,
 };
 pub use scenario::{Scenario, ScenarioResult, TrafficResult};
-// Deprecated shim: kept for one release so downstream callers can migrate.
-#[allow(deprecated)]
-pub use scenario::TrafficLoad;
 pub use sweep::{run_trials, run_trials_on, SweepPoint};
 pub use traffic::{TrafficGenerator, TrafficPattern, TrafficRequest};

@@ -137,9 +137,7 @@ impl Scenario {
     /// fault plan unfolds, so queueing latency and accepted throughput become
     /// observable.
     ///
-    /// Accepts anything convertible into a [`TrafficSpec`] — a spec built with
-    /// the [`TrafficSpec::at_rate`] builder, or a legacy [`TrafficLoad`].  The
-    /// scenario's own `max_steps` and `traffic_threads` override the spec's
+    /// The scenario's own `max_steps` and `traffic_threads` override the spec's
     /// `max_packet_cycles` and `traffic_threads` fields.
     ///
     /// One network step is one traffic cycle.  The first `launch_step` steps run
@@ -148,11 +146,10 @@ impl Scenario {
     /// cycles to let the in-flight packets finish.
     pub fn run_traffic(
         &self,
-        load: impl Into<TrafficSpec>,
+        spec: TrafficSpec,
         router_factory: &dyn Fn() -> Box<dyn Router>,
     ) -> TrafficResult {
-        let spec = load
-            .into()
+        let spec = spec
             .max_packet_cycles(self.max_steps)
             .traffic_threads(self.traffic_threads);
         let mesh = self.mesh();
@@ -196,64 +193,6 @@ impl Scenario {
             stats: engine.stats().clone(),
             records: engine.records().to_vec(),
         }
-    }
-}
-
-/// The offered load of a [`Scenario::run_traffic`] experiment.
-///
-/// Superseded by the unified [`TrafficSpec`] builder, which also carries the
-/// wormhole knobs (flits per packet, virtual channels, buffer depth, escape
-/// class).  Any `TrafficLoad` lifts losslessly onto a `TrafficSpec` via `From`,
-/// so existing call sites keep compiling for one release.
-#[deprecated(
-    since = "0.10.0",
-    note = "use the unified builder-style lgfi_core::TrafficSpec instead"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct TrafficLoad {
-    /// Packets injected per cycle (fractional rates are realised exactly on average
-    /// by a deterministic accumulator).
-    pub injection_rate: f64,
-    /// Cycles during which packets are injected.
-    pub cycles: u64,
-    /// Extra cycles granted after the injection window for in-flight packets to
-    /// finish.
-    pub drain_cycles: u64,
-    /// Packets one directed link can carry per cycle.
-    pub link_capacity: u32,
-}
-
-// Deprecated shim: kept for one release so downstream callers can migrate.
-#[allow(deprecated)]
-impl TrafficLoad {
-    /// A standard load at the given injection rate: 200 injection cycles, a
-    /// generous drain window, unit link capacity.
-    pub fn at_rate(injection_rate: f64) -> Self {
-        TrafficLoad {
-            injection_rate,
-            cycles: 200,
-            drain_cycles: 5_000,
-            link_capacity: 1,
-        }
-    }
-}
-
-// Deprecated shim: kept for one release so downstream callers can migrate.
-#[allow(deprecated)]
-impl From<TrafficLoad> for TrafficSpec {
-    fn from(load: TrafficLoad) -> TrafficSpec {
-        TrafficSpec::at_rate(load.injection_rate)
-            .cycles(load.cycles)
-            .drain_cycles(load.drain_cycles)
-            .link_capacity(load.link_capacity)
-    }
-}
-
-// Deprecated shim: kept for one release so downstream callers can migrate.
-#[allow(deprecated)]
-impl From<&TrafficLoad> for TrafficSpec {
-    fn from(load: &TrafficLoad) -> TrafficSpec {
-        (*load).into()
     }
 }
 
@@ -500,20 +439,6 @@ mod tests {
         assert_eq!(sharded.traffic_threads, 4);
         assert_eq!(a.records, sharded.records, "sharding must be invisible");
         assert_eq!(a.stats, sharded.stats);
-    }
-
-    #[test]
-    // The shim's own test is the one place the deprecated type is used on purpose,
-    // and the borrow is the legacy `&TrafficLoad` calling convention under test.
-    #[allow(deprecated, clippy::needless_borrows_for_generic_args)]
-    fn deprecated_traffic_load_still_drives_run_traffic() {
-        let mut scenario = Scenario::small();
-        scenario.fault_count = 4;
-        let legacy =
-            scenario.run_traffic(&TrafficLoad::at_rate(0.5), &|| Box::new(LgfiRouter::new()));
-        let spec = scenario.run_traffic(TrafficSpec::at_rate(0.5), &|| Box::new(LgfiRouter::new()));
-        assert_eq!(legacy.records, spec.records, "the shim lifts losslessly");
-        assert_eq!(legacy.stats, spec.stats);
     }
 
     #[test]

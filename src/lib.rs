@@ -78,18 +78,12 @@ pub mod prelude {
     pub use lgfi_core::traffic_engine::{
         CycleEnv, PacketRecord, StaticTrafficEnv, TrafficEngine, TrafficSpec,
     };
-    // Deprecated shim: kept for one release so downstream callers can migrate.
-    #[allow(deprecated)]
-    pub use lgfi_core::traffic_engine::TrafficConfig;
     pub use lgfi_sim::{DetRng, FaultEvent, FaultPlan, InjectionProcess, StepConfig, TrafficStats};
     pub use lgfi_topology::{coord, Coord, Direction, Mesh, NodeId, Region};
     pub use lgfi_workloads::{
         DynamicFaultConfig, FaultGenerator, FaultPlacement, Scenario, TrafficGenerator,
         TrafficPattern, TrafficResult,
     };
-    // Deprecated shim: kept for one release so downstream callers can migrate.
-    #[allow(deprecated)]
-    pub use lgfi_workloads::TrafficLoad;
 }
 
 #[cfg(test)]

@@ -229,7 +229,7 @@ fn labeling_engine_matches_itself_across_thread_counts_and_the_distributed_proto
         for seed in 0..3u64 {
             let mut rng = DetRng::seed_from_u64(seed);
             let picks = rng.sample_indices(interior.len(), 8.min(interior.len()));
-            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i].clone()).collect();
+            let faults: Vec<Coord> = picks.iter().map(|&i| interior[i]).collect();
             let mut serial = LabelingEngine::new(mesh.clone());
             let serial_rounds = serial.apply_faults(&faults);
             for threads in [2usize, 3, 8] {

@@ -325,7 +325,7 @@ fn whole_map_construct(mesh: &Mesh, blocks: &BlockSet) -> (Vec<Vec<BoundaryEntry
             for (node, offset) in arrival {
                 entries[node].push(BoundaryEntry {
                     block_id: block.id,
-                    block: region.clone(),
+                    block: *region,
                     guard,
                     arrival_offset: offset,
                 });

@@ -149,7 +149,7 @@ fn theorem1_recovery_never_hurts_over_many_random_cases() {
         let boundary_before = BoundaryMap::construct(&mesh, &blocks_before);
         let statuses_before = labeling.statuses().to_vec();
         // Recover half the faults.
-        let recovered: Vec<Coord> = faults.iter().take(faults.len() / 2).cloned().collect();
+        let recovered: Vec<Coord> = faults.iter().take(faults.len() / 2).copied().collect();
         labeling.apply_recoveries(&recovered);
         let blocks_after = BlockSet::extract(&mesh, labeling.statuses());
         let boundary_after = BoundaryMap::construct(&mesh, &blocks_after);
