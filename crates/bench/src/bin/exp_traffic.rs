@@ -14,7 +14,7 @@ fn main() {
         return;
     }
     let threads = lgfi_bench::harness::cli_threads();
-    let traffic_threads = lgfi_bench::harness::configured_traffic_threads();
+    let traffic_threads = lgfi_bench::harness::knob("LGFI_TRAFFIC_THREADS");
     println!(
         "{}",
         lgfi_bench::harness::exp_traffic_with(threads, traffic_threads)

@@ -16,7 +16,7 @@ fn main() {
         return;
     }
     let threads = lgfi_bench::harness::cli_threads();
-    let traffic_threads = lgfi_bench::harness::configured_traffic_threads();
+    let traffic_threads = lgfi_bench::harness::knob("LGFI_TRAFFIC_THREADS");
     let flits = lgfi_bench::harness::configured_flits();
     let vcs = lgfi_bench::harness::configured_vcs();
     println!(

@@ -159,22 +159,6 @@ fn parse_knob(name: &str, value: Option<&str>, default: usize) -> usize {
     }
 }
 
-/// The worker-thread count for the information rounds (`LGFI_THREADS`); see
-/// [`knob`].
-pub fn configured_threads() -> usize {
-    knob("LGFI_THREADS")
-}
-
-/// The probe-sweep worker count (`LGFI_PROBE_THREADS`); see [`knob`].
-pub fn configured_probe_threads() -> usize {
-    knob("LGFI_PROBE_THREADS")
-}
-
-/// The traffic decision-worker count (`LGFI_TRAFFIC_THREADS`); see [`knob`].
-pub fn configured_traffic_threads() -> usize {
-    knob("LGFI_TRAFFIC_THREADS")
-}
-
 /// Virtual channels per directed link for the wormhole experiments
 /// (`LGFI_VCS`); see [`knob`].
 pub fn configured_vcs() -> u32 {
@@ -217,7 +201,7 @@ pub fn cli_threads() -> usize {
                 .unwrap_or_else(|_| panic!("--threads takes an integer, got {v:?}"));
         }
     }
-    configured_threads()
+    knob("LGFI_THREADS")
 }
 
 /// Picks the sweep-level worker count for an experiment whose per-trial engines run
@@ -556,7 +540,7 @@ pub fn exp_fig5_identification() -> String {
 /// information of a new block to reach the far end of its boundary as a function of λ,
 /// and the phase structure of a step.
 pub fn exp_fig7_steps() -> String {
-    exp_fig7_steps_with(configured_threads())
+    exp_fig7_steps_with(knob("LGFI_THREADS"))
 }
 
 /// [`exp_fig7_steps`] with an explicit worker-thread count for the information
@@ -581,7 +565,7 @@ pub fn exp_fig7_steps_with(threads: usize) -> String {
                 max_probe_steps: 10_000,
                 threads,
                 frontier: configured_frontier(),
-                probe_threads: configured_probe_threads(),
+                probe_threads: knob("LGFI_PROBE_THREADS"),
             },
         );
         let mut steps = 0u64;
@@ -959,7 +943,7 @@ pub fn exp_thm1_recovery() -> String {
 /// Experiment C1: the claim that "fault information can be distributed quickly" —
 /// `a_i`, `b_i`, `c_i` as a function of mesh size, dimension and fault-cluster size.
 pub fn exp_convergence() -> String {
-    exp_convergence_with(configured_threads())
+    exp_convergence_with(knob("LGFI_THREADS"))
 }
 
 /// [`exp_convergence`] with an explicit worker-thread count for the labeling rounds;
@@ -1056,7 +1040,7 @@ pub fn router_by_name(name: &str) -> Box<dyn Router> {
 /// gracefully" — delivery ratio, mean detours and stretch for every router as the
 /// number of dynamic faults grows.
 pub fn exp_graceful_degradation() -> String {
-    exp_graceful_degradation_with(configured_threads())
+    exp_graceful_degradation_with(knob("LGFI_THREADS"))
 }
 
 /// [`exp_graceful_degradation`] with an explicit worker-thread count for the
@@ -1100,8 +1084,8 @@ pub fn exp_graceful_degradation_with(threads: usize) -> String {
                     max_steps: 100_000,
                     threads,
                     frontier: configured_frontier(),
-                    probe_threads: configured_probe_threads(),
-                    traffic_threads: configured_traffic_threads(),
+                    probe_threads: knob("LGFI_PROBE_THREADS"),
+                    traffic_threads: knob("LGFI_TRAFFIC_THREADS"),
                 };
                 let result = scenario.run(&|| router_by_name(router));
                 (
@@ -1197,7 +1181,7 @@ pub fn exp_memory_overhead() -> String {
 /// Experiment C4: re-convergence of the information after each of a stream of fault
 /// and recovery events (the "only affected nodes update" / no-oscillation claim).
 pub fn exp_dynamic_convergence() -> String {
-    exp_dynamic_convergence_with(configured_threads())
+    exp_dynamic_convergence_with(knob("LGFI_THREADS"))
 }
 
 /// [`exp_dynamic_convergence`] with an explicit worker-thread count for the
@@ -1279,7 +1263,7 @@ pub fn traffic_scenario(threads: usize, traffic_threads: usize) -> Scenario {
         max_steps: 100_000,
         threads,
         frontier: configured_frontier(),
-        probe_threads: configured_probe_threads(),
+        probe_threads: knob("LGFI_PROBE_THREADS"),
         traffic_threads,
     }
 }
@@ -1288,7 +1272,7 @@ pub fn traffic_scenario(threads: usize, traffic_threads: usize) -> Scenario {
 /// throughput, and mean/p99 queueing latency for every router as the offered load
 /// grows towards saturation.
 pub fn exp_traffic() -> String {
-    exp_traffic_with(configured_threads(), configured_traffic_threads())
+    exp_traffic_with(knob("LGFI_THREADS"), knob("LGFI_TRAFFIC_THREADS"))
 }
 
 /// [`exp_traffic`] with explicit worker counts for the information rounds and the
@@ -1346,8 +1330,8 @@ pub fn exp_traffic_with(threads: usize, traffic_threads: usize) -> String {
 /// `LGFI_FLITS` and `LGFI_VCS` set the worm length and channel count.
 pub fn exp_wormhole() -> String {
     exp_wormhole_with(
-        configured_threads(),
-        configured_traffic_threads(),
+        knob("LGFI_THREADS"),
+        knob("LGFI_TRAFFIC_THREADS"),
         configured_flits(),
         configured_vcs(),
     )
@@ -1497,7 +1481,7 @@ mod tests {
     #[test]
     fn thread_knob_defaults_to_serial() {
         if std::env::var("LGFI_THREADS").is_err() {
-            assert_eq!(configured_threads(), 1);
+            assert_eq!(knob("LGFI_THREADS"), 1);
             assert_eq!(cli_threads(), 1);
         }
     }
@@ -1511,10 +1495,10 @@ mod tests {
         assert_eq!(parse_knob("K", Some(" 8 "), 1), 8, "whitespace is trimmed");
         assert_eq!(parse_knob("K", Some("0"), 1), 0, "0 = one worker per core");
         if std::env::var("LGFI_TRAFFIC_THREADS").is_err() {
-            assert_eq!(configured_traffic_threads(), 1);
+            assert_eq!(knob("LGFI_TRAFFIC_THREADS"), 1);
         }
         if std::env::var("LGFI_PROBE_THREADS").is_err() {
-            assert_eq!(configured_probe_threads(), 1);
+            assert_eq!(knob("LGFI_PROBE_THREADS"), 1);
         }
     }
 

@@ -21,10 +21,7 @@ use lgfi_workloads::{
     FaultGenerator, FaultPlacement, RegionalOutageConfig, SloCampaign, TrafficPattern,
 };
 
-use crate::harness::{
-    configured_frontier, configured_probe_threads, configured_threads, configured_traffic_threads,
-    knob, router_by_name,
-};
+use crate::harness::{configured_frontier, knob, router_by_name};
 use crate::perf::SloBenchRecord;
 
 /// The injection horizon of the `exp_slo` campaigns: `LGFI_SLO_CYCLES`, defaulting
@@ -66,14 +63,14 @@ pub fn standard_suite(horizon: u64) -> Vec<SuitePoint> {
         dims: mesh.dims().to_vec(),
         seed: 17,
         lambda: 1,
-        threads: configured_threads(),
+        threads: knob("LGFI_THREADS"),
         frontier: configured_frontier(),
-        probe_threads: configured_probe_threads(),
+        probe_threads: knob("LGFI_PROBE_THREADS"),
         traffic: TrafficSpec::at_rate(0.5)
             .cycles(horizon)
             .drain_cycles(2_000)
             .max_packet_cycles(2_000)
-            .traffic_threads(configured_traffic_threads()),
+            .traffic_threads(knob("LGFI_TRAFFIC_THREADS")),
         pattern: TrafficPattern::UniformRandom,
         faults: CampaignFaults::Plan(FaultPlan::empty()),
     };
@@ -170,7 +167,7 @@ pub fn run_slo_suite(horizon: u64) -> (String, Vec<SloBenchRecord>) {
     }
     let title = format!(
         "C6  availability SLOs under adversarial fault campaigns (16x16 mesh, uniform traffic at 0.5 pkt/cycle, {horizon} injection cycles, traffic_threads={})",
-        lgfi_sim::resolve_threads(configured_traffic_threads()),
+        lgfi_sim::resolve_threads(knob("LGFI_TRAFFIC_THREADS")),
     );
     (report.table(&title).render(), records)
 }

@@ -1,79 +1,30 @@
 //! Algorithm 1: block construction by rounds of local status exchange.
 //!
-//! Two equivalent implementations are provided:
-//!
-//! * [`LabelingEngine`] — an array-based synchronous fixpoint engine used by the rest
-//!   of the library (fast, convenient access to the full status vector, measures the
-//!   number of rounds to convergence, which is the paper's `a_i`);
-//! * [`LabelingProtocol`] — the same rules expressed as a [`lgfi_sim::Protocol`] so
-//!   that the labeling can be run on the generic round engine as a genuinely
-//!   distributed protocol; the test suite checks that both produce identical fixpoints
-//!   round by round.
+//! There is one implementation.  [`LabelingProtocol`] states rules 1–4 as a
+//! [`lgfi_sim::Protocol`], and [`LabelingEngine`] runs it on the generic round engine
+//! as a genuinely distributed protocol: one round is one synchronous exchange of
+//! statuses among neighbors.  The engine adds what the rest of the library reads —
+//! the status vector with faulty nodes marked [`NodeStatus::Faulty`], rule 5 on
+//! recovery, and the number of rounds to convergence, which is the paper's `a_i`.
 
-use std::ops::Range;
-
-use lgfi_sim::{
-    NeighborView, NodeCtx, Outbox, PoolHandle, Protocol, RoundEngine, MAX_STACK_NEIGHBORS,
-};
+use lgfi_sim::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine, MAX_STACK_NEIGHBORS};
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 
 use crate::status::{next_status, NodeStatus};
 
-/// Per-worker scratch of a sharded labeling round: the shard's changed-id list
-/// and how many nodes the worker evaluated.
-#[derive(Debug, Clone, Default)]
-struct LabelWorker {
-    changed: Vec<NodeId>,
-    evaluated: u64,
-}
-
-/// Array-based synchronous implementation of Algorithm 1.
+/// Algorithm 1 on the generic round engine.
 ///
-/// The engine owns a zero-allocation round data plane (mirroring
-/// [`RoundEngine`]'s, see `lgfi_sim::engine`): statuses are double-buffered, the
-/// neighbor table is a flat CSR cache, and neighbor views are built in a
-/// fixed-capacity stack array, so steady-state rounds touch no heap.  Because rules
-/// 1–4 are a pure stencil of the neighbor statuses, the engine also schedules rounds
-/// over the **active frontier** — only nodes whose status or neighborhood changed
-/// (or that a fault/recovery touched) are re-evaluated, making post-convergence
-/// rounds O(frontier) instead of O(n).  [`LabelingEngine::set_frontier`] can force
-/// full evaluation; statuses, change counts and round counts are bit-identical
-/// either way.
-#[derive(Debug, Clone)]
+/// A thin wrapper around one [`RoundEngine`] running [`LabelingProtocol`], which
+/// supplies the round data plane: double-buffered statuses, active-frontier
+/// scheduling (rules 1–4 are a pure stencil, so once the labeling has converged a
+/// round costs O(frontier) instead of O(n)) and sharded parallel rounds.  Faults
+/// live in the status vector: [`LabelingEngine::inject_fault`] sets the engine's
+/// fault flag and writes [`NodeStatus::Faulty`] into the node's state, so
+/// [`LabelingEngine::statuses`] is the engine's state vector.  Statuses, change
+/// counts and round counts are bit-identical for every thread count and frontier
+/// setting.
 pub struct LabelingEngine {
-    mesh: Mesh,
-    statuses: Vec<NodeStatus>,
-    /// Staging double buffer: evaluated nodes whose status changes write here and the
-    /// round barrier copies the changed entries back.
-    next_statuses: Vec<NodeStatus>,
-    /// Flat neighbor cache: `(direction, neighbor id)` pairs of node `i` live at
-    /// `nbr_data[nbr_off[i]..nbr_off[i + 1]]`.
-    nbr_data: Vec<(Direction, NodeId)>,
-    nbr_off: Vec<usize>,
-    /// Dirty nodes pending (re-)evaluation, deduplicated via `dirty`.  Maintained in
-    /// both scheduling modes so [`LabelingEngine::is_stable`] and a mid-run
-    /// [`LabelingEngine::set_frontier`] toggle stay sound.
-    frontier: Vec<NodeId>,
-    dirty: Vec<bool>,
-    /// Serial-path scratch (and sharded merge target) for changed node ids.
-    changed: Vec<NodeId>,
-    /// Per-worker scratch for sharded rounds.
-    workers: Vec<LabelWorker>,
-    /// The frontier knob: when false every non-faulty node is evaluated each round.
-    frontier_enabled: bool,
-    rounds: u64,
-    /// Total nodes evaluated over all rounds (for frontier-size reporting).
-    evaluated_total: u64,
-    /// Worker threads for round execution (1 = serial); results are bit-identical
-    /// for every setting, exactly as for [`RoundEngine`].  Resolved once in
-    /// [`LabelingEngine::set_threads`].
-    threads: usize,
-    /// Shard ranges for parallel rounds, recomputed only when the thread count
-    /// changes so warm rounds never re-partition (or allocate).
-    shards: Vec<Range<usize>>,
-    /// The engine's persistent worker pool (spawned lazily on the first parallel
-    /// round; a cloned engine starts with an empty handle and its own workers).
-    pool: PoolHandle,
+    engine: RoundEngine<LabelingProtocol>,
 }
 
 impl LabelingEngine {
@@ -81,31 +32,8 @@ impl LabelingEngine {
     /// Algorithm 1: "all non-faulty nodes are enabled").  The all-enabled mesh is a
     /// fixpoint of rules 1–4, so the engine starts with an empty frontier.
     pub fn new(mesh: Mesh) -> Self {
-        let n = mesh.node_count();
-        let mut nbr_data = Vec::new();
-        let mut nbr_off = Vec::with_capacity(n + 1);
-        nbr_off.push(0);
-        for id in 0..n {
-            nbr_data.extend(mesh.neighbor_ids(id));
-            nbr_off.push(nbr_data.len());
-        }
-        let shards = lgfi_sim::shard_ranges(n, lgfi_sim::shard::slab_width(&mesh), 1);
         LabelingEngine {
-            mesh,
-            statuses: vec![NodeStatus::Enabled; n],
-            next_statuses: vec![NodeStatus::Enabled; n],
-            nbr_data,
-            nbr_off,
-            frontier: Vec::new(),
-            dirty: vec![false; n],
-            changed: Vec::new(),
-            workers: Vec::new(),
-            frontier_enabled: true,
-            rounds: 0,
-            evaluated_total: 0,
-            threads: 1,
-            shards,
-            pool: PoolHandle::new(),
+            engine: RoundEngine::new(mesh, LabelingProtocol),
         }
     }
 
@@ -115,18 +43,7 @@ impl LabelingEngine {
     /// the previous-round statuses, so every setting produces bit-identical status
     /// vectors and round counts.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = lgfi_sim::resolve_threads(threads);
-        // Re-partition once per knob change (not per round) and pre-size the
-        // per-shard scratch, keeping warm parallel rounds allocation-free.
-        self.shards = lgfi_sim::shard_ranges(
-            self.statuses.len(),
-            lgfi_sim::shard::slab_width(&self.mesh),
-            self.threads,
-        );
-        if self.workers.len() < self.shards.len() {
-            self.workers
-                .resize_with(self.shards.len(), LabelWorker::default);
-        }
+        self.engine.set_threads(threads);
     }
 
     /// Builder-style variant of [`LabelingEngine::set_threads`].
@@ -137,7 +54,7 @@ impl LabelingEngine {
 
     /// The resolved number of worker threads (>= 1).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.engine.threads()
     }
 
     /// Enables or disables active-frontier scheduling (enabled by default).  Rules
@@ -145,7 +62,7 @@ impl LabelingEngine {
     /// and round counts are bit-identical either way — this is purely a performance
     /// knob, safe to toggle mid-run.
     pub fn set_frontier(&mut self, enabled: bool) {
-        self.frontier_enabled = enabled;
+        self.engine.set_frontier(enabled);
     }
 
     /// Builder-style variant of [`LabelingEngine::set_frontier`].
@@ -156,68 +73,56 @@ impl LabelingEngine {
 
     /// True if rounds are scheduled over the active frontier.
     pub fn frontier_active(&self) -> bool {
-        self.frontier_enabled
+        self.engine.frontier_active()
     }
 
     /// Number of nodes currently on the dirty frontier (0 iff the labeling is
     /// stable).
     pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
+        self.engine.frontier_len()
     }
 
     /// Mean nodes evaluated per executed round (0.0 before any round ran): the
     /// frontier size under active-frontier scheduling, the full non-faulty node count
     /// under full evaluation.
     pub fn mean_evaluated_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            return 0.0;
-        }
-        self.evaluated_total as f64 / self.rounds as f64
-    }
-
-    /// Creates an engine with the given faulty nodes already marked.
-    pub fn with_faults(mesh: Mesh, faults: &[Coord]) -> Self {
-        let mut eng = LabelingEngine::new(mesh);
-        for f in faults {
-            eng.inject_fault_coord(f);
-        }
-        eng
+        self.engine.stats().mean_evaluated_per_round()
     }
 
     /// The mesh.
     pub fn mesh(&self) -> &Mesh {
-        &self.mesh
+        self.engine.mesh()
     }
 
     /// Number of labeling rounds executed so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.engine.round()
     }
 
     /// The status vector, indexed by node id.
     pub fn statuses(&self) -> &[NodeStatus] {
-        &self.statuses
+        self.engine.states()
     }
 
     /// The status of a node.
     pub fn status(&self, id: NodeId) -> NodeStatus {
-        self.statuses[id]
+        *self.engine.state(id)
     }
 
     /// The status of a node given by coordinate.
     pub fn status_at(&self, c: &Coord) -> NodeStatus {
-        self.statuses[self.mesh.id_of(c)]
+        self.status(self.mesh().id_of(c))
     }
 
     /// Marks a node faulty (a new fault occurrence).
     pub fn inject_fault(&mut self, id: NodeId) {
-        self.statuses[id] = NodeStatus::Faulty;
-        self.mark_neighborhood(id);
+        self.engine.set_state(id, NodeStatus::Faulty);
+        self.engine.inject_fault(id);
     }
 
     /// Marks the node at `c` faulty.
     pub fn inject_fault_coord(&mut self, c: &Coord) {
-        let id = self.mesh.id_of(c);
+        let id = self.mesh().id_of(c);
         self.inject_fault(id);
     }
 
@@ -227,137 +132,23 @@ impl LabelingEngine {
     /// Panics if the node is not currently faulty.
     pub fn recover(&mut self, id: NodeId) {
         assert_eq!(
-            self.statuses[id],
+            self.status(id),
             NodeStatus::Faulty,
             "only a faulty node can recover"
         );
-        self.statuses[id] = NodeStatus::Clean;
-        self.mark_neighborhood(id);
-    }
-
-    /// Marks `id` and its neighbors as pending re-evaluation (their next status may
-    /// depend on `id`'s new status).
-    fn mark_neighborhood(&mut self, id: NodeId) {
-        mark_dirty(&mut self.frontier, &mut self.dirty, id);
-        for &(_, nid) in &self.nbr_data[self.nbr_off[id]..self.nbr_off[id + 1]] {
-            mark_dirty(&mut self.frontier, &mut self.dirty, nid);
-        }
+        self.engine.recover(id, NodeStatus::Clean);
     }
 
     /// Recovers the faulty node at `c`.
     pub fn recover_coord(&mut self, c: &Coord) {
-        let id = self.mesh.id_of(c);
+        let id = self.mesh().id_of(c);
         self.recover(id);
     }
 
     /// Executes one synchronous round of rules 1–4; returns the number of nodes whose
-    /// status changed.  With [`LabelingEngine::set_threads`] > 1 the round is
-    /// executed by sharded workers (contiguous dimension-0 slabs, as in
-    /// [`RoundEngine`]) with bit-identical results.
+    /// status changed.
     pub fn run_round(&mut self) -> usize {
-        // External marks (faults, recoveries) arrive unordered; evaluation must scan
-        // ascending node ids so frontier and full rounds behave identically.
-        self.frontier.sort_unstable();
-        let changes = if self.threads > 1 {
-            self.round_sharded()
-        } else {
-            self.round_serial()
-        };
-        self.rounds += 1;
-        changes
-    }
-
-    /// The single-threaded round body.
-    fn round_serial(&mut self) -> usize {
-        let n = self.statuses.len();
-        self.changed.clear();
-        let view = StatusView {
-            statuses: &self.statuses,
-            nbr_data: &self.nbr_data,
-            nbr_off: &self.nbr_off,
-        };
-        self.evaluated_total += if self.frontier_enabled {
-            eval_ids(
-                &view,
-                self.frontier.iter().copied(),
-                0,
-                &mut self.next_statuses,
-                &mut self.changed,
-            )
-        } else {
-            eval_ids(&view, 0..n, 0, &mut self.next_statuses, &mut self.changed)
-        };
-        self.commit_and_mark()
-    }
-
-    /// The sharded round body: workers evaluate contiguous dimension-0 slabs (or the
-    /// frontier slice inside them) against the shared previous statuses and stage
-    /// changes into disjoint regions of the shared back buffer (the double buffer is
-    /// the halo exchange); the changed-id lists are merged at the round barrier in
-    /// shard order.
-    fn round_sharded(&mut self) -> usize {
-        if self.shards.len() <= 1 {
-            // A single slab cannot be split: skip the worker machinery entirely.
-            return self.round_serial();
-        }
-        let view = StatusView {
-            statuses: &self.statuses,
-            nbr_data: &self.nbr_data,
-            nbr_off: &self.nbr_off,
-        };
-        let use_frontier = self.frontier_enabled;
-        let frontier = &self.frontier;
-        let shard_count = self.shards.len();
-        self.pool.get(self.threads).run_sharded(
-            &mut self.next_statuses,
-            &self.shards,
-            &mut self.workers[..shard_count],
-            |_, base, slab, ws| {
-                ws.changed.clear();
-                let range = base..base + slab.len();
-                ws.evaluated = if use_frontier {
-                    let lo = frontier.partition_point(|&x| x < range.start);
-                    let hi = frontier.partition_point(|&x| x < range.end);
-                    eval_ids(
-                        &view,
-                        frontier[lo..hi].iter().copied(),
-                        base,
-                        slab,
-                        &mut ws.changed,
-                    )
-                } else {
-                    eval_ids(&view, range, base, slab, &mut ws.changed)
-                };
-            },
-        );
-        self.changed.clear();
-        let (changed, workers) = (&mut self.changed, &self.workers);
-        for ws in &workers[..shard_count] {
-            self.evaluated_total += ws.evaluated;
-            changed.extend_from_slice(&ws.changed);
-        }
-        self.commit_and_mark()
-    }
-
-    /// The round barrier: commits the staged statuses of changed nodes, consumes the
-    /// evaluated frontier and marks the next one (changed nodes and their
-    /// neighborhoods).  Returns the change count.
-    fn commit_and_mark(&mut self) -> usize {
-        for &id in &self.changed {
-            self.statuses[id] = self.next_statuses[id];
-        }
-        for &id in &self.frontier {
-            self.dirty[id] = false;
-        }
-        self.frontier.clear();
-        let (frontier, dirty) = (&mut self.frontier, &mut self.dirty);
-        for &id in &self.changed {
-            mark_dirty(frontier, dirty, id);
-            for &(_, nid) in &self.nbr_data[self.nbr_off[id]..self.nbr_off[id + 1]] {
-                mark_dirty(frontier, dirty, nid);
-            }
-        }
-        self.changed.len()
+        self.engine.run_round()
     }
 
     /// Runs rounds until no status changes; returns the number of rounds executed
@@ -367,17 +158,7 @@ impl LabelingEngine {
     /// non-stabilising configuration; Algorithm 1 always stabilises, so the tests
     /// treat this as a failure).
     pub fn run_to_fixpoint(&mut self, max_rounds: u64) -> Option<u64> {
-        let mut executed = 0u64;
-        loop {
-            if executed >= max_rounds {
-                return None;
-            }
-            let changes = self.run_round();
-            executed += 1;
-            if changes == 0 {
-                return Some(executed);
-            }
-        }
+        self.engine.run_until_quiescent(max_rounds)
     }
 
     /// Convenience: inject a set of faults and run to fixpoint, returning the number
@@ -407,7 +188,7 @@ impl LabelingEngine {
     /// clean/enabled oscillation of a single node is bounded by a small constant, so
     /// `4 * (diameter + 4)` is far beyond anything Algorithm 1 needs.
     pub fn safe_round_bound(&self) -> u64 {
-        4 * (u64::from(self.mesh.diameter()) + 4)
+        4 * (u64::from(self.mesh().diameter()) + 4)
     }
 
     /// True if one more round would not change any status.
@@ -419,7 +200,7 @@ impl LabelingEngine {
     /// injected disturbance whose re-evaluation would turn out to change nothing; one
     /// [`LabelingEngine::run_round`] resolves it.
     pub fn is_stable(&self) -> bool {
-        self.frontier.is_empty()
+        self.frontier_len() == 0
     }
 
     /// Counts nodes by status: `(faulty, disabled, clean, enabled)`.
@@ -428,7 +209,7 @@ impl LabelingEngine {
         let mut d = 0;
         let mut c = 0;
         let mut e = 0;
-        for s in &self.statuses {
+        for s in self.statuses() {
             match s {
                 NodeStatus::Faulty => f += 1,
                 NodeStatus::Disabled => d += 1,
@@ -441,66 +222,20 @@ impl LabelingEngine {
 
     /// Ids of all nodes currently in a block (faulty or disabled).
     pub fn block_nodes(&self) -> Vec<NodeId> {
-        (0..self.statuses.len())
-            .filter(|&i| self.statuses[i].in_block())
+        let statuses = self.statuses();
+        (0..statuses.len())
+            .filter(|&i| statuses[i].in_block())
             .collect()
     }
 }
 
-/// Marks a node dirty, keeping the frontier list deduplicated.
-fn mark_dirty(frontier: &mut Vec<NodeId>, dirty: &mut [bool], id: NodeId) {
-    if !dirty[id] {
-        dirty[id] = true;
-        frontier.push(id);
-    }
-}
-
-/// The shared, read-only inputs of one labeling round.
-#[derive(Clone, Copy)]
-struct StatusView<'a> {
-    statuses: &'a [NodeStatus],
-    nbr_data: &'a [(Direction, NodeId)],
-    nbr_off: &'a [usize],
-}
-
-/// Applies rules 1–4 to the non-faulty nodes of `ids` (ascending), staging changed
-/// statuses into `next_slab` (indexed by `id - base`) and collecting the changed ids.
-/// Neighbor views are built in a fixed-capacity stack array, so evaluation never
-/// touches the heap.  Returns the number of nodes evaluated.
-fn eval_ids(
-    view: &StatusView<'_>,
-    ids: impl Iterator<Item = NodeId>,
-    base: usize,
-    next_slab: &mut [NodeStatus],
-    changed: &mut Vec<NodeId>,
-) -> u64 {
-    let mut evaluated = 0u64;
-    for id in ids {
-        let prev = view.statuses[id];
-        if prev == NodeStatus::Faulty {
-            continue;
-        }
-        evaluated += 1;
-        let nbrs = &view.nbr_data[view.nbr_off[id]..view.nbr_off[id + 1]];
-        let mut buf = [(Direction::pos(0), NodeStatus::Enabled); MAX_STACK_NEIGHBORS];
-        for (slot, &(dir, nid)) in buf.iter_mut().zip(nbrs) {
-            *slot = (dir, view.statuses[nid]);
-        }
-        let ns = next_status(prev, &buf[..nbrs.len()]);
-        if ns != prev {
-            next_slab[id - base] = ns;
-            changed.push(id);
-        }
-    }
-    evaluated
-}
-
-/// The same rules as a distributed [`Protocol`] for the generic round engine.
+/// Rules 1–4 as a distributed [`Protocol`] for the generic round engine.
 ///
-/// The protocol state is simply the node's [`NodeStatus`]; faults are injected with
-/// [`RoundEngine::inject_fault`] (the engine then reports the neighbor as faulty) and
-/// recoveries with [`RoundEngine::recover`] using [`NodeStatus::Clean`] as the
-/// post-recovery state (rule 5).
+/// The protocol state is simply the node's [`NodeStatus`]; a faulty neighbor (whose
+/// state the engine hides) reads as [`NodeStatus::Faulty`].  [`LabelingEngine`]
+/// injects faults with [`RoundEngine::inject_fault`] and recoveries with
+/// [`RoundEngine::recover`] using [`NodeStatus::Clean`] as the post-recovery state
+/// (rule 5).
 #[derive(Debug, Clone, Default)]
 pub struct LabelingProtocol;
 
@@ -525,47 +260,12 @@ impl Protocol for LabelingProtocol {
         _inbox: &[()],
         _outbox: &mut Outbox<()>,
     ) -> NodeStatus {
-        let status_of = |nb: &NeighborView<'_, NodeStatus>| {
-            (
-                nb.dir,
-                if nb.faulty {
-                    NodeStatus::Faulty
-                } else {
-                    // audit:allow(panic): the round engine hands every non-faulty neighbor a state; None here is engine corruption
-                    *nb.state.expect("non-faulty neighbor must expose state")
-                },
-            )
-        };
         let mut buf = [(Direction::pos(0), NodeStatus::Enabled); MAX_STACK_NEIGHBORS];
         for (slot, nb) in buf.iter_mut().zip(neighbors) {
-            *slot = status_of(nb);
+            *slot = (nb.dir, nb.state.map_or(NodeStatus::Faulty, |s| *s));
         }
         next_status(*prev, &buf[..neighbors.len()])
     }
-}
-
-/// Runs the distributed labeling protocol on a round engine with the given faults and
-/// returns `(statuses, rounds_to_quiescence)`.  Mainly used by tests and experiments
-/// to cross-validate [`LabelingEngine`].
-pub fn run_distributed_labeling(mesh: &Mesh, faults: &[Coord]) -> (Vec<NodeStatus>, u64) {
-    let mut engine = RoundEngine::new(mesh.clone(), LabelingProtocol);
-    for f in faults {
-        engine.inject_fault(mesh.id_of(f));
-    }
-    let rounds = engine
-        .run_until_quiescent(4 * (u64::from(mesh.diameter()) + 4))
-        // audit:allow(panic): the budget is 4x the diameter-based Theorem 1 bound; non-quiescence means the protocol is broken
-        .expect("labeling must stabilise");
-    let statuses: Vec<NodeStatus> = (0..mesh.node_count())
-        .map(|id| {
-            if engine.is_faulty(id) {
-                NodeStatus::Faulty
-            } else {
-                *engine.state(id)
-            }
-        })
-        .collect();
-    (statuses, rounds)
 }
 
 #[cfg(test)]
@@ -636,33 +336,6 @@ mod tests {
         let (f, d, _, _) = eng.census();
         assert_eq!(f, 2);
         assert_eq!(d, 2);
-    }
-
-    #[test]
-    fn distributed_protocol_matches_array_engine() {
-        let mesh = Mesh::cubic(9, 3);
-        let faults = figure1_faults();
-        let mut array = LabelingEngine::new(mesh.clone());
-        array.apply_faults(&faults);
-        let (distributed, _rounds) = run_distributed_labeling(&mesh, &faults);
-        assert_eq!(array.statuses(), distributed.as_slice());
-    }
-
-    #[test]
-    fn distributed_protocol_matches_on_random_fault_sets() {
-        use lgfi_sim::DetRng;
-        let mesh = Mesh::cubic(7, 3);
-        let interior = mesh.interior_region().unwrap();
-        let interior_nodes: Vec<Coord> = interior.iter_coords().collect();
-        for seed in 0..5u64 {
-            let mut rng = DetRng::seed_from_u64(seed);
-            let picks = rng.sample_indices(interior_nodes.len(), 12);
-            let faults: Vec<Coord> = picks.iter().map(|&i| interior_nodes[i]).collect();
-            let mut array = LabelingEngine::new(mesh.clone());
-            array.apply_faults(&faults);
-            let (distributed, _) = run_distributed_labeling(&mesh, &faults);
-            assert_eq!(array.statuses(), distributed.as_slice(), "seed {seed}");
-        }
     }
 
     #[test]

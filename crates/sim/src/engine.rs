@@ -26,7 +26,9 @@
 //! * neighbor views are built in a fixed-capacity stack array of
 //!   [`MAX_STACK_NEIGHBORS`] entries, which covers every mesh
 //!   ([`Mesh::new`] admits at most [`MAX_DIMS`] dimensions), and the per-node
-//!   [`Outbox`] is recycled across nodes and rounds.
+//!   [`Outbox`] is recycled across nodes and rounds;
+//! * round statistics ([`EngineStats`]) are running totals, so recording a round
+//!   never allocates and a long-lived engine stays the same size.
 //!
 //! # Active-frontier scheduling
 //!
@@ -39,8 +41,12 @@
 //! the drain transition is itself an input change) and evaluates only those
 //! frontier nodes, making post-convergence
 //! rounds O(frontier) instead of O(n) while producing bit-identical states, change
-//! counts and messages.  [`RoundEngine::set_frontier`] can force full evaluation for
-//! comparison; the knob never changes results.
+//! counts and messages.  A fresh engine seeds the set in one pass over the mesh with
+//! the nodes whose first evaluation would change their state or send a message, so a
+//! protocol whose initial configuration is already a fixpoint (the all-enabled
+//! labeling of Algorithm 1) starts with an empty frontier.
+//! [`RoundEngine::set_frontier`] can force full evaluation for comparison; the knob
+//! never changes results.
 //!
 //! # Parallel execution
 //!
@@ -79,10 +85,8 @@ pub struct NeighborView<'a, S> {
     pub dir: Direction,
     /// The neighbor's node id.
     pub id: NodeId,
-    /// True if the neighbor is currently faulty (detected at the fault-detection phase
-    /// of the enclosing step).
-    pub faulty: bool,
-    /// The neighbor's previous-round state; `None` iff the neighbor is faulty.
+    /// The neighbor's previous-round state; `None` iff the neighbor is currently
+    /// faulty (detected at the fault-detection phase of the enclosing step).
     pub state: Option<&'a S>,
 }
 
@@ -265,6 +269,8 @@ pub struct RoundEngine<P: Protocol> {
 
 impl<P: Protocol> RoundEngine<P> {
     /// Creates an engine with every node non-faulty and in its initial protocol state.
+    /// For a [`Protocol::ROUND_INVARIANT`] protocol this evaluates every node once to
+    /// seed the frontier (see the module docs); nothing is committed.
     pub fn new(mesh: Mesh, protocol: P) -> Self {
         let n = mesh.node_count();
         let mut nbr_data = Vec::new();
@@ -283,7 +289,7 @@ impl<P: Protocol> RoundEngine<P> {
                 })
             })
             .collect();
-        RoundEngine {
+        let mut engine = RoundEngine {
             protocol,
             next_states: states.clone(),
             states,
@@ -301,13 +307,8 @@ impl<P: Protocol> RoundEngine<P> {
                 arena_recipients: Vec::new(),
                 workers: Vec::new(),
             },
-            // Nothing has been evaluated yet, so every node starts on the frontier.
-            frontier: if P::ROUND_INVARIANT {
-                (0..n).collect()
-            } else {
-                Vec::new()
-            },
-            dirty_flag: vec![P::ROUND_INVARIANT; n],
+            frontier: Vec::new(),
+            dirty_flag: vec![false; n],
             frontier_requested: true,
             round: 0,
             stats: EngineStats::default(),
@@ -315,6 +316,37 @@ impl<P: Protocol> RoundEngine<P> {
             shards: shard_ranges(n, slab_width(&mesh), 1),
             pool: PoolHandle::new(),
             mesh,
+        };
+        if P::ROUND_INVARIANT {
+            engine.seed_frontier();
+        }
+        engine
+    }
+
+    /// Puts on the frontier every node whose first evaluation would change its state
+    /// or send a message.  Every other node recomputes its state and stays silent
+    /// until its inputs change, which marks it dirty, so under the
+    /// `ROUND_INVARIANT` contract skipping it is bit-identical to evaluating it.
+    fn seed_frontier(&mut self) {
+        let view = RoundView {
+            mesh: &self.mesh,
+            protocol: &self.protocol,
+            states: &self.states,
+            faulty: &self.faulty,
+            nbr_data: &self.nbr_data,
+            nbr_off: &self.nbr_off,
+            inbox_data: &self.inbox_data,
+            inbox_off: &self.inbox_off,
+            round: self.round,
+        };
+        let mut views = empty_views();
+        let outbox = &mut self.scratch.main.outbox;
+        for id in 0..self.states.len() {
+            let next = view.eval(id, &mut views, outbox);
+            if next != view.states[id] || !outbox.is_empty() {
+                mark_dirty(&mut self.frontier, &mut self.dirty_flag, id);
+            }
+            outbox.msgs.clear();
         }
     }
 
@@ -371,13 +403,6 @@ impl<P: Protocol> RoundEngine<P> {
     /// no messages are pending).
     pub fn frontier_len(&self) -> usize {
         self.frontier.len()
-    }
-
-    /// Pre-reserves statistics storage for `extra` further rounds, so a steady-state
-    /// run of that length performs no bookkeeping allocations (used by the
-    /// allocation-regression tests).
-    pub fn reserve_rounds(&mut self, extra: usize) {
-        self.stats.reserve_rounds(extra);
     }
 
     /// The mesh the engine runs on.
@@ -778,7 +803,6 @@ impl<P: Protocol> RoundEngine<P> {
     /// Runs exactly `rounds` rounds (the per-step λ budget of the Figure-7 model);
     /// returns the total number of state changes observed.
     pub fn run_rounds(&mut self, rounds: u64) -> usize {
-        self.reserve_rounds(rounds as usize);
         let mut total = 0usize;
         for _ in 0..rounds {
             total += self.run_round();
@@ -795,6 +819,15 @@ fn mark_dirty(frontier: &mut Vec<NodeId>, dirty: &mut [bool], id: NodeId) {
     }
 }
 
+/// A fixed-capacity stack scratch of neighbor views, overwritten per evaluated node.
+fn empty_views<'a, S>() -> [NeighborView<'a, S>; MAX_STACK_NEIGHBORS] {
+    std::array::from_fn(|_| NeighborView {
+        dir: Direction::pos(0),
+        id: 0,
+        state: None,
+    })
+}
+
 /// Evaluates the non-faulty nodes of `ids` (ascending) against the shared
 /// previous-round view, staging changed states into `next_slab` (indexed by
 /// `id - base`) and collecting sends/changed ids into the worker scratch.  The
@@ -807,13 +840,7 @@ fn eval_span<'a, P: Protocol>(
     next_slab: &mut [P::State],
     ws: &mut WorkerScratch<P>,
 ) -> (u64, u64) {
-    let mut views: [NeighborView<'a, P::State>; MAX_STACK_NEIGHBORS] =
-        std::array::from_fn(|_| NeighborView {
-            dir: Direction::pos(0),
-            id: 0,
-            faulty: true,
-            state: None,
-        });
+    let mut views = empty_views();
     let mut evaluated = 0u64;
     let mut messages = 0u64;
     for id in ids {
@@ -869,12 +896,10 @@ impl<'a, P: Protocol> RoundView<'a, P> {
 
     /// The view of one neighbor.
     fn neighbor_view(&self, dir: Direction, nid: NodeId) -> NeighborView<'a, P::State> {
-        let faulty = self.faulty[nid];
         NeighborView {
             dir,
             id: nid,
-            faulty,
-            state: if faulty {
+            state: if self.faulty[nid] {
                 None
             } else {
                 Some(&self.states[nid])
@@ -954,6 +979,39 @@ mod tests {
                 }
             }
             best
+        }
+    }
+
+    /// Runs `rounds` rounds, recording each one's counters from the return value and
+    /// the change in the engine's running totals.
+    fn record_rounds<P: Protocol>(eng: &mut RoundEngine<P>, rounds: u64) -> Vec<RoundStats> {
+        (0..rounds).map(|_| record_round(eng)).collect()
+    }
+
+    /// Runs one round and returns its counters.
+    fn record_round<P: Protocol>(eng: &mut RoundEngine<P>) -> RoundStats {
+        let sent = eng.stats().total_messages();
+        let changes = eng.run_round();
+        RoundStats {
+            state_changes: changes as u64,
+            messages_sent: eng.stats().total_messages() - sent,
+        }
+    }
+
+    /// [`RoundEngine::run_until_quiescent`], driven round by round so every round's
+    /// counters are recorded.
+    fn record_until_quiescent<P: Protocol>(
+        eng: &mut RoundEngine<P>,
+        max_rounds: u64,
+    ) -> Vec<RoundStats> {
+        let mut log = Vec::new();
+        loop {
+            assert!((log.len() as u64) < max_rounds, "no quiescence");
+            let r = record_round(eng);
+            log.push(r);
+            if r.state_changes == 0 && eng.pending_messages() == 0 {
+                return log;
+            }
         }
     }
 
@@ -1091,6 +1149,7 @@ mod tests {
         assert!(stats.total_state_changes() > 0);
         // Without `ROUND_INVARIANT` the engine evaluates every non-faulty node.
         assert_eq!(stats.mean_evaluated_per_round(), 16.0);
+        assert_eq!(stats.total_evaluated(), 16 * eng.round());
     }
 
     #[test]
@@ -1264,8 +1323,8 @@ mod tests {
     fn run_gossip(mesh: &Mesh, threads: usize, rounds: u64) -> (Vec<u64>, Vec<RoundStats>) {
         let mut eng = RoundEngine::new(mesh.clone(), OrderSensitiveGossip).with_threads(threads);
         eng.inject_fault(mesh.node_count() / 2);
-        eng.run_rounds(rounds);
-        (eng.states().to_vec(), eng.stats().per_round().to_vec())
+        let log = record_rounds(&mut eng, rounds);
+        (eng.states().to_vec(), log)
     }
 
     #[test]
@@ -1287,11 +1346,10 @@ mod tests {
         let seed = mesh.id_of(&coord![0, 0]);
         let mut serial = RoundEngine::new(mesh.clone(), MinFlood { seed });
         let mut parallel = RoundEngine::new(mesh, MinFlood { seed }).with_threads(4);
-        let r1 = serial.run_until_quiescent(1000).unwrap();
-        let r2 = parallel.run_until_quiescent(1000).unwrap();
+        let r1 = record_until_quiescent(&mut serial, 1000);
+        let r2 = record_until_quiescent(&mut parallel, 1000);
         assert_eq!(r1, r2);
         assert_eq!(serial.states(), parallel.states());
-        assert_eq!(serial.stats().per_round(), parallel.stats().per_round());
         assert_eq!(parallel.threads(), 4);
         assert_eq!(parallel.stats().threads(), 4);
     }
@@ -1321,13 +1379,13 @@ mod tests {
         let run = |threads: usize| {
             let mut eng =
                 RoundEngine::new(mesh.clone(), OrderSensitiveGossip).with_threads(threads);
-            eng.run_rounds(3);
+            let mut log = record_rounds(&mut eng, 3);
             eng.inject_fault(mesh.id_of(&coord![3, 3]));
             eng.inject_fault(mesh.id_of(&coord![0, 6]));
-            eng.run_rounds(4);
+            log.extend(record_rounds(&mut eng, 4));
             eng.recover(mesh.id_of(&coord![3, 3]), 42);
-            eng.run_rounds(5);
-            (eng.states().to_vec(), eng.stats().per_round().to_vec())
+            log.extend(record_rounds(&mut eng, 5));
+            (eng.states().to_vec(), log)
         };
         let serial = run(1);
         for threads in [2, 4] {
@@ -1377,6 +1435,17 @@ mod tests {
     }
 
     #[test]
+    fn fresh_engine_seeds_only_the_nodes_with_work() {
+        // Every node but the far corner (the one local maximum of the ids) sees a
+        // larger neighbor, so only the corner's first evaluation changes nothing.
+        let mesh = Mesh::cubic(8, 2);
+        let mut eng = RoundEngine::new(mesh, MaxStencil);
+        assert_eq!(eng.frontier_len(), 63);
+        eng.run_round();
+        assert_eq!(eng.stats().total_evaluated(), 63);
+    }
+
+    #[test]
     fn frontier_shrinks_after_convergence_and_skips_work() {
         let mesh = Mesh::cubic(8, 2);
         let mut eng = RoundEngine::new(mesh, MaxStencil);
@@ -1385,15 +1454,14 @@ mod tests {
         // One flush round consumes the final delivery's deferred drain-round wake.
         eng.run_round();
         assert_eq!(eng.frontier_len(), 0);
-        let before = eng.stats().evaluated_per_round().to_vec();
         // Post-convergence rounds evaluate nobody.
+        let before = eng.stats().total_evaluated();
         eng.run_rounds(3);
-        let after = eng.stats().evaluated_per_round();
-        assert_eq!(&after[before.len()..], &[0, 0, 0]);
+        assert_eq!(eng.stats().total_evaluated(), before);
         // Disturb one node: only its neighborhood wakes up.
         eng.set_state(0, 1_000);
         eng.run_round();
-        let evaluated = *eng.stats().evaluated_per_round().last().unwrap();
+        let evaluated = eng.stats().total_evaluated() - before;
         assert!(evaluated <= 3, "evaluated {evaluated} nodes, expected ≤ 3");
     }
 
@@ -1434,8 +1502,8 @@ mod tests {
             eng.post(0, ());
             // Delivery round: inbox non-empty, state stays 5 (no change, no sends).
             // Drain round: inbox now empty — the state must snap to 1.
-            eng.run_rounds(3);
-            (eng.states().to_vec(), eng.stats().per_round().to_vec())
+            let log = record_rounds(&mut eng, 3);
+            (eng.states().to_vec(), log)
         };
         let (frontier_states, frontier_stats) = run(true);
         assert_eq!(frontier_states, vec![1], "drained node must re-evaluate");
@@ -1449,13 +1517,13 @@ mod tests {
             let mut eng = RoundEngine::new(mesh.clone(), MaxStencil)
                 .with_frontier(frontier)
                 .with_threads(threads);
-            eng.run_rounds(5);
+            let mut log = record_rounds(&mut eng, 5);
             eng.inject_fault(mesh.id_of(&coord![4, 4]));
-            eng.run_rounds(4);
+            log.extend(record_rounds(&mut eng, 4));
             eng.recover(mesh.id_of(&coord![4, 4]), 7_777);
             eng.post(mesh.id_of(&coord![0, 8]), 9_999);
-            eng.run_until_quiescent(200).unwrap();
-            (eng.states().to_vec(), eng.stats().per_round().to_vec())
+            log.extend(record_until_quiescent(&mut eng, 200));
+            (eng.states().to_vec(), log)
         };
         let reference = run(false, 1);
         for threads in [1, 3] {

@@ -27,8 +27,7 @@
 //! * [`epoch::EpochCell`] is the single-writer/many-reader snapshot cell behind the
 //!   epoch-published route-query plane of `lgfi-core` (lock-free reader staleness
 //!   check, retired-buffer recycling),
-//! * [`stats`], [`trace`] and [`rng`] provide measurement, event tracing and
-//!   deterministic randomness.
+//! * [`stats`] and [`rng`] provide measurement and deterministic randomness.
 //!
 //! The protocols themselves (labeling, identification, boundary construction, routing)
 //! live in `lgfi-core`.
@@ -43,7 +42,6 @@ pub mod shard;
 pub mod slo;
 pub mod stats;
 pub mod step;
-pub mod trace;
 pub mod traffic_engine;
 
 pub use engine::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine, MAX_STACK_NEIGHBORS};
@@ -54,5 +52,4 @@ pub use shard::{batch_ranges, resolve_threads, shard_ranges, PoolHandle, WorkerP
 pub use slo::{NodeSlo, SloOutcome, SloTracker};
 pub use stats::{EngineStats, Histogram, RoundStats};
 pub use step::{StepClock, StepConfig, StepPhase};
-pub use trace::{Trace, TraceEvent};
 pub use traffic_engine::{InjectionProcess, LinkArbiter, TrafficStats, VcTable, NO_OWNER};

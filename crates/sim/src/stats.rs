@@ -9,15 +9,18 @@ pub struct RoundStats {
     pub messages_sent: u64,
 }
 
-/// Accumulated statistics of a [`RoundEngine`](crate::engine::RoundEngine) run.
+/// Accumulated statistics of a [`RoundEngine`](crate::engine::RoundEngine) run:
+/// running totals of constant size, so recording a round never allocates and a
+/// long-lived engine's statistics stay flat however many rounds it runs.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
-    per_round: Vec<RoundStats>,
-    /// Nodes evaluated per round.  With active-frontier scheduling this is the
-    /// frontier size; with full evaluation it is the non-faulty node count.  It is an
-    /// execution detail (like `threads`) and deliberately kept out of [`RoundStats`],
-    /// whose records are bit-identical across scheduling modes.
-    evaluated_per_round: Vec<u64>,
+    rounds: u64,
+    state_changes: u64,
+    messages: u64,
+    /// Nodes evaluated over all rounds.  With active-frontier scheduling a round
+    /// evaluates the frontier; with full evaluation, every non-faulty node.  It is an
+    /// execution detail (like `threads`), not part of a round's bit-identical record.
+    evaluated: u64,
     /// Worker threads the engine executes rounds with (1 = serial).
     threads: usize,
 }
@@ -25,43 +28,39 @@ pub struct EngineStats {
 impl Default for EngineStats {
     fn default() -> Self {
         EngineStats {
-            per_round: Vec::new(),
-            evaluated_per_round: Vec::new(),
+            rounds: 0,
+            state_changes: 0,
+            messages: 0,
+            evaluated: 0,
             threads: 1,
         }
     }
 }
 
 impl EngineStats {
-    /// Records the counters of one executed round.
+    /// Adds the counters of one executed round to the totals.
     pub fn record_round(&mut self, stats: RoundStats) {
-        self.per_round.push(stats);
+        self.rounds += 1;
+        self.state_changes += stats.state_changes;
+        self.messages += stats.messages_sent;
     }
 
-    /// Records how many nodes the engine evaluated in the round just recorded.
+    /// Adds the nodes the engine evaluated in the round just recorded.
     pub fn record_evaluated(&mut self, evaluated: u64) {
-        self.evaluated_per_round.push(evaluated);
+        self.evaluated += evaluated;
     }
 
-    /// Pre-reserves storage for `extra` further rounds so steady-state recording
-    /// performs no allocations.
-    pub fn reserve_rounds(&mut self, extra: usize) {
-        self.per_round.reserve(extra);
-        self.evaluated_per_round.reserve(extra);
-    }
-
-    /// Nodes evaluated per round (the active-frontier size, or the non-faulty node
-    /// count under full evaluation).
-    pub fn evaluated_per_round(&self) -> &[u64] {
-        &self.evaluated_per_round
+    /// Total nodes evaluated over all rounds.
+    pub fn total_evaluated(&self) -> u64 {
+        self.evaluated
     }
 
     /// Mean nodes evaluated per round (0.0 before any round ran).
     pub fn mean_evaluated_per_round(&self) -> f64 {
-        if self.evaluated_per_round.is_empty() {
+        if self.rounds == 0 {
             return 0.0;
         }
-        self.evaluated_per_round.iter().sum::<u64>() as f64 / self.evaluated_per_round.len() as f64
+        self.evaluated as f64 / self.rounds as f64
     }
 
     /// Records the active worker-thread count, so downstream summaries and benchmark
@@ -78,32 +77,17 @@ impl EngineStats {
 
     /// Number of rounds recorded.
     pub fn rounds(&self) -> u64 {
-        self.per_round.len() as u64
-    }
-
-    /// The per-round records.
-    pub fn per_round(&self) -> &[RoundStats] {
-        &self.per_round
+        self.rounds
     }
 
     /// Total messages sent over all rounds.
     pub fn total_messages(&self) -> u64 {
-        self.per_round.iter().map(|r| r.messages_sent).sum()
+        self.messages
     }
 
     /// Total state changes over all rounds.
     pub fn total_state_changes(&self) -> u64 {
-        self.per_round.iter().map(|r| r.state_changes).sum()
-    }
-
-    /// The last round (0-based index) in which any state changed, if any.
-    pub fn last_active_round(&self) -> Option<u64> {
-        self.per_round
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, r)| r.state_changes > 0 || r.messages_sent > 0)
-            .map(|(i, _)| i as u64)
+        self.state_changes
     }
 }
 
@@ -259,26 +243,27 @@ mod tests {
         assert_eq!(s.rounds(), 3);
         assert_eq!(s.total_messages(), 7);
         assert_eq!(s.total_state_changes(), 4);
-        assert_eq!(s.last_active_round(), Some(2));
     }
 
     #[test]
     fn evaluated_counts_are_tracked_separately() {
         let mut s = EngineStats::default();
         assert_eq!(s.mean_evaluated_per_round(), 0.0);
-        s.reserve_rounds(4);
-        s.record_evaluated(10);
-        s.record_evaluated(2);
-        s.record_evaluated(0);
-        assert_eq!(s.evaluated_per_round(), &[10, 2, 0]);
+        for evaluated in [10, 2, 0] {
+            s.record_round(RoundStats::default());
+            s.record_evaluated(evaluated);
+        }
+        assert_eq!(s.total_evaluated(), 12);
         assert_eq!(s.mean_evaluated_per_round(), 4.0);
+        assert_eq!(s.total_state_changes(), 0, "evaluations are not changes");
     }
 
     #[test]
     fn empty_engine_stats() {
         let s = EngineStats::default();
         assert_eq!(s.rounds(), 0);
-        assert_eq!(s.last_active_round(), None);
+        assert_eq!(s.total_evaluated(), 0);
+        assert_eq!(s.threads(), 1);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! visibility transitions that came due and rewrites only those nodes' arena
 //! slots, cloning into the slots in place.  This test installs a counting global
 //! allocator and proves that such steps perform **zero heap allocations**, even
-//! though the visible information changes at every one of them.
+//! though the visible information changes at every one of them.  So do the steps
+//! between a fault burst and its rebuild, which only advance the labeling by one
+//! round each: the round engine's buffers and statistics stay at their warm size.
 //!
 //! Everything runs inside a single `#[test]` because the allocation counter is
 //! process-global and the libtest harness runs separate tests on separate threads.
@@ -19,8 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
-use lgfi_sim::FaultPlan;
-use lgfi_topology::{coord, Mesh};
+use lgfi_sim::{FaultEvent, FaultPlan};
+use lgfi_topology::{coord, Coord, Mesh};
 
 /// Counts allocator calls (alloc, realloc, alloc_zeroed) while armed.
 struct CountingAllocator;
@@ -81,7 +83,7 @@ fn steps_that_only_patch_visibility_allocate_nothing() {
     .map(|c| mesh.id_of(c))
     .collect();
     let mut net = LgfiNetwork::new(
-        mesh,
+        mesh.clone(),
         FaultPlan::static_faults(&faults),
         NetworkConfig::default(),
     );
@@ -112,6 +114,40 @@ fn steps_that_only_patch_visibility_allocate_nothing() {
         "every measured pair of steps must reveal information to more nodes: {reached:?}"
     );
     assert_eq!(net.convergence_records().len(), 1);
+
+    // --- Steps that only run a labeling round (λ = 1). ---------------------------
+    // A diagonal of five faults disables its bounding box one anti-diagonal per
+    // round.  A first diagonal warms the round buffers to this shape's high-water
+    // mark; a second one, elsewhere, is measured from the step after its burst up
+    // to the step that rebuilds (which allocates the new blocks).
+    let diagonal =
+        |x: i32, y: i32| -> Vec<Coord> { (0..5).map(|k| coord![x + k, y + k]).collect() };
+    for (cluster, measured) in [(diagonal(3, 3), false), (diagonal(23, 3), true)] {
+        let step = net.step();
+        let burst: Vec<FaultEvent> = cluster
+            .iter()
+            .map(|c| FaultEvent::fail(step, mesh.id_of(c)))
+            .collect();
+        let rebuilds = net.convergence_records().len();
+        net.run_step_with(&burst);
+        let mut labeling_steps = 0u64;
+        loop {
+            let allocs = count_allocations(|| net.run_step());
+            if net.convergence_records().len() > rebuilds {
+                break;
+            }
+            assert!(
+                !measured || allocs == 0,
+                "a step that only runs a labeling round must not allocate \
+                 (step {}: {allocs} allocations)",
+                net.step()
+            );
+            labeling_steps += 1;
+        }
+        let record = net.convergence_records().last().unwrap();
+        assert!(record.a_rounds >= 3, "the cluster needs several rounds");
+        assert_eq!(labeling_steps, record.a_rounds - 2);
+    }
 
     // Sanity: the counter actually observes allocator traffic.
     let mut v = Vec::new();

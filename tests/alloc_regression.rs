@@ -150,9 +150,6 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         eng.inject_fault(mesh.id_of(&c));
     }
     eng.run_until_quiescent(1_000).expect("labeling stabilises");
-    // Reserve for two steady sections: count_allocations may re-run its body
-    // once to reject cross-thread noise.
-    eng.reserve_rounds(2 * STEADY_ROUNDS as usize + 1);
     let (allocs, changes) = count_allocations(|| eng.run_rounds(STEADY_ROUNDS));
     assert_eq!(changes, 0, "quiescent mesh must stay quiescent");
     assert_eq!(
@@ -166,9 +163,6 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         eng.inject_fault(mesh.id_of(&c));
     }
     eng.run_until_quiescent(1_000).expect("labeling stabilises");
-    // Reserve for two steady sections: count_allocations may re-run its body
-    // once to reject cross-thread noise.
-    eng.reserve_rounds(2 * STEADY_ROUNDS as usize + 1);
     let (allocs, changes) = count_allocations(|| eng.run_rounds(STEADY_ROUNDS));
     assert_eq!(changes, 0);
     assert_eq!(
@@ -179,9 +173,6 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
     // --- RoundEngine + a message-sending protocol, quiescent after convergence. ---
     let mut eng = RoundEngine::new(mesh.clone(), MinFlood);
     eng.run_until_quiescent(1_000).expect("min-flood converges");
-    // Reserve for two steady sections: count_allocations may re-run its body
-    // once to reject cross-thread noise.
-    eng.reserve_rounds(2 * STEADY_ROUNDS as usize + 1);
     let (allocs, changes) = count_allocations(|| eng.run_rounds(STEADY_ROUNDS));
     assert_eq!(changes, 0);
     assert_eq!(
@@ -394,9 +385,6 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         eng.inject_fault(mesh.id_of(&c));
     }
     eng.run_until_quiescent(1_000).expect("labeling stabilises");
-    // Reserve for two steady sections: count_allocations may re-run its body
-    // once to reject cross-thread noise.
-    eng.reserve_rounds(2 * STEADY_ROUNDS as usize + 1);
     let (allocs, changes) = count_allocations(|| eng.run_rounds(STEADY_ROUNDS));
     assert_eq!(changes, 0);
     assert_eq!(

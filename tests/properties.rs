@@ -2,7 +2,8 @@
 //!
 //! * the labeling always stabilises and yields rectangular, pairwise-disjoint blocks
 //!   that contain every fault;
-//! * the distributed labeling protocol agrees with the array engine;
+//! * the labeling engine agrees round by round with a reference full sweep of
+//!   rules 1–4, for every thread count and frontier setting;
 //! * safe sources always receive minimal paths;
 //! * routing between enabled corner nodes always terminates, and delivered routes are
 //!   at least as long as the Manhattan distance;
@@ -20,6 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use lgfi::prelude::*;
 use lgfi_core::block::BlockId;
+use lgfi_core::status::next_status;
 use lgfi_topology::FrameLevel;
 
 const CASES: u64 = 48;
@@ -89,17 +91,87 @@ fn labeling_stabilises_into_rectangular_disjoint_blocks() {
     }
 }
 
+/// One synchronous round of Algorithm 1 by full sweep, independent of the round
+/// engine: rules 1–4 on every non-faulty node, reading a copy of the previous
+/// statuses, with no frontier and no threads.  Returns the number of changed nodes.
+fn reference_round(mesh: &Mesh, statuses: &mut [NodeStatus]) -> usize {
+    let prev = statuses.to_vec();
+    let mut changes = 0;
+    for id in mesh.node_ids().filter(|&id| prev[id] != NodeStatus::Faulty) {
+        let neighbors: Vec<(Direction, NodeStatus)> = mesh
+            .neighbor_ids(id)
+            .into_iter()
+            .map(|(dir, nid)| (dir, prev[nid]))
+            .collect();
+        statuses[id] = next_status(prev[id], &neighbors);
+        changes += usize::from(statuses[id] != prev[id]);
+    }
+    changes
+}
+
+/// Runs `eng` and the reference sweep side by side to the fixpoint, comparing the
+/// change count and every status after each round.
+fn assert_rounds_match_reference(
+    eng: &mut LabelingEngine,
+    reference: &mut [NodeStatus],
+    tag: &str,
+) {
+    let mesh = eng.mesh().clone();
+    for round in 0..eng.safe_round_bound() {
+        let expected = reference_round(&mesh, reference);
+        assert_eq!(eng.run_round(), expected, "{tag} round {round}: changes");
+        assert_eq!(eng.statuses(), &*reference, "{tag} round {round}: statuses");
+        if expected == 0 {
+            assert!(eng.is_stable(), "{tag}: stable at the fixpoint");
+            return;
+        }
+    }
+    panic!("{tag}: no fixpoint within the watchdog bound");
+}
+
 #[test]
-fn distributed_labeling_matches_the_array_engine() {
+fn labeling_engine_matches_a_reference_sweep_round_by_round() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0xD157).derive(case);
-        let (dims, faults) = sample_mesh_and_faults(&mut rng);
+        // A random 2-D, 3-D or 4-D mesh with distinct interior faults, then a wave
+        // recovering a random subset of them (rule 5: recovered nodes are clean).
+        let ndim = 2 + rng.below(3);
+        let max_radix = [12, 8, 6][ndim - 2];
+        let dims: Vec<i32> = (0..ndim).map(|_| rng.range_i32(4, max_radix)).collect();
         let mesh = Mesh::new(&dims);
-        let coords: Vec<Coord> = faults.iter().map(|f| Coord::from_slice(f)).collect();
-        let mut array = LabelingEngine::new(mesh.clone());
-        array.apply_faults(&coords);
-        let (distributed, _rounds) = lgfi::core::labeling::run_distributed_labeling(&mesh, &coords);
-        assert_eq!(array.statuses(), distributed.as_slice(), "case {case}");
+        let interior: Vec<NodeId> = mesh
+            .interior_region()
+            .unwrap()
+            .iter_coords()
+            .map(|c| mesh.id_of(&c))
+            .collect();
+        let count = rng.below((interior.len() / 6).clamp(1, 20) + 1);
+        let faults: Vec<NodeId> = rng
+            .sample_indices(interior.len(), count)
+            .into_iter()
+            .map(|i| interior[i])
+            .collect();
+        let recovered: Vec<NodeId> = faults.iter().copied().filter(|_| rng.chance(0.5)).collect();
+        for frontier in [true, false] {
+            for threads in [1usize, 2, 3] {
+                let tag =
+                    format!("case {case} dims {dims:?} frontier {frontier} threads {threads}");
+                let mut eng = LabelingEngine::new(mesh.clone())
+                    .with_frontier(frontier)
+                    .with_threads(threads);
+                let mut reference = vec![NodeStatus::Enabled; mesh.node_count()];
+                for &f in &faults {
+                    eng.inject_fault(f);
+                    reference[f] = NodeStatus::Faulty;
+                }
+                assert_rounds_match_reference(&mut eng, &mut reference, &tag);
+                for &r in &recovered {
+                    eng.recover(r);
+                    reference[r] = NodeStatus::Clean;
+                }
+                assert_rounds_match_reference(&mut eng, &mut reference, &tag);
+            }
+        }
     }
 }
 
