@@ -63,27 +63,51 @@ impl BoundaryEntry {
     /// True if, for a message currently able to move to `next` and destined for
     /// `dest`, taking that hop would enter the dangerous area guarded by this entry
     /// (the criticality test of Section 2.2): the destination lies in the shadow
-    /// beyond the block in the `guard` direction and the next node lies in the shadow
-    /// on the opposite side.
+    /// beyond the block in the `guard` direction ([`BoundaryEntry::guards_destination`])
+    /// and the next node lies in the shadow on the opposite side
+    /// ([`BoundaryEntry::shadows_next_hop`]).
+    #[inline]
     pub fn is_critical_hop(&self, next: &Coord, dest: &Coord) -> bool {
+        self.guards_destination(dest) && self.shadows_next_hop(next)
+    }
+
+    /// The destination half of [`BoundaryEntry::is_critical_hop`]: `dest` lies
+    /// beyond the block in the `guard` direction and inside the block's
+    /// cross-section.  It does not depend on the hop, so a router tests it once per
+    /// entry and decision.
+    #[inline]
+    pub fn guards_destination(&self, dest: &Coord) -> bool {
         let g = self.guard;
-        let dim = g.dim;
-        let in_cross_section = |c: &Coord| {
-            (0..self.block.ndim())
-                .filter(|&d| d != dim)
-                .all(|d| c[d] >= self.block.lo()[d] && c[d] <= self.block.hi()[d])
-        };
-        let dest_beyond = if g.positive {
-            dest[dim] > self.block.hi()[dim]
+        let beyond = if g.positive {
+            dest[g.dim] > self.block.hi()[g.dim]
         } else {
-            dest[dim] < self.block.lo()[dim]
+            dest[g.dim] < self.block.lo()[g.dim]
         };
-        let next_in_shadow = if g.positive {
-            next[dim] < self.block.lo()[dim]
+        beyond && self.in_cross_section(dest)
+    }
+
+    /// The next-node half of [`BoundaryEntry::is_critical_hop`]: `next` lies in
+    /// the shadow on the side opposite to `guard`, inside the block's
+    /// cross-section.
+    #[inline]
+    pub fn shadows_next_hop(&self, next: &Coord) -> bool {
+        let g = self.guard;
+        let in_shadow = if g.positive {
+            next[g.dim] < self.block.lo()[g.dim]
         } else {
-            next[dim] > self.block.hi()[dim]
+            next[g.dim] > self.block.hi()[g.dim]
         };
-        dest_beyond && next_in_shadow && in_cross_section(dest) && in_cross_section(next)
+        in_shadow && self.in_cross_section(next)
+    }
+
+    /// True if `c` lies within the block's extent in every dimension except the
+    /// guard's.
+    #[inline]
+    fn in_cross_section(&self, c: &Coord) -> bool {
+        let dim = self.guard.dim;
+        (0..self.block.ndim())
+            .filter(|&d| d != dim)
+            .all(|d| c[d] >= self.block.lo()[d] && c[d] <= self.block.hi()[d])
     }
 }
 

@@ -34,8 +34,7 @@ use crate::identification::IdentificationProcess;
 use crate::labeling::LabelingEngine;
 use crate::route_service::{RoutePublisher, RouteService};
 use crate::routing::{
-    fill_neighbor_slots, CsrBoundary, NeighborSlot, Probe, ProbeEngine, ProbeOutcome, ProbeStatus,
-    RouteCtx, Router, RoutingDecision,
+    CsrBoundary, Probe, ProbeEngine, ProbeOutcome, ProbeStatus, Router, RoutingDecision,
 };
 use crate::status::NodeStatus;
 
@@ -137,10 +136,6 @@ struct ProbeState {
     /// Distance to the destination recorded at every fault-occurrence step (the
     /// paper's `D(i)` series), keyed by the occurrence step.
     distance_at_fault: BTreeMap<u64, u32>,
-    /// Per-probe direction-indexed neighbor scratch, refilled at every decision so a
-    /// warm probe never allocates per hop (and parallel probe workers never share
-    /// scratch).
-    slots: Vec<NeighborSlot>,
 }
 
 /// Final report for one probe routed through the dynamic network.
@@ -228,12 +223,12 @@ pub struct LgfiNetwork {
     publisher: Option<RoutePublisher>,
     /// Resolved probe-decision worker count (>= 1).
     probe_threads: usize,
-    /// Recycled buffers of finished probes (path + used-direction arena + neighbor
-    /// slots), reused by subsequent launches: steady-state probe turnover stops
-    /// paying the `O(node_count)` arena allocation per probe, and the network's
-    /// high-water memory is bounded by the maximum number of *concurrent* probes
-    /// rather than the total launched.
-    spare_probes: Vec<(Probe, Vec<NeighborSlot>)>,
+    /// Recycled probes of finished launches (path + used-direction arena), reused
+    /// by subsequent launches: steady-state probe turnover stops paying the
+    /// `O(node_count)` arena allocation per probe, and the network's high-water
+    /// memory is bounded by the maximum number of *concurrent* probes rather than
+    /// the total launched.
+    spare_probes: Vec<Probe>,
     /// Persistent worker pool for the sharded per-step probe decisions (spawned
     /// lazily on the first parallel decision sweep, parked between steps).
     probe_pool: lgfi_sim::PoolHandle,
@@ -366,19 +361,18 @@ impl LgfiNetwork {
     /// Launches a probe from `source` to `dest` driven by `router`.  The probe makes
     /// its first move at the end of the *next* executed step.
     pub fn launch_probe(&mut self, source: NodeId, dest: NodeId, router: Box<dyn Router>) {
-        let (probe, slots) = match self.spare_probes.pop() {
-            Some((mut probe, slots)) => {
+        let probe = match self.spare_probes.pop() {
+            Some(mut probe) => {
                 probe.reset(&self.mesh, source, dest);
-                (probe, slots)
+                probe
             }
-            None => (Probe::new(&self.mesh, source, dest), Vec::new()),
+            None => Probe::new(&self.mesh, source, dest),
         };
         self.probes.push(ProbeState {
             probe,
             router,
             launched_at: self.step,
             distance_at_fault: BTreeMap::new(),
-            slots,
         });
     }
 
@@ -429,8 +423,11 @@ impl LgfiNetwork {
                 }
             }
         }
-        // Collect finished probes into reports in launch order (removals walk the
-        // indices in reverse so earlier reports keep their positions).
+        // Retire finished probes.  Removals walk the finished indices in reverse, so
+        // the in-flight list keeps its launch order, and the reports of probes that
+        // finish in the same step are appended in *descending* launch order (steps
+        // themselves append in step order).  The golden routes in
+        // `tests/routing_golden.rs` pin this order.
         let finished: Vec<usize> = self
             .probes
             .iter()
@@ -449,7 +446,7 @@ impl LgfiNetwork {
                 distance_at_fault: state.distance_at_fault,
                 router: state.router.name(),
             });
-            self.spare_probes.push((state.probe, state.slots));
+            self.spare_probes.push(state.probe);
         }
 
         self.step += 1;
@@ -883,21 +880,13 @@ fn advance_probe(
         state.probe.status = ProbeStatus::Unreachable;
         return;
     }
-    let current_coord = mesh.coord_of(current);
-    let dest_coord = mesh.coord_of(state.probe.dest);
-    fill_neighbor_slots(mesh, statuses, current, &mut state.slots);
-    let ctx = RouteCtx {
+    let decision = state.probe.decide(
         mesh,
-        current: &current_coord,
-        dest: &dest_coord,
-        current_status: statuses[current],
-        neighbors: &state.slots,
-        boundary_info: boundary.entries(current),
-        global_blocks: blocks,
-        used: state.probe.used_here(),
-        incoming: state.probe.incoming,
-    };
-    let decision = state.router.decide(&ctx);
+        statuses,
+        blocks,
+        boundary.entries(current),
+        state.router.as_ref(),
+    );
     state.probe.apply(mesh, decision);
 }
 

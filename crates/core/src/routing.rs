@@ -29,6 +29,7 @@
 //! `lgfi-baselines` can be driven by the same probe engine; [`LgfiRouter`] is the
 //! paper's rule.
 
+use lgfi_topology::coord::MAX_DIMS;
 use lgfi_topology::direction::DirectionSet;
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 
@@ -44,19 +45,25 @@ use crate::status::NodeStatus;
 /// load instead of a linear scan over the neighbor list.
 pub type NeighborSlot = Option<(NodeId, NodeStatus)>;
 
-/// Fills `slots` with the direction-indexed neighbor table of `node` (`2n` entries,
-/// indexed by [`Direction::index`]).  The vector is cleared and refilled in place, so
-/// a warm buffer is never reallocated — this is the per-hop neighbor scan of the
-/// routing data plane.
-pub fn fill_neighbor_slots(
+/// Fills `slots[..2n]` with the direction-indexed neighbor table of `node`, whose
+/// coordinate is `at` (slot [`Direction::index`] per direction).  The surface test
+/// reads `at` and the neighbor ids step `node` by [`Mesh::stride`], so the fill
+/// divides nothing — this is the per-hop neighbor scan of the routing data plane,
+/// run by [`Probe::decide`] into a stack array of `2 * MAX_DIMS` slots.
+#[inline]
+fn fill_neighbor_slots(
     mesh: &Mesh,
     statuses: &[NodeStatus],
     node: NodeId,
-    slots: &mut Vec<NeighborSlot>,
+    at: &Coord,
+    slots: &mut [NeighborSlot],
 ) {
-    slots.clear();
-    for dir in Direction::iter_all(mesh.ndim()) {
-        slots.push(mesh.neighbor_id(node, dir).map(|nid| (nid, statuses[nid])));
+    for d in 0..mesh.ndim() {
+        let stride = mesh.stride(d);
+        let x = at[d];
+        slots[2 * d] = (x > 0).then(|| (node - stride, statuses[node - stride]));
+        slots[2 * d + 1] =
+            (x + 1 < mesh.radix(d)).then(|| (node + stride, statuses[node + stride]));
     }
 }
 
@@ -165,9 +172,11 @@ impl BoundarySource for CsrBoundary<'_> {
 ///
 /// The limited-global-information router only uses the node-local fields (`current`,
 /// `dest`, `current_status`, `neighbors`, `boundary_info`, `used`, `incoming`); the
-/// `global_blocks` field exists solely for the idealised global-information baselines
-/// and is empty when the context is built by [`LgfiNetwork`](crate::network::LgfiNetwork)
-/// for the LGFI router.
+/// `global_blocks` field exists solely for the idealised global-information baselines.
+/// Every hop loop of the library builds the context with [`Probe::decide`], which
+/// passes the live block list of the environment it routes in (the static blocks,
+/// or the blocks of the current [`LgfiNetwork`](crate::network::LgfiNetwork) step),
+/// whatever the router; the LGFI router never reads it.
 ///
 /// Every field is borrowed or `Copy`, so the context itself is `Copy`: building one
 /// per hop costs nothing, and wrapper routers (the baselines) derive stripped or
@@ -185,12 +194,14 @@ pub struct RouteCtx<'a> {
     pub current_status: NodeStatus,
     /// The detected status of every in-mesh neighbor, indexed by
     /// [`Direction::index`] (fault detection happens at the beginning of every step,
-    /// so this is current information).  See [`fill_neighbor_slots`].
+    /// so this is current information).  Holds exactly `2n` slots; [`Probe::decide`]
+    /// fills them from the probe's carried coordinate.
     pub neighbors: &'a [NeighborSlot],
     /// The boundary/block information stored at the current node and visible at this
     /// round (limited global information).
     pub boundary_info: &'a [BoundaryEntry],
-    /// Global block view — only for the global-information baselines.
+    /// The blocks of the environment the probe routes in — read only by the
+    /// global-information baselines.
     pub global_blocks: &'a [FaultyBlock],
     /// Directions already used by this probe at this node.
     pub used: DirectionSet,
@@ -280,55 +291,53 @@ impl LgfiRouter {
 
     /// Classifies one candidate direction, or returns `None` if it must not be used at
     /// all (outside the mesh, already used, or pointing at a known faulty/disabled
-    /// node).
+    /// node).  The same rule as [`Router::decide`], answered from the same
+    /// per-decision masks.
     pub fn classify(&self, ctx: &RouteCtx<'_>, dir: Direction) -> Option<DirectionClass> {
-        if ctx.used.contains(dir) {
+        self.class_of(ctx, &HopMasks::for_decision(ctx), dir.index())
+    }
+
+    /// The class of the direction with index `i` under the masks of this decision.
+    #[inline]
+    fn class_of(&self, ctx: &RouteCtx<'_>, masks: &HopMasks, i: usize) -> Option<DirectionClass> {
+        let bit = 1u16 << i;
+        if ctx.used.bits() & bit != 0 {
             return None;
         }
-        let status = ctx.neighbor_status(dir)?;
+        let (_, status) = ctx.neighbors[i]?;
         if status == NodeStatus::Faulty {
             return None;
         }
         if self.avoid_known_blocked && status == NodeStatus::Disabled {
             return None;
         }
-        if Some(dir) == ctx.incoming.map(|d| d.opposite()) {
+        if ctx.incoming.is_some_and(|d| d.opposite().index() == i) {
             return Some(DirectionClass::Incoming);
         }
-        if ctx.is_preferred(dir) {
-            // Critical-routing test: does any boundary entry stored here flag this hop?
-            let next = ctx.current.step(dir);
-            let critical = ctx
-                .boundary_info
-                .iter()
-                .any(|e| e.is_critical_hop(&next, ctx.dest));
-            if critical {
-                return Some(DirectionClass::PreferredButDetour);
+        Some(if masks.preferred & bit != 0 {
+            // Critical routing: a boundary entry stored here flags this hop.
+            if masks.critical & bit != 0 {
+                DirectionClass::PreferredButDetour
+            } else {
+                DirectionClass::Preferred
             }
-            return Some(DirectionClass::Preferred);
-        }
-        // Spare direction.  "Along the block" means: some preferred direction is
-        // blocked by a faulty/disabled neighbor, so moving sideways slides around that
-        // block's surface.
-        let blocked_preferred = Direction::iter_all(ctx.mesh.ndim()).any(|p| {
-            ctx.is_preferred(p)
-                && ctx
-                    .neighbor_status(p)
-                    .map(|s| s.in_block())
-                    .unwrap_or(false)
-        });
-        if blocked_preferred {
-            Some(DirectionClass::SpareAlongBlock)
+        } else if masks.blocked_preferred {
+            // Spare direction "along the block": a preferred direction is blocked by
+            // a faulty/disabled neighbor, so moving sideways slides around that
+            // block's surface.
+            DirectionClass::SpareAlongBlock
         } else {
-            Some(DirectionClass::Spare)
-        }
+            DirectionClass::Spare
+        })
     }
 
-    /// Orders the candidate directions by (class, tie-break) and returns the best one.
+    /// Orders the candidate directions by (class, tie-break) and returns the best
+    /// one, in one pass over the `2n` directions.
     fn best_direction(&self, ctx: &RouteCtx<'_>) -> Option<(Direction, DirectionClass)> {
-        let mut best: Option<(Direction, DirectionClass, i64)> = None;
-        for dir in Direction::iter_all(ctx.mesh.ndim()) {
-            let Some(class) = self.classify(ctx, dir) else {
+        let masks = HopMasks::for_decision(ctx);
+        let mut best: Option<(DirectionClass, i64, usize)> = None;
+        for i in 0..2 * ctx.mesh.ndim() {
+            let Some(class) = self.class_of(ctx, &masks, i) else {
                 continue;
             };
             // Tie-break within a class: preferred moves pick the dimension with the
@@ -336,23 +345,77 @@ impl LgfiRouter {
             // the dimension with the *smallest* remaining offset, so that a detour
             // slides around the block instead of retreating along the main travel
             // axis.  The direction index breaks remaining ties deterministically.
-            let offset = (ctx.dest[dir.dim] - ctx.current[dir.dim]).abs() as i64;
+            let dim = i / 2;
+            let offset = i64::from((ctx.dest[dim] - ctx.current[dim]).abs());
             let score = match class {
                 DirectionClass::Preferred | DirectionClass::PreferredButDetour => {
-                    -offset * 16 + dir.index() as i64
+                    -offset * 16 + i as i64
                 }
-                _ => offset * 16 + dir.index() as i64,
+                _ => offset * 16 + i as i64,
             };
-            match &best {
-                None => best = Some((dir, class, score)),
-                Some((_, bc, bs)) => {
-                    if (class, score) < (*bc, *bs) {
-                        best = Some((dir, class, score));
-                    }
+            if best.map_or(true, |(bc, bs, _)| (class, score) < (bc, bs)) {
+                best = Some((class, score, i));
+            }
+        }
+        best.map(|(class, _, i)| (Direction::from_index(i), class))
+    }
+}
+
+/// The direction-independent facts of one Algorithm-3 decision, computed once so
+/// that classifying each of the `2n` directions costs a few bit tests.  Bit `i`
+/// of a mask stands for the direction with [`Direction::index`] `i`.
+#[derive(Debug)]
+struct HopMasks {
+    /// Directions that reduce the distance to the destination.
+    preferred: u16,
+    /// Preferred directions that some boundary entry stored at the node flags as
+    /// entering a dangerous area ([`BoundaryEntry::is_critical_hop`]).
+    critical: u16,
+    /// Some preferred direction leads to a faulty or disabled neighbor.
+    blocked_preferred: bool,
+}
+
+impl HopMasks {
+    #[inline]
+    fn for_decision(ctx: &RouteCtx<'_>) -> Self {
+        let n = ctx.mesh.ndim();
+        let mut preferred = 0u16;
+        for d in 0..n {
+            let delta = ctx.dest[d] - ctx.current[d];
+            if delta > 0 {
+                preferred |= 1 << (2 * d + 1);
+            } else if delta < 0 {
+                preferred |= 1 << (2 * d);
+            }
+        }
+        let blocked_preferred = (0..2 * n).any(|i| {
+            preferred & (1 << i) != 0 && ctx.neighbors[i].is_some_and(|(_, s)| s.in_block())
+        });
+        // One pass over the node's entries: the destination half of the critical
+        // test does not depend on the hop (and fails for most entries); only the
+        // preferred directions not yet flagged test the next-node half.
+        let mut critical = 0u16;
+        for entry in ctx.boundary_info {
+            if critical == preferred {
+                break;
+            }
+            if !entry.guards_destination(ctx.dest) {
+                continue;
+            }
+            let mut open = preferred & !critical;
+            while open != 0 {
+                let i = open.trailing_zeros() as usize;
+                open &= open - 1;
+                if entry.shadows_next_hop(&ctx.current.step(Direction::from_index(i))) {
+                    critical |= 1 << i;
                 }
             }
         }
-        best.map(|(d, c, _)| (d, c))
+        HopMasks {
+            preferred,
+            critical,
+            blocked_preferred,
+        }
     }
 }
 
@@ -467,6 +530,12 @@ impl UsedDirections {
 /// [`UsedDirections`] store); [`Probe::reset`] rewinds it for a new
 /// source/destination pair while keeping the buffers warm, which is how the batched
 /// sweep and the [`ProbeEngine`] achieve zero steady-state allocations per probe.
+///
+/// The probe also carries the coordinates of its current node and its
+/// destination, which [`Probe::apply`] keeps in step with `current`: a forward hop
+/// moves the node id by [`Mesh::stride`] and one coordinate by one, so the hop
+/// kernel [`Probe::decide`] never converts an id into a coordinate.  Move the probe
+/// only through [`Probe::apply`] (or [`Probe::reset`]).
 #[derive(Debug, Clone)]
 pub struct Probe {
     /// The source node.
@@ -491,11 +560,16 @@ pub struct Probe {
     pub status: ProbeStatus,
     /// The initial source-to-destination distance (the paper's `D`).
     pub initial_distance: u32,
+    /// Coordinate of `current`.
+    at: Coord,
+    /// Coordinate of `dest`.
+    target: Coord,
 }
 
 impl Probe {
     /// A new probe at its source.
     pub fn new(mesh: &Mesh, source: NodeId, dest: NodeId) -> Self {
+        let (at, target) = (mesh.coord_of(source), mesh.coord_of(dest));
         Probe {
             source,
             dest,
@@ -506,7 +580,9 @@ impl Probe {
             steps: 0,
             backtracks: 0,
             status: ProbeStatus::InFlight,
-            initial_distance: mesh.distance(source, dest),
+            initial_distance: at.manhattan(&target),
+            at,
+            target,
         }
     }
 
@@ -531,7 +607,21 @@ impl Probe {
         self.steps = 0;
         self.backtracks = 0;
         self.status = ProbeStatus::InFlight;
-        self.initial_distance = mesh.distance(source, dest);
+        self.at = mesh.coord_of(source);
+        self.target = mesh.coord_of(dest);
+        self.initial_distance = self.at.manhattan(&self.target);
+    }
+
+    /// The coordinate of the node currently holding the probe.
+    #[inline]
+    pub fn current_coord(&self) -> &Coord {
+        &self.at
+    }
+
+    /// The coordinate of the destination.
+    #[inline]
+    pub fn dest_coord(&self) -> &Coord {
+        &self.target
     }
 
     /// The used-direction set of the current node.
@@ -546,19 +636,31 @@ impl Probe {
     }
 
     /// Applies a routing decision, moving the probe by one hop (one step of the
-    /// Figure-7 model).  `faulty_current` indicates that the node holding the probe
-    /// has itself become faulty, in which case the reservation collapses back to the
-    /// previous node.
+    /// Figure-7 model).  A forward hop reserves the link to the neighbor; a
+    /// backtrack releases the last hop of the reserved path and returns to the
+    /// previous node, or reports the destination unreachable when the probe is back
+    /// at its source.  The carried coordinate follows the probe.
+    ///
+    /// # Panics
+    /// Panics if a forward hop leaves the mesh (a router bug).
     pub fn apply(&mut self, mesh: &Mesh, decision: RoutingDecision) {
         debug_assert_eq!(self.status, ProbeStatus::InFlight);
         self.steps += 1;
         match decision {
             RoutingDecision::Forward(dir) => {
-                self.used.insert(self.current, dir);
-                let next = mesh
-                    .neighbor_id(self.current, dir)
+                let x = self.at[dir.dim] + dir.delta();
+                if x < 0 || x >= mesh.radix(dir.dim) {
                     // audit:allow(panic): Algorithm 3 only offers in-mesh directions; an off-mesh Forward is a router bug worth crashing on
-                    .expect("router returned an off-mesh direction");
+                    panic!("router returned an off-mesh direction");
+                }
+                self.used.insert(self.current, dir);
+                let stride = mesh.stride(dir.dim);
+                let next = if dir.positive {
+                    self.current + stride
+                } else {
+                    self.current - stride
+                };
+                self.at[dir.dim] = x;
                 self.path.push(next);
                 self.current = next;
                 self.incoming = Some(dir);
@@ -575,15 +677,55 @@ impl Probe {
                 self.path.pop();
                 // audit:allow(panic): guarded above — path.len() > 1 before the pop, so a last element remains
                 let prev = *self.path.last().expect("path retains the source");
-                self.incoming = mesh
-                    .coord_of(self.current)
-                    .direction_to(&mesh.coord_of(prev));
+                let prev_at = mesh.coord_of(prev);
+                self.incoming = self.at.direction_to(&prev_at);
+                self.at = prev_at;
                 self.current = prev;
             }
             RoutingDecision::Fail => {
                 self.status = ProbeStatus::Failed;
             }
         }
+    }
+
+    /// The hop kernel: one Algorithm-3 decision of `router` at the node holding
+    /// the probe.
+    ///
+    /// Builds the node's [`RouteCtx`] — the direction-indexed neighbor table in a
+    /// stack array filled from the carried coordinate and the mesh strides,
+    /// `boundary_info` (the entries stored at, and visible to, the current node),
+    /// the live `blocks` for the global-information baselines, and the probe's
+    /// used directions and incoming direction — and asks the router.  Every hop
+    /// loop of the library (static sweeps and route queries, the dynamic network,
+    /// the traffic engine) runs its own pre-checks and then calls this.
+    pub fn decide(
+        &self,
+        mesh: &Mesh,
+        statuses: &[NodeStatus],
+        blocks: &[FaultyBlock],
+        boundary_info: &[BoundaryEntry],
+        router: &dyn Router,
+    ) -> RoutingDecision {
+        debug_assert_eq!(
+            (self.at, self.target),
+            (mesh.coord_of(self.current), mesh.coord_of(self.dest)),
+            "the carried coordinates left the probe's nodes"
+        );
+        let degree = 2 * mesh.ndim();
+        let mut slots: [NeighborSlot; 2 * MAX_DIMS] = [None; 2 * MAX_DIMS];
+        fill_neighbor_slots(mesh, statuses, self.current, &self.at, &mut slots[..degree]);
+        let ctx = RouteCtx {
+            mesh,
+            current: &self.at,
+            dest: &self.target,
+            current_status: statuses[self.current],
+            neighbors: &slots[..degree],
+            boundary_info,
+            global_blocks: blocks,
+            used: self.used_here(),
+            incoming: self.incoming,
+        };
+        router.decide(&ctx)
     }
 
     /// Summarises the finished probe.
@@ -639,8 +781,8 @@ impl ProbeOutcome {
     }
 }
 
-/// A recyclable static-routing worker: owns the probe buffers and the per-hop
-/// neighbor-slot scratch, so routing a probe through a warm engine performs **zero
+/// A recyclable static-routing worker: owns the probe buffers (path and
+/// used-direction arena), so routing a probe through a warm engine performs **zero
 /// heap allocations per hop** (proved by `tests/alloc_regression.rs` with a counting
 /// global allocator).
 ///
@@ -650,8 +792,6 @@ impl ProbeOutcome {
 pub struct ProbeEngine {
     /// The recycled probe (path + used-direction arena), if one has been routed.
     probe: Option<Probe>,
-    /// Direction-indexed neighbor scratch, refilled per hop.
-    slots: Vec<NeighborSlot>,
 }
 
 impl ProbeEngine {
@@ -725,7 +865,7 @@ impl ProbeEngine {
             }
             _ => Probe::new(mesh, source, dest),
         };
-        let outcome = self.drive(
+        let outcome = Self::drive(
             mesh, statuses, blocks, boundary, router, &mut probe, max_steps,
         );
         self.probe = Some(probe);
@@ -735,7 +875,6 @@ impl ProbeEngine {
     /// The routing loop body, operating on a prepared in-flight probe.
     #[allow(clippy::too_many_arguments)]
     fn drive(
-        &mut self,
         mesh: &Mesh,
         statuses: &[NodeStatus],
         blocks: &[FaultyBlock],
@@ -754,26 +893,18 @@ impl ProbeEngine {
             probe.status = ProbeStatus::Unreachable;
             return probe.outcome();
         }
-        let dest_coord = mesh.coord_of(probe.dest);
         while probe.status == ProbeStatus::InFlight {
             if probe.steps >= max_steps {
                 probe.status = ProbeStatus::Exhausted;
                 break;
             }
-            let current_coord = mesh.coord_of(probe.current);
-            fill_neighbor_slots(mesh, statuses, probe.current, &mut self.slots);
-            let ctx = RouteCtx {
+            let decision = probe.decide(
                 mesh,
-                current: &current_coord,
-                dest: &dest_coord,
-                current_status: statuses[probe.current],
-                neighbors: &self.slots,
-                boundary_info: boundary.entries_for(probe.current),
-                global_blocks: blocks,
-                used: probe.used_here(),
-                incoming: probe.incoming,
-            };
-            let decision = router.decide(&ctx);
+                statuses,
+                blocks,
+                boundary.entries_for(probe.current),
+                router,
+            );
             probe.apply(mesh, decision);
         }
         probe.outcome()
@@ -1038,8 +1169,14 @@ mod tests {
         // +Y is preferred.
         let node = coord![4, 5];
         let dest = coord![8, 13];
-        let mut slots = Vec::new();
-        fill_neighbor_slots(&env.mesh, &env.statuses, env.mesh.id_of(&node), &mut slots);
+        let mut slots = [None; 4];
+        fill_neighbor_slots(
+            &env.mesh,
+            &env.statuses,
+            env.mesh.id_of(&node),
+            &node,
+            &mut slots,
+        );
         let ctx = RouteCtx {
             mesh: &env.mesh,
             current: &node,

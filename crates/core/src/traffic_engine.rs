@@ -8,9 +8,10 @@
 //! regime in the flit-level wormhole discipline the NoC community evaluates
 //! fault-tolerant routers under (BookSim-style), with a synchronous cycle loop:
 //!
-//! 1. **Decision phase** — every in-flight worm's *head* asks its router (the same
-//!    [`RouteCtx`]/Algorithm-3 machinery the probe engines use) for a next hop
-//!    against the *frozen* cycle state.  Decisions are pure per-packet functions, so
+//! 1. **Decision phase** — every in-flight worm's *head* asks its router for a next
+//!    hop through the hop kernel the probe engines use
+//!    ([`Probe::decide`](crate::routing::Probe::decide)), against the *frozen*
+//!    cycle state.  Decisions are pure per-packet functions, so
 //!    they shard across `traffic_threads` workers over contiguous launch-order
 //!    chunks on a persistent [`lgfi_sim::WorkerPool`] (spawned lazily on the first
 //!    parallel cycle, parked between cycles), each worker holding its own router
@@ -35,8 +36,8 @@
 //!    [`ProbeStatus::Deadlocked`], freeing their channels and recording the event.
 //! 4. **Retirement phase** — finished worms (every flit ejected at the
 //!    destination, or a terminal failure) are recorded in launch order and their
-//!    buffers (probe path, used-direction arena, neighbor-slot scratch, held-link
-//!    deque) recycled for future injections, so a warm engine performs **zero
+//!    buffers (probe path, used-direction arena, held-link deque) recycled for
+//!    future injections, so a warm engine performs **zero
 //!    steady-state heap allocations per cycle** (proved by
 //!    `tests/alloc_regression.rs`).
 //!
@@ -63,13 +64,10 @@
 use crate::block::FaultyBlock;
 use crate::boundary::{BoundaryEntry, BoundaryMap};
 use crate::linkstate::LinkState;
-use crate::routing::{
-    fill_neighbor_slots, CsrBoundary, NeighborSlot, Probe, ProbeStatus, RouteCtx, Router,
-    RoutingDecision,
-};
+use crate::routing::{CsrBoundary, Probe, ProbeStatus, Router, RoutingDecision};
 use crate::status::NodeStatus;
 use lgfi_sim::{TrafficStats, NO_OWNER};
-use lgfi_topology::{Direction, Mesh, NodeId};
+use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 use std::collections::VecDeque;
 
 /// The unified traffic configuration: one builder-style spec consumed by
@@ -389,15 +387,13 @@ struct WormLink {
 }
 
 /// One in-flight worm: the recycled probe (head path + used-direction arena), its
-/// injection time, stall count, per-packet neighbor-slot scratch and the flit
-/// pipeline state (links held tail-to-head, flits waiting at the rear, flits
-/// ejected at the destination).
+/// injection time, stall count and the flit pipeline state (links held
+/// tail-to-head, flits waiting at the rear, flits ejected at the destination).
 struct FlightPacket {
     id: u64,
     probe: Probe,
     injected_at: u64,
     stalls: u64,
-    slots: Vec<NeighborSlot>,
     request: CycleRequest,
     /// Worm length in flits.
     flits: u32,
@@ -444,7 +440,7 @@ pub struct TrafficEngine {
     /// In-flight packets, always in launch (id) order.
     packets: Vec<FlightPacket>,
     /// Recycled buffers of finished packets.
-    spare: Vec<(Probe, Vec<NeighborSlot>, VecDeque<WormLink>)>,
+    spare: Vec<(Probe, VecDeque<WormLink>)>,
     records: Vec<PacketRecord>,
     stats: TrafficStats,
     /// Deadlock-detector visit stamps, parallel to `packets` (walk ids; 0 = not
@@ -578,16 +574,12 @@ impl TrafficEngine {
             self.stats.record_finished(0, 0, 0, true);
             return id;
         }
-        let (probe, slots, mut held) = match self.spare.pop() {
-            Some((mut probe, slots, held)) => {
+        let (probe, mut held) = match self.spare.pop() {
+            Some((mut probe, held)) => {
                 probe.reset(&self.mesh, source, dest);
-                (probe, slots, held)
+                (probe, held)
             }
-            None => (
-                Probe::new(&self.mesh, source, dest),
-                Vec::new(),
-                VecDeque::new(),
-            ),
+            None => (Probe::new(&self.mesh, source, dest), VecDeque::new()),
         };
         held.clear();
         self.packets.push(FlightPacket {
@@ -595,7 +587,6 @@ impl TrafficEngine {
             probe,
             injected_at: self.cycle,
             stalls: 0,
-            slots,
             request: CycleRequest::Hold,
             flits: self.spec.flits_per_packet,
             rear_flits: self.spec.flits_per_packet,
@@ -752,7 +743,7 @@ impl TrafficEngine {
             }
         }
         for p in packets.drain(write..) {
-            spare.push((p.probe, p.slots, p.held));
+            spare.push((p.probe, p.held));
         }
     }
 
@@ -805,21 +796,14 @@ fn decide_packet(
     if env.statuses[p.probe.dest] == NodeStatus::Faulty {
         return CycleRequest::Finish(ProbeStatus::Unreachable);
     }
-    let current_coord = mesh.coord_of(current);
-    let dest_coord = mesh.coord_of(p.probe.dest);
-    fill_neighbor_slots(mesh, env.statuses, current, &mut p.slots);
-    let ctx = RouteCtx {
+    let decision = p.probe.decide(
         mesh,
-        current: &current_coord,
-        dest: &dest_coord,
-        current_status: env.statuses[current],
-        neighbors: &p.slots,
-        boundary_info: env.boundary.entries(current),
-        global_blocks: env.blocks,
-        used: p.probe.used_here(),
-        incoming: p.probe.incoming,
-    };
-    match router.decide(&ctx) {
+        env.statuses,
+        env.blocks,
+        env.boundary.entries(current),
+        router,
+    );
+    match decision {
         RoutingDecision::Forward(dir) => CycleRequest::Hop(dir),
         RoutingDecision::Backtrack => CycleRequest::Backtrack,
         RoutingDecision::Fail => CycleRequest::Finish(ProbeStatus::Failed),
@@ -829,18 +813,12 @@ fn decide_packet(
 /// The dimension-order (deadlock-free) direction from `current` towards `dest`:
 /// correct the first dimension whose coordinate differs.  `None` when already
 /// there.
-fn dor_direction(mesh: &Mesh, current: NodeId, dest: NodeId) -> Option<Direction> {
-    let c = mesh.coord_of(current);
-    let d = mesh.coord_of(dest);
-    for dim in 0..mesh.ndim() {
-        if c[dim] < d[dim] {
-            return Some(Direction::pos(dim));
-        }
-        if c[dim] > d[dim] {
-            return Some(Direction::neg(dim));
-        }
-    }
-    None
+fn dor_direction(current: &Coord, dest: &Coord) -> Option<Direction> {
+    current
+        .offset_to(dest)
+        .enumerate()
+        .find(|&(_, delta)| delta != 0)
+        .map(|(dim, delta)| Direction::new(dim, delta > 0))
 }
 
 /// Tries to extend the worm's head one link in the router's direction `dir`,
@@ -863,7 +841,7 @@ fn advance_head(
     // Escape class: when the adaptive path is VC- or credit-blocked, a
     // dimension-order hop on the reserved VC 0 is always deadlock-free.
     if choice.is_none() && link.has_escape_vc() {
-        if let Some(dor) = dor_direction(mesh, from, p.probe.dest) {
+        if let Some(dor) = dor_direction(p.probe.current_coord(), p.probe.dest_coord()) {
             let usable = mesh
                 .neighbor_id(from, dor)
                 .is_some_and(|nb| env.statuses[nb] == NodeStatus::Enabled);

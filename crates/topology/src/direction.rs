@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::coord::MAX_DIMS;
+
 /// One of the `2n` directions of an n-D mesh: a dimension plus a sign.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Direction {
@@ -125,9 +127,29 @@ impl fmt::Display for Direction {
 /// A compact set of directions, used for the per-node *used direction* lists in the
 /// routing header of Algorithm 3 (each forwarding direction at a participant node
 /// cannot be used again).
+///
+/// A mesh has at most [`MAX_DIMS`] dimensions, hence at most 16 directions, so the
+/// set is one `u16` bit mask: bit [`Direction::index`] is set when the direction
+/// is in the set.  A direction index of 16 or more is rejected with a panic rather
+/// than wrapped into a wrong bit.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct DirectionSet {
-    bits: u64,
+    bits: u16,
+}
+
+/// The bit of `dir` in a [`DirectionSet`] mask.
+///
+/// # Panics
+/// Panics if the direction index is 16 or more (a dimension past [`MAX_DIMS`]).
+#[inline]
+fn bit(dir: Direction) -> u16 {
+    let idx = dir.index();
+    assert!(
+        idx < 2 * MAX_DIMS,
+        "direction index {idx} exceeds the {}-direction set of a {MAX_DIMS}-dimension mesh",
+        2 * MAX_DIMS
+    );
+    1 << idx
 }
 
 impl DirectionSet {
@@ -136,24 +158,40 @@ impl DirectionSet {
         DirectionSet { bits: 0 }
     }
 
+    /// The set as a bit mask: bit `i` is set when the direction with
+    /// [`Direction::index`] `i` is in the set.
+    #[inline]
+    pub fn bits(&self) -> u16 {
+        self.bits
+    }
+
     /// Inserts a direction; returns `true` if it was not present before.
+    ///
+    /// # Panics
+    /// Panics if the direction index is 16 or more.
     #[inline]
     pub fn insert(&mut self, dir: Direction) -> bool {
-        let mask = 1u64 << dir.index();
+        let mask = bit(dir);
         let newly = self.bits & mask == 0;
         self.bits |= mask;
         newly
     }
 
     /// Removes a direction.
+    ///
+    /// # Panics
+    /// Panics if the direction index is 16 or more.
     pub fn remove(&mut self, dir: Direction) {
-        self.bits &= !(1u64 << dir.index());
+        self.bits &= !bit(dir);
     }
 
     /// True if the set contains `dir`.
+    ///
+    /// # Panics
+    /// Panics if the direction index is 16 or more.
     #[inline]
     pub fn contains(&self, dir: Direction) -> bool {
-        self.bits & (1u64 << dir.index()) != 0
+        self.bits & bit(dir) != 0
     }
 
     /// Number of directions in the set.
@@ -168,8 +206,8 @@ impl DirectionSet {
 
     /// Iterates over the directions in the set (ascending index order).
     pub fn iter(&self) -> impl Iterator<Item = Direction> + '_ {
-        (0..64usize)
-            .filter(move |i| self.bits & (1u64 << i) != 0)
+        (0..2 * MAX_DIMS)
+            .filter(move |i| self.bits & (1 << i) != 0)
             .map(Direction::from_index)
     }
 }
@@ -265,6 +303,14 @@ mod tests {
             v,
             vec![Direction::neg(0), Direction::neg(1), Direction::pos(2)]
         );
+    }
+
+    #[test]
+    fn direction_set_covers_all_sixteen_directions() {
+        let all: DirectionSet = Direction::iter_all(MAX_DIMS).collect();
+        assert_eq!(all.len(), 2 * MAX_DIMS);
+        assert_eq!(all.bits(), u16::MAX);
+        assert!(all.contains(Direction::pos(MAX_DIMS - 1)));
     }
 
     #[test]

@@ -84,6 +84,14 @@ impl Mesh {
         self.dims[d]
     }
 
+    /// The row-major stride of dimension `d`: the node-id increment of one hop in
+    /// the positive direction of `d`.  A walker that carries its coordinate moves
+    /// by `±stride(d)` instead of re-deriving the coordinate from the id.
+    #[inline]
+    pub fn stride(&self, d: usize) -> usize {
+        self.strides[d]
+    }
+
     /// Total number of nodes `N = k_1 * ... * k_n`.
     pub fn node_count(&self) -> usize {
         self.node_count
@@ -360,6 +368,27 @@ mod tests {
                 assert_eq!(mesh.coord_of(id).step(dir), mesh.coord_of(nid));
             }
         }
+    }
+
+    #[test]
+    fn stride_steps_match_coordinate_steps() {
+        let mesh = Mesh::new(&[3, 5, 4]);
+        for id in mesh.node_ids() {
+            for dir in Direction::iter_all(mesh.ndim()) {
+                let Some(nid) = mesh.neighbor_id(id, dir) else {
+                    continue;
+                };
+                let stride = mesh.stride(dir.dim);
+                let stepped = if dir.positive {
+                    id + stride
+                } else {
+                    id - stride
+                };
+                assert_eq!(stepped, nid);
+            }
+        }
+        assert_eq!(mesh.stride(2), 1);
+        assert_eq!(mesh.stride(0), 20);
     }
 
     #[test]

@@ -66,33 +66,20 @@ fn main() {
         out.detours()
     );
 
-    // Re-run the probe step by step to recover the final path for drawing.
+    // Re-run the probe step by step to recover the final path for drawing: the
+    // same hop kernel the library's hop loops call, one decision per step.
     let path = {
         let mut probe =
             lgfi::core::routing::Probe::new(&mesh, mesh.id_of(&source), mesh.id_of(&dest));
         let router = LgfiRouter::new();
-        let dest_coord = mesh.coord_of(probe.dest);
-        let mut slots = Vec::new();
         while probe.status == ProbeStatus::InFlight && probe.steps < 10_000 {
-            let current_coord = mesh.coord_of(probe.current);
-            lgfi::core::routing::fill_neighbor_slots(
+            let decision = probe.decide(
                 &mesh,
                 labeling.statuses(),
-                probe.current,
-                &mut slots,
+                blocks.blocks(),
+                boundary.entries(probe.current),
+                &router,
             );
-            let ctx = lgfi::core::routing::RouteCtx {
-                mesh: &mesh,
-                current: &current_coord,
-                dest: &dest_coord,
-                current_status: labeling.status(probe.current),
-                neighbors: &slots,
-                boundary_info: boundary.entries(probe.current),
-                global_blocks: blocks.blocks(),
-                used: probe.used_here(),
-                incoming: probe.incoming,
-            };
-            let decision = router.decide(&ctx);
             probe.apply(&mesh, decision);
         }
         probe.path.clone()

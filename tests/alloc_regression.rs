@@ -328,6 +328,83 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         );
     }
 
+    // --- Probe plane: warm LgfiNetwork steps with launched probes. ---------------
+    // The dynamic network's per-step probe decisions run the same hop kernel as
+    // the ProbeEngine, against the network's visible-boundary arena.  With the
+    // faults stabilised, a first batch of probes routes to completion so the
+    // network holds warm spare probes; the relaunched batch then takes the same
+    // routes, and every step before the first probe finishes (no fault fires, no
+    // report is written) must not touch the heap.  Launching itself allocates
+    // (the boxed router), so the launch stays outside the measured window.
+    {
+        use lgfi_core::network::{LgfiNetwork, NetworkConfig};
+        use lgfi_sim::FaultPlan;
+        for probe_threads in [1, 2] {
+            let mut net = LgfiNetwork::new(
+                mesh.clone(),
+                FaultPlan::static_faults(&faults.iter().map(|c| mesh.id_of(c)).collect::<Vec<_>>()),
+                NetworkConfig {
+                    probe_threads,
+                    ..NetworkConfig::default()
+                },
+            );
+            for _ in 0..400 {
+                net.run_step();
+            }
+            // The outcomes of the batch's reports from `before` on, in pair order.
+            let batch_outcomes = |net: &LgfiNetwork, before: usize| -> Vec<ProbeOutcome> {
+                let mut rows: Vec<(NodeId, NodeId, ProbeOutcome)> = net.reports()[before..]
+                    .iter()
+                    .map(|r| (r.source, r.dest, r.outcome))
+                    .collect();
+                rows.sort_by_key(|&(s, d, _)| (s, d));
+                rows.into_iter().map(|(_, _, o)| o).collect()
+            };
+            let run_batch = |net: &mut LgfiNetwork| -> Vec<ProbeOutcome> {
+                let before = net.reports().len();
+                for &(s, d) in &pairs {
+                    net.launch_probe(s, d, Box::new(LgfiRouter::new()));
+                }
+                while net.probes_in_flight() > 0 {
+                    net.run_step();
+                }
+                batch_outcomes(net, before)
+            };
+            let warm = run_batch(&mut net);
+            assert!(
+                warm.iter().all(|o| o.delivered()),
+                "all network probes deliver"
+            );
+            let shortest = warm.iter().map(|o| o.steps).min().unwrap_or(0);
+            assert!(
+                shortest >= 20,
+                "the batch routes long paths ({shortest} hops)"
+            );
+            // Relaunch, then measure half the steps before the first probe can
+            // finish (count_allocations may re-run its body once).
+            for &(s, d) in &pairs {
+                net.launch_probe(s, d, Box::new(LgfiRouter::new()));
+            }
+            let window = (shortest - 1) / 2;
+            let (allocs, ()) = count_allocations(|| {
+                for _ in 0..window {
+                    net.run_step();
+                }
+            });
+            assert_eq!(net.probes_in_flight(), pairs.len(), "no probe finished yet");
+            assert_eq!(
+                allocs, 0,
+                "warm LgfiNetwork steps with in-flight probes must not allocate \
+                 (probe_threads={probe_threads})"
+            );
+            while net.probes_in_flight() > 0 {
+                net.run_step();
+            }
+            let again = batch_outcomes(&net, net.reports().len() - pairs.len());
+            assert_eq!(again, warm, "the relaunched batch routes identically");
+        }
+    }
+
     // --- Traffic data plane: warm TrafficEngine, concurrent packets, contention. --
     // The same faulty 32x32 environment, flattened into a static cycle env.  A
     // cohort of packets (several sharing source corners, so links genuinely

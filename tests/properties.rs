@@ -10,7 +10,10 @@
 //! * boundary information never sits inside a block and the criticality test never
 //!   flags a hop for a destination outside the block's cross-section;
 //! * the per-block boundary builder reproduces the whole-map construction it
-//!   replaced, merging boundaries included.
+//!   replaced, merging boundaries included;
+//! * the hop kernel (carried coordinates, one-pass direction classification) makes
+//!   the decisions of a literal per-direction transcription of Algorithm 3 on
+//!   random 2-D–4-D contexts and random probe walks.
 //!
 //! The cases are drawn by a seeded [`DetRng`] rather than proptest (the build
 //! environment is offline), so every run explores the same deterministic sample of
@@ -21,7 +24,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use lgfi::prelude::*;
 use lgfi_core::block::BlockId;
+use lgfi_core::routing::{DirectionClass, NeighborSlot, Probe, RouteCtx};
 use lgfi_core::status::next_status;
+use lgfi_topology::direction::DirectionSet;
 use lgfi_topology::FrameLevel;
 
 const CASES: u64 = 48;
@@ -430,4 +435,357 @@ fn per_block_builder_matches_the_whole_map_construction() {
         merging_cases >= CASES as usize / 4,
         "only {merging_cases} cases merged boundaries"
     );
+}
+
+/// Algorithm 3's per-direction rule, transcribed literally: used, off-mesh,
+/// faulty, disabled (when avoiding known-blocked nodes) and incoming filters, then
+/// the critical test on the stepped coordinate for a preferred direction, and the
+/// rescan of every preferred direction for a blocked neighbor otherwise.  This is
+/// the statement of the rule the router's one-pass classification must reproduce.
+fn reference_classify(
+    router: &LgfiRouter,
+    ctx: &RouteCtx<'_>,
+    dir: Direction,
+) -> Option<DirectionClass> {
+    if ctx.used.contains(dir) {
+        return None;
+    }
+    let status = ctx.neighbor_status(dir)?;
+    if status == NodeStatus::Faulty {
+        return None;
+    }
+    if router.avoid_known_blocked && status == NodeStatus::Disabled {
+        return None;
+    }
+    if Some(dir) == ctx.incoming.map(|d| d.opposite()) {
+        return Some(DirectionClass::Incoming);
+    }
+    if ctx.is_preferred(dir) {
+        let next = ctx.current.step(dir);
+        let critical = ctx
+            .boundary_info
+            .iter()
+            .any(|e| e.is_critical_hop(&next, ctx.dest));
+        if critical {
+            return Some(DirectionClass::PreferredButDetour);
+        }
+        return Some(DirectionClass::Preferred);
+    }
+    let blocked_preferred = Direction::iter_all(ctx.mesh.ndim()).any(|p| {
+        ctx.is_preferred(p)
+            && ctx
+                .neighbor_status(p)
+                .map(|s| s.in_block())
+                .unwrap_or(false)
+    });
+    if blocked_preferred {
+        Some(DirectionClass::SpareAlongBlock)
+    } else {
+        Some(DirectionClass::Spare)
+    }
+}
+
+/// Algorithm 3's decision over [`reference_classify`]: backtrack from a disabled
+/// node, otherwise the minimum `(class, score)` direction, where the score prefers
+/// the largest offset for preferred classes, the smallest otherwise, and breaks
+/// ties by direction index.
+fn reference_decide(router: &LgfiRouter, ctx: &RouteCtx<'_>) -> RoutingDecision {
+    if ctx.current_status == NodeStatus::Disabled {
+        return RoutingDecision::Backtrack;
+    }
+    let mut best: Option<(Direction, DirectionClass, i64)> = None;
+    for dir in Direction::iter_all(ctx.mesh.ndim()) {
+        let Some(class) = reference_classify(router, ctx, dir) else {
+            continue;
+        };
+        let offset = (ctx.dest[dir.dim] - ctx.current[dir.dim]).abs() as i64;
+        let score = match class {
+            DirectionClass::Preferred | DirectionClass::PreferredButDetour => {
+                -offset * 16 + dir.index() as i64
+            }
+            _ => offset * 16 + dir.index() as i64,
+        };
+        if best.map_or(true, |(_, bc, bs)| (class, score) < (bc, bs)) {
+            best = Some((dir, class, score));
+        }
+    }
+    match best {
+        Some((_, DirectionClass::Incoming, _)) | None => RoutingDecision::Backtrack,
+        Some((dir, _, _)) => RoutingDecision::Forward(dir),
+    }
+}
+
+/// A 2-D, 3-D or 4-D mesh with a random subset of interior faults.
+fn sample_nd_mesh_and_faults(rng: &mut DetRng) -> (Vec<i32>, Vec<Vec<i32>>) {
+    let n = 2 + rng.below(3);
+    let dims: Vec<i32> = (0..n)
+        .map(|_| match n {
+            2 => rng.range_i32(5, 11),
+            3 => rng.range_i32(4, 7),
+            _ => rng.range_i32(4, 5),
+        })
+        .collect();
+    let interior: Vec<Vec<i32>> = Mesh::new(&dims)
+        .interior_region()
+        .unwrap()
+        .iter_coords()
+        .map(|c| c.as_slice().to_vec())
+        .collect();
+    let count = rng.below((interior.len() / 5).clamp(1, 16) + 1);
+    let faults = rng
+        .sample_indices(interior.len(), count)
+        .into_iter()
+        .map(|i| interior[i].clone())
+        .collect();
+    (dims, faults)
+}
+
+/// A random boundary entry near the mesh: a small box (possibly touching the
+/// surface) guarded in a random direction.
+fn random_entry(rng: &mut DetRng, mesh: &Mesh) -> BoundaryEntry {
+    let n = mesh.ndim();
+    let lo: Vec<i32> = (0..n).map(|d| rng.range_i32(-1, mesh.radix(d))).collect();
+    let hi: Vec<i32> = lo.iter().map(|&l| l + rng.range_i32(0, 3)).collect();
+    BoundaryEntry {
+        block_id: rng.below(8),
+        block: Region::new(lo, hi),
+        guard: Direction::from_index(rng.below(2 * n)),
+        arrival_offset: 0,
+    }
+}
+
+/// An entry aimed at the hop from `current` towards `dest`: a block strictly
+/// between them in one dimension, whose cross-section holds both, guarded on the
+/// destination's side — so the preferred hops out of `current` are critical.
+/// `None` when the two are fewer than three hops apart in the drawn dimension.
+fn aimed_entry(rng: &mut DetRng, current: &Coord, dest: &Coord) -> Option<BoundaryEntry> {
+    let n = current.ndim();
+    let g = rng.below(n);
+    let gap = dest[g] - current[g];
+    if gap.abs() < 3 {
+        return None;
+    }
+    let (lo_g, hi_g) = if gap > 0 {
+        (current[g] + 2, dest[g] - 1)
+    } else {
+        (dest[g] + 1, current[g] - 2)
+    };
+    let lo = (0..n)
+        .map(|d| {
+            if d == g {
+                lo_g
+            } else {
+                current[d].min(dest[d]) - rng.range_i32(0, 1)
+            }
+        })
+        .collect();
+    let hi = (0..n)
+        .map(|d| {
+            if d == g {
+                hi_g
+            } else {
+                current[d].max(dest[d]) + rng.range_i32(0, 1)
+            }
+        })
+        .collect();
+    Some(BoundaryEntry {
+        block_id: 0,
+        block: Region::new(lo, hi),
+        guard: Direction::new(g, gap > 0),
+        arrival_offset: 0,
+    })
+}
+
+#[test]
+fn hop_kernel_matches_a_literal_algorithm_3() {
+    const STATUSES: [NodeStatus; 4] = [
+        NodeStatus::Enabled,
+        NodeStatus::Clean,
+        NodeStatus::Disabled,
+        NodeStatus::Faulty,
+    ];
+    let routers = [LgfiRouter::new(), LgfiRouter::default()];
+    let mut classes_seen = std::collections::BTreeSet::new();
+    let mut critical_decisions = 0usize;
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(0x4E4B).derive(case);
+        let (dims, faults) = sample_nd_mesh_and_faults(&mut rng);
+        let (mesh, labeling, blocks, boundary) = build(&dims, &faults);
+        let n = mesh.ndim();
+        let real: Vec<BoundaryEntry> = mesh
+            .node_ids()
+            .flat_map(|id| boundary.entries(id).iter().copied())
+            .collect();
+
+        // Random contexts: the router's one-pass classification against the
+        // per-direction transcription, for every neighbor status (off-mesh
+        // included), used set, incoming direction and entry mix.
+        for _ in 0..64 {
+            let current = mesh.coord_of(rng.below(mesh.node_count()));
+            let dest = mesh.coord_of(rng.below(mesh.node_count()));
+            let slots: Vec<NeighborSlot> = (0..2 * n)
+                .map(|i| {
+                    let pick = rng.below(5);
+                    (pick < 4).then(|| (i, STATUSES[pick]))
+                })
+                .collect();
+            let used: DirectionSet = Direction::iter_all(n)
+                .filter(|_| rng.chance(0.25))
+                .collect();
+            let incoming = rng
+                .chance(0.7)
+                .then(|| Direction::from_index(rng.below(2 * n)));
+            let mut info: Vec<BoundaryEntry> = Vec::new();
+            if !real.is_empty() {
+                for _ in 0..rng.below(6) {
+                    info.push(*rng.choose(&real));
+                }
+            }
+            for _ in 0..rng.below(4) {
+                info.push(random_entry(&mut rng, &mesh));
+            }
+            if rng.chance(0.5) {
+                info.extend(aimed_entry(&mut rng, &current, &dest));
+            }
+            let ctx = RouteCtx {
+                mesh: &mesh,
+                current: &current,
+                dest: &dest,
+                current_status: if rng.chance(0.1) {
+                    NodeStatus::Disabled
+                } else {
+                    NodeStatus::Enabled
+                },
+                neighbors: &slots,
+                boundary_info: &info,
+                global_blocks: blocks.blocks(),
+                used,
+                incoming,
+            };
+            for router in &routers {
+                for dir in Direction::iter_all(n) {
+                    let want = reference_classify(router, &ctx, dir);
+                    assert_eq!(
+                        router.classify(&ctx, dir),
+                        want,
+                        "case {case}: {dir} at {current} for {dest}"
+                    );
+                    if let Some(class) = want {
+                        critical_decisions +=
+                            usize::from(class == DirectionClass::PreferredButDetour);
+                        classes_seen.insert(class);
+                    }
+                }
+                assert_eq!(
+                    router.decide(&ctx),
+                    reference_decide(router, &ctx),
+                    "case {case}: decision at {current} for {dest}"
+                );
+            }
+        }
+
+        // Random probe walks with backtracks on the real layout: after every
+        // applied hop the carried coordinates equal the probe's nodes, and the
+        // kernel's decision equals the transcription over a context built the
+        // old way (coordinates and neighbors derived from the node ids).
+        let statuses = labeling.statuses();
+        let pick_pair =
+            |rng: &mut DetRng| (rng.below(mesh.node_count()), rng.below(mesh.node_count()));
+        let (s, d) = pick_pair(&mut rng);
+        let mut probe = Probe::new(&mesh, s, d);
+        for hop in 0..400 {
+            if probe.status != ProbeStatus::InFlight {
+                let (s, d) = pick_pair(&mut rng);
+                probe.reset(&mesh, s, d);
+            }
+            let router = &routers[hop % 2];
+            let here = mesh.coord_of(probe.current);
+            let there = mesh.coord_of(probe.dest);
+            let old_slots: Vec<NeighborSlot> = Direction::iter_all(n)
+                .map(|dir| {
+                    mesh.neighbor_id(probe.current, dir)
+                        .map(|id| (id, statuses[id]))
+                })
+                .collect();
+            let old_ctx = RouteCtx {
+                mesh: &mesh,
+                current: &here,
+                dest: &there,
+                current_status: statuses[probe.current],
+                neighbors: &old_slots,
+                boundary_info: boundary.entries(probe.current),
+                global_blocks: blocks.blocks(),
+                used: probe.used_here(),
+                incoming: probe.incoming,
+            };
+            let kernel = probe.decide(
+                &mesh,
+                statuses,
+                blocks.blocks(),
+                boundary.entries(probe.current),
+                router,
+            );
+            assert_eq!(
+                kernel,
+                reference_decide(router, &old_ctx),
+                "case {case} hop {hop}"
+            );
+            // Walk randomly rather than by the router, so backtracks, re-entries
+            // and surface nodes all occur.
+            let in_mesh: Vec<Direction> = Direction::iter_all(n)
+                .filter(|&dir| mesh.neighbor_id(probe.current, dir).is_some())
+                .collect();
+            let decision = if rng.chance(0.3) {
+                RoutingDecision::Backtrack
+            } else {
+                RoutingDecision::Forward(*rng.choose(&in_mesh))
+            };
+            probe.apply(&mesh, decision);
+            assert_eq!(
+                probe.current_coord(),
+                &mesh.coord_of(probe.current),
+                "case {case} hop {hop}"
+            );
+            assert_eq!(
+                probe.dest_coord(),
+                &mesh.coord_of(probe.dest),
+                "case {case} hop {hop}"
+            );
+            assert_eq!(probe.path.last(), Some(&probe.current));
+        }
+    }
+    assert_eq!(
+        classes_seen.len(),
+        5,
+        "every direction class occurs: {classes_seen:?}"
+    );
+    assert!(
+        critical_decisions > 300,
+        "only {critical_decisions} critical hops drawn"
+    );
+
+    // A direction set holds the 16 directions of an 8-D mesh and rejects any other.
+    let past = Direction::neg(8);
+    assert_eq!(past.index(), 16);
+    let ops: [fn(); 3] = [
+        || {
+            DirectionSet::empty().insert(Direction::neg(8));
+        },
+        || {
+            let _ = DirectionSet::empty().contains(Direction::pos(8));
+        },
+        || DirectionSet::empty().remove(Direction::pos(31)),
+    ];
+    for op in ops {
+        let err =
+            std::panic::catch_unwind(op).expect_err("a direction index of 16 or more must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(
+            msg.contains("exceeds the 16-direction set"),
+            "the set itself rejects the index, not an arithmetic overflow: {msg:?}"
+        );
+    }
 }

@@ -1,0 +1,292 @@
+//! Golden routes: Algorithm 3's decisions pinned across commits.
+//!
+//! The equivalence suites compare the code with itself (serial vs sharded,
+//! snapshot vs live, warm vs cold), so a change that alters every route the same
+//! way passes all of them.  This suite pins the routes themselves: each case folds
+//! the outcomes of a seeded, deterministic routing run into a 64-bit FNV-1a
+//! fingerprint and compares it with a value recorded once.  The expected values
+//! were computed with the library as it stood before the one-pass hop kernel
+//! (carried coordinates, one-pass direction classification, 16-bit direction
+//! sets) replaced the per-direction classification; a routing change that is
+//! meant to be bit-identical must leave every fingerprint untouched.
+//!
+//! The cases cover the four places a hop decision is made:
+//!
+//! * `sweep_static` over 4,096 seeded pairs on a 64×64 mesh with 160 clustered
+//!   faults, for the LGFI router (default and reactive) and every baseline router;
+//! * the same over 1,024 pairs on a 3-D 12×12×12 mesh;
+//! * the probe reports of a seeded `LgfiNetwork` run under Poisson churn;
+//! * the packet records of a 4-flit, 2-VC wormhole `TrafficEngine` run on the
+//!   64×64 layout.
+//!
+//! The hash is test-local (no std hasher), so the fingerprints do not depend on
+//! the standard library's hashing algorithm.
+
+use lgfi::prelude::*;
+use lgfi_topology::NodeId;
+use lgfi_workloads::{ChurnConfig, ChurnProcess, FaultGenerator, FaultPlacement};
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for b in s.bytes() {
+            self.word(u64::from(b));
+        }
+    }
+}
+
+fn status_code(s: ProbeStatus) -> u64 {
+    match s {
+        ProbeStatus::InFlight => 0,
+        ProbeStatus::Delivered => 1,
+        ProbeStatus::Unreachable => 2,
+        ProbeStatus::Exhausted => 3,
+        ProbeStatus::Failed => 4,
+        ProbeStatus::Deadlocked => 5,
+    }
+}
+
+fn fold_outcome(h: &mut Fnv, o: &ProbeOutcome) {
+    h.word(status_code(o.status));
+    h.word(o.steps);
+    h.word(o.backtracks);
+    h.word(o.path_length);
+    h.word(u64::from(o.initial_distance));
+}
+
+/// A stabilised static environment: the labeling fixpoint of the seeded fault
+/// set, its blocks and the complete boundary map.
+struct Layout {
+    mesh: Mesh,
+    statuses: Vec<NodeStatus>,
+    blocks: BlockSet,
+    boundary: BoundaryMap,
+}
+
+/// `faults` clustered faults drawn by `FaultGenerator` seed 13 (the fault layout
+/// of the `wormhole64` benchmark workload on 64×64).
+fn clustered_layout(dims: &[i32], faults: usize, clusters: usize) -> Layout {
+    let mesh = Mesh::new(dims);
+    let placed =
+        FaultGenerator::new(mesh.clone(), 13).place(faults, FaultPlacement::Clustered { clusters });
+    let mut labeling = LabelingEngine::new(mesh.clone());
+    labeling.apply_faults(&placed);
+    let statuses = labeling.statuses().to_vec();
+    let blocks = BlockSet::extract(&mesh, &statuses);
+    let boundary = BoundaryMap::construct(&mesh, &blocks);
+    Layout {
+        mesh,
+        statuses,
+        blocks,
+        boundary,
+    }
+}
+
+/// `count` seeded source/destination pairs among the enabled nodes.
+fn enabled_pairs(statuses: &[NodeStatus], count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+    let enabled: Vec<NodeId> = (0..statuses.len())
+        .filter(|&id| statuses[id] == NodeStatus::Enabled)
+        .collect();
+    let mut rng = DetRng::seed_from_u64(seed);
+    (0..count)
+        .map(|_| (*rng.choose(&enabled), *rng.choose(&enabled)))
+        .collect()
+}
+
+type MakeRouter = fn() -> Box<dyn Router>;
+
+/// The routers every static sweep is pinned for, by name.
+fn routers() -> [(&'static str, MakeRouter); 6] {
+    [
+        ("lgfi", || Box::new(LgfiRouter::new())),
+        ("lgfi-reactive", || Box::new(LgfiRouter::default())),
+        ("dimension-order", || Box::new(DimensionOrderRouter::new())),
+        ("local-only", || Box::new(LocalInfoRouter::new())),
+        ("global-info", || Box::new(GlobalInfoRouter::new())),
+        ("static-block", || Box::new(StaticBlockRouter::new())),
+    ]
+}
+
+/// Sweeps `pairs` through `layout` with every router and checks each router's
+/// outcome fingerprint against `expected` (same order as [`routers`]).
+fn assert_sweeps(layout: &Layout, pairs: &[(NodeId, NodeId)], expected: [u64; 6]) {
+    let mut actual = Vec::new();
+    for (name, make) in routers() {
+        let outcomes = sweep_static(
+            &layout.mesh,
+            &layout.statuses,
+            layout.blocks.blocks(),
+            &layout.boundary,
+            &make,
+            pairs,
+            20_000,
+            2,
+        );
+        let mut h = Fnv::new();
+        for o in &outcomes {
+            fold_outcome(&mut h, o);
+        }
+        let delivered = outcomes.iter().filter(|o| o.delivered()).count();
+        actual.push((h.0, format!("{name}: {:#018x}, {delivered} delivered", h.0)));
+    }
+    let got: Vec<u64> = actual.iter().map(|a| a.0).collect();
+    let report: Vec<&str> = actual.iter().map(|a| a.1.as_str()).collect();
+    assert_eq!(
+        got, expected,
+        "static sweep fingerprints moved: {report:#?}"
+    );
+}
+
+#[test]
+fn static_sweeps_on_64x64_match_the_golden_routes() {
+    let layout = clustered_layout(&[64, 64], 160, 20);
+    let pairs = enabled_pairs(&layout.statuses, 4_096, 0x601D_0002);
+    assert_sweeps(
+        &layout,
+        &pairs,
+        [
+            0x576c_2f83_bed1_b36e,
+            0x1e6d_8c69_a73a_abd8,
+            0xedbd_3b79_118e_936c,
+            0xdba2_9b9e_f6ae_1e6e,
+            0x4729_f226_cb44_b1ab,
+            0x49dc_ed1a_6cdc_9f8c,
+        ],
+    );
+}
+
+#[test]
+fn static_sweeps_on_a_3d_mesh_match_the_golden_routes() {
+    let layout = clustered_layout(&[12, 12, 12], 48, 6);
+    let pairs = enabled_pairs(&layout.statuses, 1_024, 0x601D_0003);
+    assert_sweeps(
+        &layout,
+        &pairs,
+        [
+            0xe459_cc52_6b31_2030,
+            0x8307_e5c6_2aad_cd73,
+            0xdad8_3187_f279_8400,
+            0xaffd_1d4f_7ea4_5130,
+            0x42a2_a287_8aca_9430,
+            0x5841_5514_c11e_1ed4,
+        ],
+    );
+}
+
+#[test]
+fn network_probe_reports_under_churn_match_the_golden_routes() {
+    const HORIZON: u64 = 600;
+    let mesh = Mesh::cubic(32, 2);
+    let churn = ChurnConfig {
+        fail_rate: 0.05,
+        mean_downtime: 120.0,
+        max_faulty: 24,
+    };
+    let plan = ChurnProcess::new(mesh.clone(), 13, churn).plan(HORIZON);
+    let mut net = LgfiNetwork::new(mesh.clone(), plan, NetworkConfig::default());
+    let mut rng = DetRng::seed_from_u64(0x601D_0004);
+    let n = mesh.node_count();
+    for step in 0..HORIZON {
+        if step % 3 == 0 {
+            for k in 0..3u64 {
+                let (s, d) = (rng.below(n), rng.below(n));
+                let router: Box<dyn Router> = match (step / 3 + k) % 4 {
+                    0 | 1 => Box::new(LgfiRouter::new()),
+                    2 => Box::new(LocalInfoRouter::new()),
+                    _ => Box::new(DimensionOrderRouter::new()),
+                };
+                net.launch_probe(s, d, router);
+            }
+        }
+        net.run_step();
+    }
+    let mut drain = 0;
+    while net.probes_in_flight() > 0 && drain < 20_000 {
+        net.run_step();
+        drain += 1;
+    }
+    assert_eq!(net.probes_in_flight(), 0, "every probe finishes");
+    let mut h = Fnv::new();
+    for r in net.reports() {
+        h.word(r.source as u64);
+        h.word(r.dest as u64);
+        h.word(r.launched_at);
+        h.word(r.finished_at);
+        fold_outcome(&mut h, &r.outcome);
+        h.word(r.distance_at_fault.len() as u64);
+        for (&step, &d) in &r.distance_at_fault {
+            h.word(step);
+            h.word(u64::from(d));
+        }
+        h.text(r.router);
+    }
+    let delivered = net
+        .reports()
+        .iter()
+        .filter(|r| r.outcome.delivered())
+        .count();
+    assert_eq!(
+        (net.reports().len(), delivered, h.0),
+        (600, 576, 0xd9ee_8611_1272_3275),
+        "network probe reports moved: (reports, delivered, fingerprint)"
+    );
+}
+
+#[test]
+fn wormhole_packet_records_match_the_golden_routes() {
+    const CYCLES: u64 = 1_500;
+    let layout = clustered_layout(&[64, 64], 160, 20);
+    let env = StaticTrafficEnv::new(
+        &layout.mesh,
+        &layout.statuses,
+        layout.blocks.blocks(),
+        &layout.boundary,
+    );
+    let spec = TrafficSpec::new()
+        .flits_per_packet(4)
+        .vc_count(2)
+        .escape_vc(true)
+        .max_packet_cycles(2_000);
+    let mut traffic =
+        TrafficEngine::new(layout.mesh.clone(), spec, &|| Box::new(LgfiRouter::new()));
+    let pairs = enabled_pairs(&layout.statuses, CYCLES as usize, 0x601D_0005);
+    for &(s, d) in &pairs {
+        traffic.inject(s, d);
+        traffic.run_static_cycles(&env, 1);
+    }
+    traffic.drain_static(&env, 10_000);
+    assert_eq!(traffic.in_flight(), 0, "every worm finishes");
+    let mut h = Fnv::new();
+    for r in traffic.records() {
+        h.word(r.id);
+        h.word(r.source as u64);
+        h.word(r.dest as u64);
+        h.word(r.injected_at);
+        h.word(r.finished_at);
+        h.word(status_code(r.status));
+        h.word(r.hops);
+        h.word(r.stalls);
+        h.word(u64::from(r.flits));
+        h.word(u64::from(r.initial_distance));
+    }
+    let delivered = traffic.records().iter().filter(|r| r.delivered()).count();
+    assert_eq!(
+        (traffic.records().len(), delivered, h.0),
+        (1_500, 1_500, 0xd811_e292_0bf0_bcb1),
+        "wormhole packet records moved: (records, delivered, fingerprint)"
+    );
+}
