@@ -1,11 +1,11 @@
 //! # lgfi-analysis
 //!
 //! Measurement and reporting utilities for the LGFI reproduction: statistical
-//! summaries ([`summary`]), fixed-width text tables ([`table`]) used by the experiment
-//! binaries to print the rows recorded in `EXPERIMENTS.md`, availability-SLO reports
-//! over fault campaigns ([`slo`]), throughput/epoch-staleness reports of the
-//! route-query plane ([`route_service`]), and the bound-verification helpers ([`verify`])
-//! that compare measured probe behaviour against the theorems of the paper.
+//! summaries ([`summary`]), fixed-width text tables ([`table`]) the experiment
+//! binaries print, availability-SLO reports over fault campaigns ([`slo`]),
+//! throughput/epoch-staleness reports of the route-query plane ([`route_service`]),
+//! and the bound-verification helpers ([`verify`]) that compare measured probe
+//! behaviour against the theorems of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

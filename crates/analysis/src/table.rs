@@ -93,7 +93,7 @@ impl std::fmt::Display for Table {
     }
 }
 
-/// Formats a float with 2 decimal places (the convention used in EXPERIMENTS.md).
+/// Formats a float with 2 decimal places (the convention of the experiment tables).
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }

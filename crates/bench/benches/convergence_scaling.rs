@@ -13,7 +13,7 @@
 //! tracked across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lgfi_bench::perf::{self, ThroughputGossip};
+use lgfi_bench::perf::{self, ThroughputStencil};
 use lgfi_core::labeling::LabelingEngine;
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
 use lgfi_sim::RoundEngine;
@@ -63,20 +63,20 @@ fn bench_convergence(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial-vs-parallel round-engine throughput on a 64x64 mesh: 40 rounds of the
-/// gossip protocol per iteration at 1/2/4/8 worker threads.
+/// Serial-vs-parallel round-engine throughput on a 64x64 mesh: 40 rounds of a
+/// never-settling stencil per iteration at 1/2/4/8 worker threads.
 fn bench_round_engine_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("round_engine_threads");
     group.sample_size(10);
     let mesh = Mesh::cubic(64, 2);
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("gossip_64x64_40_rounds", format!("t{threads}")),
+            BenchmarkId::new("stencil_64x64_40_rounds", format!("t{threads}")),
             &threads,
             |b, &threads| {
                 b.iter(|| {
                     let mut eng =
-                        RoundEngine::new(mesh.clone(), ThroughputGossip).with_threads(threads);
+                        RoundEngine::new(mesh.clone(), ThroughputStencil).with_threads(threads);
                     eng.run_rounds(40);
                     std::hint::black_box(eng.states()[0])
                 });

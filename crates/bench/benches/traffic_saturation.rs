@@ -23,7 +23,7 @@ fn bench_traffic_cycles(c: &mut Criterion) {
             BenchmarkId::new("traffic_16x16_load_1.0", router),
             &router,
             |b, router| {
-                let scenario = traffic_scenario(1, 1);
+                let scenario = traffic_scenario(1);
                 let load = TrafficSpec::at_rate(1.0);
                 b.iter(|| {
                     let result = scenario.run_traffic(load, &|| router_by_name(router));
@@ -46,8 +46,8 @@ fn bench_traffic_threads(c: &mut Criterion) {
             BenchmarkId::new("lgfi_16x16_load_4.0", format!("t{threads}")),
             &threads,
             |b, &threads| {
-                let scenario = traffic_scenario(1, threads);
-                let load = TrafficSpec::at_rate(4.0);
+                let scenario = traffic_scenario(1);
+                let load = TrafficSpec::at_rate(4.0).traffic_threads(threads);
                 b.iter(|| {
                     let result = scenario.run_traffic(load, &|| router_by_name("lgfi"));
                     std::hint::black_box(result.stats.delivered())

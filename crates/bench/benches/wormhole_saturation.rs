@@ -23,7 +23,7 @@ fn bench_wormhole_cycles(c: &mut Criterion) {
             BenchmarkId::new("wormhole_16x16_f4_load_1.0", router),
             &router,
             |b, router| {
-                let scenario = traffic_scenario(1, 1);
+                let scenario = traffic_scenario(1);
                 let spec = TrafficSpec::at_rate(1.0).flits_per_packet(4);
                 b.iter(|| {
                     let result = scenario.run_traffic(spec, &|| router_by_name(router));
@@ -45,7 +45,7 @@ fn bench_wormhole_vcs(c: &mut Criterion) {
             BenchmarkId::new("lgfi_16x16_f4_load_2.0", format!("vc{vcs}")),
             &vcs,
             |b, &vcs| {
-                let scenario = traffic_scenario(1, 1);
+                let scenario = traffic_scenario(1);
                 let spec = TrafficSpec::at_rate(2.0).flits_per_packet(4).vc_count(vcs);
                 b.iter(|| {
                     let result = scenario.run_traffic(spec, &|| router_by_name("lgfi"));

@@ -1,5 +1,6 @@
 //! Experiment binary: prints the `fig1_block` experiment table(s).
-//! See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded output.
+//! The paper-artifact map in `docs/ARCHITECTURE.md` indexes the experiments, and
+//! the `experiments` binary prints every table in one report.
 
 fn main() {
     if lgfi_bench::harness::print_help_if_requested(

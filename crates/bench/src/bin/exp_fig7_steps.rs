@@ -1,5 +1,6 @@
 //! Experiment binary: prints the `fig7_steps` experiment table(s).
-//! See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded output.
+//! The paper-artifact map in `docs/ARCHITECTURE.md` indexes the experiments, and
+//! the `experiments` binary prints every table in one report.
 //!
 //! Accepts `--threads N` (or `LGFI_THREADS`) to run the information rounds on N
 //! sharded workers; `0` = one worker per core.  Output is bit-identical for every

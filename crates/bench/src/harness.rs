@@ -3,8 +3,7 @@
 //! Every figure and every quantitative claim of the paper has one function here that
 //! runs the corresponding experiment and returns the rendered text table(s).  The
 //! `exp_*` binaries in `src/bin/` are thin wrappers around these functions, and the
-//! `experiments` binary runs all of them in order (this is what produced the numbers
-//! recorded in `EXPERIMENTS.md`).
+//! `experiments` binary runs all of them in order.
 
 use lgfi_analysis::table::{f2, pct};
 use lgfi_analysis::{check_theorem3, check_theorem4, Summary, Table, TrafficSummary};
@@ -1085,7 +1084,6 @@ pub fn exp_graceful_degradation_with(threads: usize) -> String {
                     threads,
                     frontier: configured_frontier(),
                     probe_threads: knob("LGFI_PROBE_THREADS"),
-                    traffic_threads: knob("LGFI_TRAFFIC_THREADS"),
                 };
                 let result = scenario.run(&|| router_by_name(router));
                 (
@@ -1249,7 +1247,9 @@ pub fn exp_dynamic_convergence_with(threads: usize) -> String {
 
 /// The scenario of the C5 traffic experiment and the `traffic_saturation` bench: a
 /// 16×16 mesh with 12 clustered static faults (stabilised before injection starts).
-pub fn traffic_scenario(threads: usize, traffic_threads: usize) -> Scenario {
+/// Its `max_steps` equals the default per-packet budget of
+/// [`TrafficSpec::max_packet_cycles`]; the traffic worker count goes on the spec.
+pub fn traffic_scenario(threads: usize) -> Scenario {
     Scenario {
         dims: vec![16, 16],
         seed: 21,
@@ -1264,7 +1264,6 @@ pub fn traffic_scenario(threads: usize, traffic_threads: usize) -> Scenario {
         threads,
         frontier: configured_frontier(),
         probe_threads: knob("LGFI_PROBE_THREADS"),
-        traffic_threads,
     }
 }
 
@@ -1302,9 +1301,9 @@ pub fn exp_traffic_with(threads: usize, traffic_threads: usize) -> String {
     );
     for router in routers {
         for &rate in &loads {
-            let scenario = traffic_scenario(threads, traffic_threads);
-            let result =
-                scenario.run_traffic(TrafficSpec::at_rate(rate), &|| router_by_name(router));
+            let scenario = traffic_scenario(threads);
+            let spec = TrafficSpec::at_rate(rate).traffic_threads(traffic_threads);
+            let result = scenario.run_traffic(spec, &|| router_by_name(router));
             let s = TrafficSummary::of_records(&result.records, result.measured_cycles);
             table.row(&[
                 router.to_string(),
@@ -1367,10 +1366,11 @@ pub fn exp_wormhole_with(threads: usize, traffic_threads: usize, flits: u32, vcs
     );
     for router in routers {
         for &rate in &loads {
-            let scenario = traffic_scenario(threads, traffic_threads);
+            let scenario = traffic_scenario(threads);
             let spec = TrafficSpec::at_rate(rate)
                 .flits_per_packet(flits)
-                .vc_count(vcs.max(2));
+                .vc_count(vcs.max(2))
+                .traffic_threads(traffic_threads);
             let result = scenario.run_traffic(spec, &|| router_by_name(router));
             let s = TrafficSummary::of_records(&result.records, result.measured_cycles);
             table.row(&[
@@ -1388,7 +1388,7 @@ pub fn exp_wormhole_with(threads: usize, traffic_threads: usize, flits: u32, vcs
 }
 
 /// Runs every experiment in order and returns the concatenated report (what the
-/// `experiments` binary prints and what EXPERIMENTS.md records).
+/// `experiments` binary prints).
 pub fn run_all_experiments() -> String {
     type Section = (&'static str, fn() -> String);
     let sections: Vec<Section> = vec![

@@ -16,14 +16,15 @@ use lgfi_core::block::BlockSet;
 use lgfi_core::boundary::BoundaryMap;
 use lgfi_core::labeling::LabelingEngine;
 use lgfi_core::status::NodeStatus;
-use lgfi_sim::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine};
+use lgfi_sim::{NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_topology::{Mesh, NodeId};
 use lgfi_workloads::{FaultGenerator, FaultPlacement, TrafficGenerator, TrafficPattern};
 
 /// One measured round-engine configuration, as recorded in `BENCH_engine.json`.
 #[derive(Debug, Clone)]
 pub struct EngineBenchRecord {
-    /// Benchmark id, e.g. `labeling_sweep_64x64` or `gossip_rounds_64x64`.
+    /// Benchmark id, e.g. `labeling_sweep_64x64_48_faults_f1` or
+    /// `stencil_64x64_40_rounds`.
     pub bench: String,
     /// The code/config variant that produced the number, e.g. `pre_rework` or
     /// `frontier_on` (from `LGFI_BENCH_VARIANT` when emitted by the bench).
@@ -36,7 +37,8 @@ pub struct EngineBenchRecord {
     pub rounds: u64,
     /// Median nanoseconds per round over the timed runs.
     pub ns_per_round: f64,
-    /// Mean messages sent per round.
+    /// Mean messages sent per round: always 0, since the round engine exchanges
+    /// states only; the field keeps the format the committed records share.
     pub messages_per_round: f64,
     /// Mean evaluated nodes per round: the active-frontier size, or the full node
     /// count when the engine evaluates every node.
@@ -456,8 +458,9 @@ pub fn measure_traffic_spec(
     variant: &str,
 ) -> TrafficBenchRecord {
     use lgfi_analysis::TrafficSummary;
-    let mut scenario = crate::harness::traffic_scenario(1, traffic_threads);
+    let mut scenario = crate::harness::traffic_scenario(1);
     scenario.traffic = pattern;
+    let spec = spec.traffic_threads(traffic_threads);
     let result = scenario.run_traffic(spec, &|| crate::harness::router_by_name(router_name));
     let s = TrafficSummary::of_records(&result.records, result.measured_cycles);
     TrafficBenchRecord {
@@ -735,40 +738,24 @@ pub fn emit_routing_records() {
     }
 }
 
-/// A never-quiescing gossip rule with MinFlood-like per-node cost, shared by the
-/// criterion bench and the JSON measurements: every node mixes its neighbors' states
-/// and roughly 1/8 of the nodes relay messages each round, so a fixed round budget
-/// measures raw round-engine throughput rather than convergence luck.
-pub struct ThroughputGossip;
+/// A never-settling stencil, shared by the criterion bench and the JSON
+/// measurements: every node mixes its neighbors' states into its own each round, so
+/// every node stays on the frontier and a fixed round budget measures raw
+/// round-engine throughput rather than convergence luck.
+pub struct ThroughputStencil;
 
-impl Protocol for ThroughputGossip {
+impl Protocol for ThroughputStencil {
     type State = u64;
-    type Msg = u64;
 
     fn init(&self, ctx: &NodeCtx<'_>) -> u64 {
         (ctx.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
     }
 
-    fn on_round(
-        &self,
-        _ctx: &NodeCtx<'_>,
-        prev: &u64,
-        neighbors: &[NeighborView<'_, u64>],
-        inbox: &[u64],
-        outbox: &mut Outbox<u64>,
-    ) -> u64 {
+    fn on_round(&self, _ctx: &NodeCtx<'_>, prev: &u64, neighbors: &[NeighborView<'_, u64>]) -> u64 {
         let mut h = *prev;
-        for &m in inbox {
-            h = h.rotate_left(7) ^ m;
-        }
         for nb in neighbors {
             if let Some(&s) = nb.state {
                 h = h.wrapping_add(s.rotate_right(11));
-            }
-        }
-        if h % 8 == 0 {
-            for nb in neighbors {
-                outbox.send(nb.id, h);
             }
         }
         h
@@ -826,39 +813,37 @@ pub fn measure_labeling_sweep(threads: usize, frontier: bool, variant: &str) -> 
     }
 }
 
-/// Measures 40 rounds of [`ThroughputGossip`] on a 64×64 mesh (the
+/// Measures 40 rounds of [`ThroughputStencil`] on a 64×64 mesh (the
 /// `round_engine_threads` criterion bench), reported as nanoseconds per round.
-pub fn measure_gossip_rounds(threads: usize, variant: &str) -> EngineBenchRecord {
+pub fn measure_stencil_rounds(threads: usize, variant: &str) -> EngineBenchRecord {
     let mesh = Mesh::cubic(64, 2);
     let mut samples = Vec::with_capacity(RUNS);
-    let mut messages = 0.0f64;
     let mut frontier = 0.0f64;
     const ROUNDS: u64 = 40;
     for run in 0..=RUNS {
         let start = Instant::now();
-        let mut eng = RoundEngine::new(mesh.clone(), ThroughputGossip).with_threads(threads);
+        let mut eng = RoundEngine::new(mesh.clone(), ThroughputStencil).with_threads(threads);
         eng.run_rounds(ROUNDS);
         let elapsed = start.elapsed();
         std::hint::black_box(eng.states()[0]);
-        messages = eng.stats().total_messages() as f64 / ROUNDS as f64;
         frontier = eng.stats().mean_evaluated_per_round();
         if run > 0 {
             samples.push(elapsed.as_nanos() as f64 / ROUNDS as f64);
         }
     }
     EngineBenchRecord {
-        bench: "gossip_64x64_40_rounds".into(),
+        bench: "stencil_64x64_40_rounds".into(),
         variant: variant.into(),
         mesh: "64x64".into(),
         threads,
         rounds: ROUNDS,
         ns_per_round: median(&mut samples),
-        messages_per_round: messages,
+        messages_per_round: 0.0,
         mean_frontier: frontier,
     }
 }
 
-/// Runs the standard engine measurements (labeling sweep and gossip rounds at 1, 2
+/// Runs the standard engine measurements (labeling sweep and stencil rounds at 1, 2
 /// and 4 pooled workers) and appends the records to [`default_json_path`].
 pub fn emit_engine_records() {
     let variant = variant_tag();
@@ -867,9 +852,9 @@ pub fn emit_engine_records() {
         measure_labeling_sweep(1, false, &variant),
         measure_labeling_sweep(2, true, &variant),
         measure_labeling_sweep(4, true, &variant),
-        measure_gossip_rounds(1, &variant),
-        measure_gossip_rounds(2, &variant),
-        measure_gossip_rounds(4, &variant),
+        measure_stencil_rounds(1, &variant),
+        measure_stencil_rounds(2, &variant),
+        measure_stencil_rounds(4, &variant),
     ];
     let path = default_json_path();
     match append_records(&path, &records) {

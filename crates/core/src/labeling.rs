@@ -7,7 +7,7 @@
 //! the status vector with faulty nodes marked [`NodeStatus::Faulty`], rule 5 on
 //! recovery, and the number of rounds to convergence, which is the paper's `a_i`.
 
-use lgfi_sim::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine, MAX_STACK_NEIGHBORS};
+use lgfi_sim::{NeighborView, NodeCtx, Protocol, RoundEngine, MAX_STACK_NEIGHBORS};
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 
 use crate::status::{next_status, NodeStatus};
@@ -241,12 +241,6 @@ pub struct LabelingProtocol;
 
 impl Protocol for LabelingProtocol {
     type State = NodeStatus;
-    type Msg = ();
-
-    /// Rules 1–4 read only the previous statuses of the node and its neighbors and
-    /// never send messages, so the labeling is a pure stencil: the engine may skip
-    /// nodes outside the dirty frontier with bit-identical results.
-    const ROUND_INVARIANT: bool = true;
 
     fn init(&self, _ctx: &NodeCtx<'_>) -> NodeStatus {
         NodeStatus::Enabled
@@ -257,8 +251,6 @@ impl Protocol for LabelingProtocol {
         _ctx: &NodeCtx<'_>,
         prev: &NodeStatus,
         neighbors: &[NeighborView<'_, NodeStatus>],
-        _inbox: &[()],
-        _outbox: &mut Outbox<()>,
     ) -> NodeStatus {
         let mut buf = [(Direction::pos(0), NodeStatus::Enabled); MAX_STACK_NEIGHBORS];
         for (slot, nb) in buf.iter_mut().zip(neighbors) {

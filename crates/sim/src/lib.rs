@@ -13,12 +13,14 @@
 //!
 //! This crate implements that machine as a reusable substrate:
 //!
-//! * [`engine::RoundEngine`] executes a [`engine::Protocol`] — a per-node local rule
-//!   that sees only its own state, its neighbors' states (or the fact that a neighbor
-//!   is faulty), and the messages delivered this round — in synchronous rounds with
-//!   one-hop-per-round message delivery; with [`engine::RoundEngine::set_threads`]
-//!   rounds execute on sharded workers ([`shard`]) with bit-identical results,
-//! * [`step::StepClock`] and [`step::StepConfig`] provide the Figure-7 step structure,
+//! * [`engine::RoundEngine`] executes a [`engine::Protocol`] — a per-node stencil
+//!   rule that sees only its own state and its neighbors' states (or the fact that a
+//!   neighbor is faulty) — in synchronous rounds, so information advances one hop per
+//!   round; it evaluates only the nodes whose inputs changed, and with
+//!   [`engine::RoundEngine::set_threads`] rounds execute on sharded workers
+//!   ([`shard`]) with bit-identical results,
+//! * [`step::StepConfig`] and [`step::StepPhase`] describe the Figure-7 step
+//!   structure,
 //! * [`faults::FaultPlan`] schedules dynamic fault occurrences and recoveries,
 //! * [`traffic_engine`] supplies the router-agnostic substrate of the cycle-driven
 //!   concurrent-traffic data plane (finite-capacity link arbitration, deterministic
@@ -29,8 +31,8 @@
 //!   check, retired-buffer recycling),
 //! * [`stats`] and [`rng`] provide measurement and deterministic randomness.
 //!
-//! The protocols themselves (labeling, identification, boundary construction, routing)
-//! live in `lgfi-core`.
+//! The LGFI model itself — the labeling protocol that runs on the engine,
+//! identification, boundary construction and routing — lives in `lgfi-core`.
 
 #![warn(missing_docs)]
 
@@ -44,12 +46,12 @@ pub mod stats;
 pub mod step;
 pub mod traffic_engine;
 
-pub use engine::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine, MAX_STACK_NEIGHBORS};
+pub use engine::{NeighborView, NodeCtx, Protocol, RoundEngine, MAX_STACK_NEIGHBORS};
 pub use epoch::EpochCell;
 pub use faults::{FaultEvent, FaultEventKind, FaultPlan, FaultPlanCursor};
 pub use rng::DetRng;
 pub use shard::{batch_ranges, resolve_threads, shard_ranges, PoolHandle, WorkerPool};
 pub use slo::{NodeSlo, SloOutcome, SloTracker};
-pub use stats::{EngineStats, Histogram, RoundStats};
-pub use step::{StepClock, StepConfig, StepPhase};
+pub use stats::{EngineStats, Histogram};
+pub use step::{StepConfig, StepPhase};
 pub use traffic_engine::{InjectionProcess, LinkArbiter, TrafficStats, VcTable, NO_OWNER};

@@ -1,14 +1,5 @@
 //! Engine statistics and simple measurement containers.
 
-/// Per-round engine counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Number of nodes whose protocol state changed this round.
-    pub state_changes: u64,
-    /// Number of messages sent this round (to non-faulty recipients).
-    pub messages_sent: u64,
-}
-
 /// Accumulated statistics of a [`RoundEngine`](crate::engine::RoundEngine) run:
 /// running totals of constant size, so recording a round never allocates and a
 /// long-lived engine's statistics stay flat however many rounds it runs.
@@ -16,7 +7,6 @@ pub struct RoundStats {
 pub struct EngineStats {
     rounds: u64,
     state_changes: u64,
-    messages: u64,
     /// Nodes evaluated over all rounds.  With active-frontier scheduling a round
     /// evaluates the frontier; with full evaluation, every non-faulty node.  It is an
     /// execution detail (like `threads`), not part of a round's bit-identical record.
@@ -30,7 +20,6 @@ impl Default for EngineStats {
         EngineStats {
             rounds: 0,
             state_changes: 0,
-            messages: 0,
             evaluated: 0,
             threads: 1,
         }
@@ -38,15 +27,11 @@ impl Default for EngineStats {
 }
 
 impl EngineStats {
-    /// Adds the counters of one executed round to the totals.
-    pub fn record_round(&mut self, stats: RoundStats) {
+    /// Adds one executed round to the totals: the nodes whose state changed and the
+    /// nodes the engine evaluated.
+    pub fn record_round(&mut self, state_changes: u64, evaluated: u64) {
         self.rounds += 1;
-        self.state_changes += stats.state_changes;
-        self.messages += stats.messages_sent;
-    }
-
-    /// Adds the nodes the engine evaluated in the round just recorded.
-    pub fn record_evaluated(&mut self, evaluated: u64) {
+        self.state_changes += state_changes;
         self.evaluated += evaluated;
     }
 
@@ -78,11 +63,6 @@ impl EngineStats {
     /// Number of rounds recorded.
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Total messages sent over all rounds.
-    pub fn total_messages(&self) -> u64 {
-        self.messages
     }
 
     /// Total state changes over all rounds.
@@ -228,34 +208,13 @@ mod tests {
     #[test]
     fn engine_stats_aggregate() {
         let mut s = EngineStats::default();
-        s.record_round(RoundStats {
-            state_changes: 3,
-            messages_sent: 5,
-        });
-        s.record_round(RoundStats {
-            state_changes: 0,
-            messages_sent: 0,
-        });
-        s.record_round(RoundStats {
-            state_changes: 1,
-            messages_sent: 2,
-        });
+        s.record_round(3, 10);
+        s.record_round(0, 2);
+        s.record_round(1, 0);
         assert_eq!(s.rounds(), 3);
-        assert_eq!(s.total_messages(), 7);
         assert_eq!(s.total_state_changes(), 4);
-    }
-
-    #[test]
-    fn evaluated_counts_are_tracked_separately() {
-        let mut s = EngineStats::default();
-        assert_eq!(s.mean_evaluated_per_round(), 0.0);
-        for evaluated in [10, 2, 0] {
-            s.record_round(RoundStats::default());
-            s.record_evaluated(evaluated);
-        }
         assert_eq!(s.total_evaluated(), 12);
         assert_eq!(s.mean_evaluated_per_round(), 4.0);
-        assert_eq!(s.total_state_changes(), 0, "evaluations are not changes");
     }
 
     #[test]
@@ -263,6 +222,7 @@ mod tests {
         let s = EngineStats::default();
         assert_eq!(s.rounds(), 0);
         assert_eq!(s.total_evaluated(), 0);
+        assert_eq!(s.mean_evaluated_per_round(), 0.0);
         assert_eq!(s.threads(), 1);
     }
 

@@ -10,10 +10,9 @@
 //! 4. **routing decision**,
 //! 5. **message sending** — the routing message advances one hop per step.
 //!
-//! [`StepConfig`] carries the λ parameter, [`StepPhase`] names the phases, and
-//! [`StepClock`] does the bookkeeping between steps and absolute information rounds
-//! (`λ` rounds per step), which is what converts the paper's convergence counts
-//! `a_i, b_i, c_i` (rounds) into steps via `ceil(a_i / λ)`.
+//! [`StepConfig`] carries the λ parameter, which converts the paper's convergence
+//! counts `a_i, b_i, c_i` (rounds) into steps via `ceil(a_i / λ)`, and [`StepPhase`]
+//! names the phases.  `lgfi_core::network::LgfiNetwork` drives the steps.
 
 /// The phases of a single step, in execution order (Figure 7 (a)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,58 +71,6 @@ impl StepConfig {
     }
 }
 
-/// Step/round bookkeeping for a running simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepClock {
-    config: StepConfig,
-    step: u64,
-    rounds_executed: u64,
-}
-
-impl StepClock {
-    /// A clock at step 0 with the given configuration.
-    pub fn new(config: StepConfig) -> Self {
-        StepClock {
-            config,
-            step: 0,
-            rounds_executed: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> StepConfig {
-        self.config
-    }
-
-    /// The current step number (number of completed steps).
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
-    /// Total information rounds executed so far.
-    pub fn rounds_executed(&self) -> u64 {
-        self.rounds_executed
-    }
-
-    /// The absolute round range covered by the information-exchange phase of the
-    /// *next* step: `[rounds_executed, rounds_executed + λ)`.
-    pub fn next_round_budget(&self) -> std::ops::Range<u64> {
-        self.rounds_executed..self.rounds_executed + self.config.lambda
-    }
-
-    /// Marks one full step as completed (λ information rounds are accounted for).
-    pub fn advance_step(&mut self) {
-        self.step += 1;
-        self.rounds_executed += self.config.lambda;
-    }
-
-    /// Number of completed steps after which a construction that needs `rounds`
-    /// information rounds (counted from *now*) will have converged.
-    pub fn convergence_step(&self, rounds: u64) -> u64 {
-        self.step + self.config.steps_for_rounds(rounds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,19 +97,6 @@ mod tests {
         assert_eq!(c.steps_for_rounds(9), 3);
         let c1 = StepConfig::default();
         assert_eq!(c1.steps_for_rounds(7), 7);
-    }
-
-    #[test]
-    fn clock_advances_steps_and_rounds() {
-        let mut clock = StepClock::new(StepConfig::with_lambda(4));
-        assert_eq!(clock.step(), 0);
-        assert_eq!(clock.next_round_budget(), 0..4);
-        clock.advance_step();
-        clock.advance_step();
-        assert_eq!(clock.step(), 2);
-        assert_eq!(clock.rounds_executed(), 8);
-        assert_eq!(clock.next_round_budget(), 8..12);
-        assert_eq!(clock.convergence_step(9), 2 + 3);
     }
 
     #[test]

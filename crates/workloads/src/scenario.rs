@@ -44,10 +44,6 @@ pub struct Scenario {
     /// one per available core); like `threads`, results are bit-identical for every
     /// setting.
     pub probe_threads: usize,
-    /// Worker threads for the per-cycle traffic decisions of
-    /// [`Scenario::run_traffic`] (`1` = serial, `0` = one per available core); like
-    /// `threads`, results are bit-identical for every setting.
-    pub traffic_threads: usize,
 }
 
 impl Scenario {
@@ -67,7 +63,6 @@ impl Scenario {
             threads: 1,
             frontier: true,
             probe_threads: 1,
-            traffic_threads: 1,
         }
     }
 
@@ -137,8 +132,9 @@ impl Scenario {
     /// fault plan unfolds, so queueing latency and accepted throughput become
     /// observable.
     ///
-    /// The scenario's own `max_steps` and `traffic_threads` override the spec's
-    /// `max_packet_cycles` and `traffic_threads` fields.
+    /// `spec` carries every traffic setting, including the per-packet cycle budget
+    /// (`max_packet_cycles`) and the decision-worker count (`traffic_threads`); the
+    /// scenario's `max_steps` bounds only the probe steps of the network.
     ///
     /// One network step is one traffic cycle.  The first `launch_step` steps run
     /// without traffic (information warm-up, as in [`Scenario::run`]), then
@@ -149,9 +145,6 @@ impl Scenario {
         spec: TrafficSpec,
         router_factory: &dyn Fn() -> Box<dyn Router>,
     ) -> TrafficResult {
-        let spec = spec
-            .max_packet_cycles(self.max_steps)
-            .traffic_threads(self.traffic_threads);
         let mesh = self.mesh();
         let plan = self.fault_plan();
         let mut net = LgfiNetwork::new(
@@ -367,7 +360,6 @@ mod tests {
             threads: 1,
             frontier: true,
             probe_threads: 1,
-            traffic_threads: 1,
         };
         let result = scenario.run(&|| Box::new(LgfiRouter::new()));
         assert_eq!(result.launched, 4);
@@ -408,7 +400,10 @@ mod tests {
     fn traffic_run_delivers_under_load() {
         let mut scenario = Scenario::small();
         scenario.fault_count = 4;
-        let load = TrafficSpec::at_rate(0.5).cycles(100).drain_cycles(2_000);
+        let load = TrafficSpec::at_rate(0.5)
+            .cycles(100)
+            .drain_cycles(2_000)
+            .max_packet_cycles(scenario.max_steps);
         let result = scenario.run_traffic(load, &|| Box::new(LgfiRouter::new()));
         assert_eq!(result.router, "lgfi");
         assert_eq!(result.traffic_threads, 1);
@@ -429,13 +424,16 @@ mod tests {
         let mut scenario = Scenario::small();
         scenario.dims = vec![12, 12];
         scenario.fault_count = 5;
-        let load = TrafficSpec::at_rate(0.8).flits_per_packet(4);
+        let load = TrafficSpec::at_rate(0.8)
+            .flits_per_packet(4)
+            .max_packet_cycles(scenario.max_steps);
         let a = scenario.run_traffic(load, &|| Box::new(LgfiRouter::new()));
         let b = scenario.run_traffic(load, &|| Box::new(LgfiRouter::new()));
         assert_eq!(a.records, b.records);
         assert_eq!(a.stats, b.stats);
-        scenario.traffic_threads = 4;
-        let sharded = scenario.run_traffic(load, &|| Box::new(LgfiRouter::new()));
+        // The spec's worker count is the one the run uses.
+        let sharded =
+            scenario.run_traffic(load.traffic_threads(4), &|| Box::new(LgfiRouter::new()));
         assert_eq!(sharded.traffic_threads, 4);
         assert_eq!(a.records, sharded.records, "sharding must be invisible");
         assert_eq!(a.stats, sharded.stats);
@@ -445,7 +443,10 @@ mod tests {
     fn multi_flit_worms_deliver_through_faults() {
         let mut scenario = Scenario::small();
         scenario.fault_count = 4;
-        let load = TrafficSpec::at_rate(0.4).cycles(80).flits_per_packet(8);
+        let load = TrafficSpec::at_rate(0.4)
+            .cycles(80)
+            .flits_per_packet(8)
+            .max_packet_cycles(scenario.max_steps);
         let result = scenario.run_traffic(load, &|| Box::new(LgfiRouter::new()));
         assert!(result.stats.injected() > 0);
         assert!(
@@ -465,7 +466,7 @@ mod tests {
     #[test]
     fn zero_injection_rate_produces_no_traffic() {
         let scenario = Scenario::small();
-        let load = TrafficSpec::at_rate(0.0);
+        let load = TrafficSpec::at_rate(0.0).max_packet_cycles(scenario.max_steps);
         let result = scenario.run_traffic(load, &|| Box::new(LgfiRouter::new()));
         assert_eq!(result.stats.injected(), 0);
         assert_eq!(result.records.len(), 0);

@@ -69,7 +69,6 @@ fn main() {
                     threads: 1,
                     frontier: true,
                     probe_threads: 1,
-                    traffic_threads: 1,
                 };
                 let result = scenario.run(&|| router_by_name(router));
                 delivery += result.delivery_ratio();

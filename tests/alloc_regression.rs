@@ -1,11 +1,11 @@
 //! Allocation-regression guard for the round *and* routing data planes.
 //!
 //! The engines own every buffer their hot loops touch (double-buffered states, the
-//! CSR mailbox arena, the flat neighbor cache, stack-allocated neighbor views and a
-//! recycled outbox for the round loop; inline coordinates, the direction-indexed
-//! neighbor-slot scratch, the recycled path and the flat used-direction arena for
-//! the probe loop), so **steady-state rounds and probe hops perform zero heap
-//! allocations** — in the serial engines *and* in the warm pooled parallel ones:
+//! flat neighbor cache, the frontier and stack-allocated neighbor views for the
+//! round loop; inline coordinates, the direction-indexed neighbor-slot scratch, the
+//! recycled path and the flat used-direction arena for the probe loop), so
+//! **steady-state rounds and probe hops perform zero heap allocations** — in the
+//! serial engines *and* in the warm pooled parallel ones:
 //! the persistent worker pool hands each generation's job to its parked workers as
 //! a raw pointer and the per-shard scratch is pre-sized when the thread count is
 //! set, so a warm parallel round touches the heap exactly as much as a serial one
@@ -29,7 +29,7 @@ use lgfi_core::block::BlockSet;
 use lgfi_core::boundary::BoundaryMap;
 use lgfi_core::labeling::{LabelingEngine, LabelingProtocol};
 use lgfi_core::routing::{LgfiRouter, ProbeEngine, ProbeOutcome, Router};
-use lgfi_sim::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine};
+use lgfi_sim::{NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_topology::{coord, Mesh, NodeId};
 
 /// Counts allocator calls (alloc, realloc, alloc_zeroed) while armed.
@@ -91,14 +91,11 @@ fn count_allocations<R>(mut f: impl FnMut() -> R) -> (u64, R) {
     measure(&mut f)
 }
 
-/// The min-flood protocol of the engine's own tests: converges, then goes silent —
-/// steady-state rounds still evaluate every node (no `ROUND_INVARIANT`), exercising
-/// the full data plane without messages.
+/// The min-flood protocol of the engine's own tests: converges, then stays put.
 struct MinFlood;
 
 impl Protocol for MinFlood {
     type State = u64;
-    type Msg = u64;
 
     fn init(&self, ctx: &NodeCtx<'_>) -> u64 {
         if ctx.id == 0 {
@@ -108,26 +105,11 @@ impl Protocol for MinFlood {
         }
     }
 
-    fn on_round(
-        &self,
-        _ctx: &NodeCtx<'_>,
-        prev: &u64,
-        neighbors: &[NeighborView<'_, u64>],
-        inbox: &[u64],
-        outbox: &mut Outbox<u64>,
-    ) -> u64 {
+    fn on_round(&self, _ctx: &NodeCtx<'_>, prev: &u64, neighbors: &[NeighborView<'_, u64>]) -> u64 {
         let mut best = *prev;
-        for v in inbox {
-            best = best.min(*v);
-        }
         for nb in neighbors {
             if let Some(&s) = nb.state {
                 best = best.min(s);
-            }
-        }
-        if best < *prev {
-            for nb in neighbors {
-                outbox.send(nb.id, best);
             }
         }
         best
@@ -170,14 +152,14 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         "full-evaluation rounds of the serial RoundEngine must not allocate"
     );
 
-    // --- RoundEngine + a message-sending protocol, quiescent after convergence. ---
-    let mut eng = RoundEngine::new(mesh.clone(), MinFlood);
+    // --- RoundEngine + min-flood, every node evaluated every round. -------------
+    let mut eng = RoundEngine::new(mesh.clone(), MinFlood).with_frontier(false);
     eng.run_until_quiescent(1_000).expect("min-flood converges");
     let (allocs, changes) = count_allocations(|| eng.run_rounds(STEADY_ROUNDS));
     assert_eq!(changes, 0);
     assert_eq!(
         allocs, 0,
-        "post-convergence rounds of a messaging protocol must not allocate"
+        "post-convergence every-node rounds of min-flood must not allocate"
     );
 
     // --- LabelingEngine, frontier scheduling and full evaluation. -----------------

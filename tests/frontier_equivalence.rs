@@ -1,13 +1,13 @@
 //! Property tests for active-frontier scheduling: for any seeded scenario — mixed
-//! mesh shapes, fault/recovery patterns, external posts, worker-thread counts — a
-//! frontier-scheduled run produces **bit-identical** states, statistics and traces
-//! to a full-evaluation run.  The frontier, like sharded parallelism, is an
-//! execution detail, not a semantics change; this suite extends the determinism
-//! contract of `tests/parallel_equivalence.rs` to the frontier × threads matrix
-//! (see `docs/ARCHITECTURE.md`).
+//! mesh shapes, fault/recovery patterns, `set_state` disturbances, worker-thread
+//! counts — a frontier-scheduled run produces **bit-identical** states, statistics
+//! and traces to a full-evaluation run, for every stencil protocol.  The frontier,
+//! like sharded parallelism, is an execution detail, not a semantics change; this
+//! suite extends the determinism contract of `tests/parallel_equivalence.rs` to the
+//! frontier × threads matrix (see `docs/ARCHITECTURE.md`).
 
 use lgfi::prelude::*;
-use lgfi::sim::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine, RoundStats};
+use lgfi::sim::{NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_core::labeling::LabelingEngine;
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
 
@@ -30,89 +30,86 @@ fn sample_nodes(mesh: &Mesh, rng: &mut DetRng, count: usize) -> Vec<NodeId> {
     rng.sample_indices(mesh.node_count(), count.min(mesh.node_count()))
 }
 
-/// A `ROUND_INVARIANT` stencil that also exercises messages and the inbox: every
-/// node takes the maximum of its value, its neighbors' values and its inbox, and
-/// announces increases by message.  A node with unchanged inputs recomputes its
-/// value and stays silent, as the frontier contract requires — but any missed dirty
-/// mark (a skipped neighbor, a dropped post, a stale fault flag) changes the
-/// fixpoint or the per-round statistics.
-struct MaxGossip;
+/// A settling stencil: every node takes the maximum of its value and its neighbors'
+/// values.  Any missed dirty mark (a skipped neighbor, a dropped disturbance, a
+/// stale fault flag) changes the fixpoint or the per-round change counts.
+struct MaxStencil;
 
-impl Protocol for MaxGossip {
+impl Protocol for MaxStencil {
     type State = u64;
-    type Msg = u64;
-    const ROUND_INVARIANT: bool = true;
 
     fn init(&self, ctx: &NodeCtx<'_>) -> u64 {
         (ctx.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16
     }
 
-    fn on_round(
-        &self,
-        _ctx: &NodeCtx<'_>,
-        prev: &u64,
-        neighbors: &[NeighborView<'_, u64>],
-        inbox: &[u64],
-        outbox: &mut Outbox<u64>,
-    ) -> u64 {
+    fn on_round(&self, _ctx: &NodeCtx<'_>, prev: &u64, neighbors: &[NeighborView<'_, u64>]) -> u64 {
         let mut best = *prev;
-        for &m in inbox {
-            best = best.max(m);
-        }
         for nb in neighbors {
             if let Some(&s) = nb.state {
                 best = best.max(s);
-            }
-        }
-        if best > *prev {
-            for nb in neighbors {
-                outbox.send(nb.id, best);
             }
         }
         best
     }
 }
 
-/// Runs one round and returns its counters, read from the return value and the
-/// change in the engine's running totals.
-fn record_round<P: Protocol>(eng: &mut RoundEngine<P>) -> RoundStats {
-    let sent = eng.stats().total_messages();
-    let changes = eng.run_round();
-    RoundStats {
-        state_changes: changes as u64,
-        messages_sent: eng.stats().total_messages() - sent,
+/// What a faulty neighbor reads as in [`PacedStencil`]'s fold.
+const FAULTY_NEIGHBOR: u64 = 0xFA17_FA17_FA17_FA17;
+
+/// A never-settling, order-sensitive stencil: every eleventh node is a pacemaker
+/// that flips its low bit each round; every other node folds its own and its
+/// neighbors' states in direction order with a non-commutative mix (a faulty
+/// neighbor reads as [`FAULTY_NEIGHBOR`]) and takes the fold as its new state only
+/// when the fold's top three bits are clear.  Activity never dies out, yet most
+/// nodes sit most rounds out, so the frontier is a moving strict subset of the mesh
+/// and any missed dirty mark or misordered neighbor changes the run.
+struct PacedStencil;
+
+impl Protocol for PacedStencil {
+    type State = u64;
+
+    fn init(&self, ctx: &NodeCtx<'_>) -> u64 {
+        (ctx.id as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95)
+    }
+
+    fn on_round(&self, ctx: &NodeCtx<'_>, prev: &u64, neighbors: &[NeighborView<'_, u64>]) -> u64 {
+        if ctx.id % 11 == 0 {
+            return prev ^ 1;
+        }
+        let mut h = *prev;
+        for nb in neighbors {
+            let s = nb.state.copied().unwrap_or(FAULTY_NEIGHBOR);
+            h = h.rotate_left(9) ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        if h.leading_zeros() >= 3 {
+            h
+        } else {
+            *prev
+        }
     }
 }
 
-/// Runs [`MaxGossip`] under a seeded fault/recovery/post schedule and returns every
-/// observable: states, fault set and per-round stats.
-fn gossip_run(
-    mesh: &Mesh,
-    seed: u64,
-    frontier: bool,
-    threads: usize,
-) -> (Vec<u64>, Vec<NodeId>, Vec<RoundStats>) {
-    gossip_run_schedule(mesh, seed, frontier, [threads; 4])
-}
-
-/// Like [`gossip_run`], but re-targets the worker count at every phase boundary so
-/// the persistent pool is torn down and re-spawned mid-run.
-fn gossip_run_schedule(
+/// Drives `protocol` through the suite's seeded schedule — quiet rounds, a fault
+/// burst, `set_state` disturbances, a recovery, seven rounds each — re-targeting the
+/// worker count at every phase boundary, so a width change (and the pool re-creation
+/// it triggers) can land mid-run.  Returns the engine and every round's change count.
+fn scheduled_run<P: Protocol<State = u64>>(
+    protocol: P,
     mesh: &Mesh,
     seed: u64,
     frontier: bool,
     schedule: [usize; 4],
-) -> (Vec<u64>, Vec<NodeId>, Vec<RoundStats>) {
+) -> (RoundEngine<P>, Vec<usize>) {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut eng = RoundEngine::new(mesh.clone(), MaxGossip)
+    let mut eng = RoundEngine::new(mesh.clone(), protocol)
         .with_frontier(frontier)
         .with_threads(schedule[0]);
     assert_eq!(eng.frontier_active(), frontier);
     let faults = sample_nodes(mesh, &mut rng, 1 + (seed as usize % 4));
-    let posts = sample_nodes(mesh, &mut rng, 2);
+    let disturbed = sample_nodes(mesh, &mut rng, 2);
     let mut per_round = Vec::new();
-    for phase in 0..4u64 {
-        eng.set_threads(schedule[phase as usize]);
+    for (phase, &threads) in schedule.iter().enumerate() {
+        eng.set_threads(threads);
         match phase {
             0 => {}
             1 => {
@@ -122,9 +119,9 @@ fn gossip_run_schedule(
             }
             2 => {
                 // Wake a quiet corner of the mesh from outside the protocol.
-                for &p in &posts {
+                for &p in &disturbed {
                     if !eng.is_faulty(p) {
-                        eng.post(p, u64::MAX / 2 + seed);
+                        eng.set_state(p, u64::MAX / 2 + seed);
                     }
                 }
                 eng.set_state(0, seed);
@@ -136,15 +133,30 @@ fn gossip_run_schedule(
             }
         }
         for _ in 0..7 {
-            per_round.push(record_round(&mut eng));
+            per_round.push(eng.run_round());
         }
     }
+    (eng, per_round)
+}
+
+/// Runs [`MaxStencil`] through [`scheduled_run`] and then to quiescence, and returns
+/// every observable: states, fault set and per-round change counts.
+fn max_run(mesh: &Mesh, seed: u64, frontier: bool, threads: usize) -> MaxRun {
+    max_run_schedule(mesh, seed, frontier, [threads; 4])
+}
+
+/// The observables of a [`MaxStencil`] run: states, fault set, per-round changes.
+type MaxRun = (Vec<u64>, Vec<NodeId>, Vec<usize>);
+
+/// Like [`max_run`], with the worker count re-targeted at every phase boundary.
+fn max_run_schedule(mesh: &Mesh, seed: u64, frontier: bool, schedule: [usize; 4]) -> MaxRun {
+    let (mut eng, mut per_round) = scheduled_run(MaxStencil, mesh, seed, frontier, schedule);
     // `run_until_quiescent`, driven round by round to record each round.
     loop {
-        assert!(per_round.len() < 10_000, "max gossip settles");
-        let round = record_round(&mut eng);
-        per_round.push(round);
-        if round.state_changes == 0 && eng.pending_messages() == 0 {
+        assert!(per_round.len() < 10_000, "the max stencil settles");
+        let changes = eng.run_round();
+        per_round.push(changes);
+        if changes == 0 {
             break;
         }
     }
@@ -156,9 +168,9 @@ fn frontier_runs_are_bit_identical_to_full_evaluation() {
     for dims in shapes() {
         let mesh = Mesh::new(&dims);
         for seed in 0..4u64 {
-            let reference = gossip_run(&mesh, seed, false, 1);
+            let reference = max_run(&mesh, seed, false, 1);
             for threads in [1usize, 2, 3, 8] {
-                let frontier = gossip_run(&mesh, seed, true, threads);
+                let frontier = max_run(&mesh, seed, true, threads);
                 assert_eq!(
                     reference, frontier,
                     "frontier run diverged: dims {dims:?} seed {seed} threads {threads}"
@@ -176,9 +188,9 @@ fn frontier_runs_are_bit_identical_to_full_evaluation() {
 fn frontier_runs_survive_pool_recreation_mid_schedule() {
     let mesh = Mesh::cubic(12, 2);
     for seed in 0..3u64 {
-        let reference = gossip_run(&mesh, seed, false, 1);
+        let reference = max_run(&mesh, seed, false, 1);
         for schedule in [[2usize, 4, 1, 3], [3, 3, 1, 1], [1, 2, 4, 8]] {
-            let switched = gossip_run_schedule(&mesh, seed, true, schedule);
+            let switched = max_run_schedule(&mesh, seed, true, schedule);
             assert_eq!(
                 reference, switched,
                 "frontier run with schedule {schedule:?} diverged: seed {seed}"
@@ -187,14 +199,41 @@ fn frontier_runs_survive_pool_recreation_mid_schedule() {
     }
 }
 
+/// Frontier scheduling needs no opt-in: a never-settling, order-sensitive stencil
+/// under faults, recoveries and `set_state` disturbances, frontier-scheduled at 1, 2
+/// and 3 threads and with the worker count changed mid-run, matches full
+/// evaluation in states, fault sets and per-round change counts — while evaluating
+/// strictly fewer nodes.
+#[test]
+fn frontier_scheduling_is_sound_for_every_stencil() {
+    for dims in shapes() {
+        let mesh = Mesh::new(&dims);
+        for seed in 0..4u64 {
+            let run = |frontier: bool, schedule: [usize; 4]| {
+                let (eng, per_round) = scheduled_run(PacedStencil, &mesh, seed, frontier, schedule);
+                assert!(
+                    per_round.iter().all(|&c| c > 0),
+                    "the stencil never settles"
+                );
+                let observed = (eng.states().to_vec(), eng.faulty_nodes(), per_round);
+                (observed, eng.stats().total_evaluated())
+            };
+            let (reference, full_work) = run(false, [1; 4]);
+            for schedule in [[1; 4], [2; 4], [3; 4], [1, 3, 2, 1]] {
+                let tag = format!("dims {dims:?} seed {seed} schedule {schedule:?}");
+                let (observed, work) = run(true, schedule);
+                assert_eq!(reference, observed, "frontier run diverged: {tag}");
+                assert!(work < full_work, "the frontier skipped nothing: {tag}");
+            }
+        }
+    }
+}
+
 #[test]
 fn frontier_skips_work_after_convergence_without_changing_results() {
     let mesh = Mesh::cubic(16, 2);
-    let mut eng = RoundEngine::new(mesh, MaxGossip);
+    let mut eng = RoundEngine::new(mesh, MaxStencil);
     eng.run_until_quiescent(1_000).unwrap();
-    // The recipients of the final delivery keep one deferred drain-round wake (their
-    // inbox transitioned non-empty → empty); a single flush round consumes it.
-    eng.run_round();
     assert_eq!(eng.frontier_len(), 0);
     let evaluated_before = eng.stats().total_evaluated();
     eng.run_rounds(5);

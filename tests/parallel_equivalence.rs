@@ -5,7 +5,7 @@
 //! (see `docs/ARCHITECTURE.md`).
 
 use lgfi::prelude::*;
-use lgfi::sim::{EngineStats, NeighborView, NodeCtx, Outbox, Protocol, RoundEngine, RoundStats};
+use lgfi::sim::{EngineStats, NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_core::labeling::{LabelingEngine, LabelingProtocol};
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
 use lgfi_sim::FaultEventKind;
@@ -29,40 +29,24 @@ fn sample_nodes(mesh: &Mesh, rng: &mut DetRng, count: usize) -> Vec<NodeId> {
     rng.sample_indices(mesh.node_count(), count.min(mesh.node_count()))
 }
 
-/// A gossip rule whose state folds the inbox with a non-commutative, non-associative
-/// hash and whose sends depend on the state, so any deviation in message *order*,
-/// shard merging or halo reads changes the result within a round or two.
-struct OrderSensitiveGossip;
+/// A never-settling gossip rule: every node mixes its neighbors' states into its
+/// own, and a faulty neighbor flips a constant pattern, so any deviation in shard
+/// merging, halo reads or fault visibility changes the result within a round or two.
+struct MixingGossip;
 
-impl Protocol for OrderSensitiveGossip {
+impl Protocol for MixingGossip {
     type State = u64;
-    type Msg = u64;
 
     fn init(&self, ctx: &NodeCtx<'_>) -> u64 {
         (ctx.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    fn on_round(
-        &self,
-        ctx: &NodeCtx<'_>,
-        prev: &u64,
-        neighbors: &[NeighborView<'_, u64>],
-        inbox: &[u64],
-        outbox: &mut Outbox<u64>,
-    ) -> u64 {
+    fn on_round(&self, _ctx: &NodeCtx<'_>, prev: &u64, neighbors: &[NeighborView<'_, u64>]) -> u64 {
         let mut h = *prev;
-        for &m in inbox {
-            h = h.rotate_left(9) ^ m.wrapping_mul(0xD134_2543_DE82_EF95);
-        }
         for nb in neighbors {
             match nb.state {
                 Some(&s) => h = h.wrapping_add(s.rotate_right(13)),
-                None => h ^= 0xFAu64 << (ctx.round % 32),
-            }
-        }
-        if h % 3 != 0 {
-            for nb in neighbors {
-                outbox.send(nb.id, h ^ nb.id as u64);
+                None => h ^= 0xFAu64 << 17,
             }
         }
         h
@@ -70,25 +54,12 @@ impl Protocol for OrderSensitiveGossip {
 }
 
 /// Everything a bit-identical comparison of two gossip runs needs: final states,
-/// fault set, engine statistics, the per-round counters and the digested per-round
-/// trace.
+/// fault set, engine statistics and the per-round trace of `(phase, round, changes)`.
 struct GossipRun {
     states: Vec<u64>,
     faulty: Vec<NodeId>,
     stats: EngineStats,
-    per_round: Vec<RoundStats>,
-    trace: Vec<(u64, u64, u64)>,
-}
-
-/// Runs one round and returns its counters, read from the return value and the
-/// change in the engine's running totals.
-fn record_round<P: Protocol>(eng: &mut RoundEngine<P>) -> RoundStats {
-    let sent = eng.stats().total_messages();
-    let changes = eng.run_round();
-    RoundStats {
-        state_changes: changes as u64,
-        messages_sent: eng.stats().total_messages() - sent,
-    }
+    trace: Vec<(u64, u64, usize)>,
 }
 
 /// Runs the gossip protocol with a seeded fault/recovery schedule and records a full
@@ -102,8 +73,7 @@ fn gossip_run(mesh: &Mesh, seed: u64, threads: usize) -> GossipRun {
 /// lands mid-schedule.
 fn gossip_run_schedule(mesh: &Mesh, seed: u64, schedule: [usize; 3]) -> GossipRun {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut eng = RoundEngine::new(mesh.clone(), OrderSensitiveGossip).with_threads(schedule[0]);
-    let mut per_round = Vec::new();
+    let mut eng = RoundEngine::new(mesh.clone(), MixingGossip).with_threads(schedule[0]);
     let mut trace = Vec::new();
     let faults = sample_nodes(mesh, &mut rng, 1 + (seed as usize % 4));
     for phase in 0..3u64 {
@@ -122,21 +92,14 @@ fn gossip_run_schedule(mesh: &Mesh, seed: u64, schedule: [usize; 3]) -> GossipRu
             }
         }
         for _ in 0..6 {
-            let round = record_round(&mut eng);
-            let pending = eng.pending_messages() as u64;
-            trace.push((
-                phase,
-                eng.round(),
-                round.state_changes ^ pending.rotate_left(17),
-            ));
-            per_round.push(round);
+            let changes = eng.run_round();
+            trace.push((phase, eng.round(), changes));
         }
     }
     GossipRun {
         states: eng.states().to_vec(),
         faulty: eng.faulty_nodes(),
         stats: eng.stats().clone(),
-        per_round,
         trace,
     }
 }
@@ -153,10 +116,6 @@ fn gossip_serial_and_parallel_runs_are_bit_identical() {
                 assert_eq!(serial.states, parallel.states, "states diverged: {tag}");
                 assert_eq!(serial.faulty, parallel.faulty, "fault sets diverged: {tag}");
                 assert_eq!(serial.trace, parallel.trace, "traces diverged: {tag}");
-                assert_eq!(
-                    serial.per_round, parallel.per_round,
-                    "per-round stats diverged: {tag}"
-                );
                 assert_eq!(
                     parallel.stats.threads(),
                     threads,
@@ -212,9 +171,9 @@ fn labeling_protocol_serial_and_parallel_fixpoints_are_bit_identical() {
                 let mut per_round = Vec::new();
                 loop {
                     assert!((per_round.len() as u64) < bound, "labeling must stabilise");
-                    let round = record_round(&mut eng);
-                    per_round.push(round);
-                    if round.state_changes == 0 && eng.pending_messages() == 0 {
+                    let changes = eng.run_round();
+                    per_round.push(changes);
+                    if changes == 0 {
                         break;
                     }
                 }

@@ -9,41 +9,25 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lgfi::prelude::*;
-use lgfi::sim::{NeighborView, NodeCtx, Outbox, Protocol, RoundEngine};
+use lgfi::sim::{NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_sim::{PoolHandle, WorkerPool};
 
-/// A tiny order-sensitive gossip rule: enough state mixing that any shard-merge
+/// A tiny never-settling gossip rule: enough state mixing that any shard-merge
 /// or barrier bug changes the fingerprint within a round or two.
 struct MixGossip;
 
 impl Protocol for MixGossip {
     type State = u64;
-    type Msg = u64;
 
     fn init(&self, ctx: &NodeCtx<'_>) -> u64 {
         (ctx.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
     }
 
-    fn on_round(
-        &self,
-        _ctx: &NodeCtx<'_>,
-        prev: &u64,
-        neighbors: &[NeighborView<'_, u64>],
-        inbox: &[u64],
-        outbox: &mut Outbox<u64>,
-    ) -> u64 {
+    fn on_round(&self, _ctx: &NodeCtx<'_>, prev: &u64, neighbors: &[NeighborView<'_, u64>]) -> u64 {
         let mut h = *prev;
-        for &m in inbox {
-            h = h.rotate_left(7) ^ m;
-        }
         for nb in neighbors {
             if let Some(&s) = nb.state {
                 h = h.wrapping_add(s.rotate_right(11));
-            }
-        }
-        if h % 2 == 1 {
-            for nb in neighbors {
-                outbox.send(nb.id, h ^ nb.id as u64);
             }
         }
         h

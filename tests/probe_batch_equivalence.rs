@@ -313,7 +313,6 @@ fn probe_sharding_composes_with_round_sharding_and_frontier() {
             threads,
             frontier,
             probe_threads,
-            traffic_threads: 1,
         };
         let result = scenario.run(&|| router_by_name("lgfi"));
         (

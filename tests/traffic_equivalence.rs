@@ -65,7 +65,6 @@ fn scenario(dynamic: bool, threads: usize, frontier: bool, probe_threads: usize)
         threads,
         frontier,
         probe_threads,
-        traffic_threads: 1,
     }
 }
 
@@ -77,9 +76,12 @@ fn fingerprint(
     frontier: bool,
     probe_threads: usize,
 ) -> (Vec<PacketRecord>, TrafficStats, usize) {
-    let mut s = scenario(dynamic, threads, frontier, probe_threads);
-    s.traffic_threads = traffic_threads;
-    let load = TrafficSpec::at_rate(1.5).cycles(80).drain_cycles(5_000);
+    let s = scenario(dynamic, threads, frontier, probe_threads);
+    let load = TrafficSpec::at_rate(1.5)
+        .cycles(80)
+        .drain_cycles(5_000)
+        .max_packet_cycles(s.max_steps)
+        .traffic_threads(traffic_threads);
     let result = s.run_traffic(load, &|| router_by_name(router));
     assert!(
         result.stats.injected() >= 100,

@@ -51,7 +51,7 @@ const ROUTERS: [&str; 5] = [
 /// A wormhole scenario stressful enough that sharding bugs would show: several
 /// multi-flit worms in flight at once spanning decision chunks, VC contention at
 /// shared links, and (optionally) faults appearing and recovering mid-flight.
-fn scenario(dynamic: bool, traffic_threads: usize) -> Scenario {
+fn scenario(dynamic: bool) -> Scenario {
     Scenario {
         dims: vec![12, 12],
         seed: 29,
@@ -76,7 +76,6 @@ fn scenario(dynamic: bool, traffic_threads: usize) -> Scenario {
         threads: 1,
         frontier: true,
         probe_threads: 1,
-        traffic_threads,
     }
 }
 
@@ -86,7 +85,10 @@ fn fingerprint(
     traffic_threads: usize,
     spec: TrafficSpec,
 ) -> (Vec<PacketRecord>, TrafficStats) {
-    let s = scenario(dynamic, traffic_threads);
+    let s = scenario(dynamic);
+    let spec = spec
+        .max_packet_cycles(s.max_steps)
+        .traffic_threads(traffic_threads);
     let result = s.run_traffic(spec, &|| router_by_name(router));
     assert!(
         result.stats.injected() >= 50,
