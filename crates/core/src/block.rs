@@ -10,8 +10,6 @@
 //! search, records their extents, and exposes the structural checks the rest of the
 //! library (and the test-suite) relies on: rectangularity and pairwise disjointness.
 
-use std::collections::VecDeque;
-
 use lgfi_topology::{Coord, Direction, Mesh, NodeId, Region};
 
 use crate::status::NodeStatus;
@@ -70,52 +68,82 @@ impl BlockSet {
     /// Extracts the blocks of a status vector by breadth-first search over the
     /// faulty/disabled nodes.
     pub fn extract(mesh: &Mesh, statuses: &[NodeStatus]) -> Self {
+        let mut set = BlockSet::default();
+        set.refill(mesh, statuses, &mut Vec::new());
+        set
+    }
+
+    /// Re-extracts the blocks of `statuses` into this set, reusing its buffers: the
+    /// membership table, the block list and every block's member list.  Member
+    /// lists of blocks that no longer exist go to `spare`, and new blocks take
+    /// their lists from it, so a warm re-extraction allocates nothing.  Block ids
+    /// follow the whole-mesh scan order, exactly as [`BlockSet::extract`].
+    pub(crate) fn refill(
+        &mut self,
+        mesh: &Mesh,
+        statuses: &[NodeStatus],
+        spare: &mut Vec<Vec<NodeId>>,
+    ) {
         assert_eq!(
             statuses.len(),
             mesh.node_count(),
             "status vector size mismatch"
         );
-        let mut membership: Vec<Option<BlockId>> = vec![None; statuses.len()];
-        let mut blocks = Vec::new();
-
+        self.membership.clear();
+        self.membership.resize(statuses.len(), None);
+        let mut count = 0;
         for start in 0..statuses.len() {
-            if !statuses[start].in_block() || membership[start].is_some() {
+            if !statuses[start].in_block() || self.membership[start].is_some() {
                 continue;
             }
-            let id = blocks.len();
-            let mut nodes = Vec::new();
-            let mut faulty_count = 0usize;
-            let mut queue = VecDeque::new();
-            queue.push_back(start);
-            membership[start] = Some(id);
-            while let Some(u) = queue.pop_front() {
-                nodes.push(u);
-                if statuses[u] == NodeStatus::Faulty {
-                    faulty_count += 1;
-                }
+            let id = count;
+            count += 1;
+            let mut nodes = match self.blocks.get_mut(id) {
+                Some(block) => std::mem::take(&mut block.nodes),
+                None => spare.pop().unwrap_or_default(),
+            };
+            // The member list doubles as the breadth-first queue.
+            nodes.clear();
+            nodes.push(start);
+            self.membership[start] = Some(id);
+            let mut head = 0;
+            while let Some(&u) = nodes.get(head) {
+                head += 1;
                 for dir in Direction::iter_all(mesh.ndim()) {
                     let Some(v) = mesh.neighbor_id(u, dir) else {
                         continue;
                     };
-                    if statuses[v].in_block() && membership[v].is_none() {
-                        membership[v] = Some(id);
-                        queue.push_back(v);
+                    if statuses[v].in_block() && self.membership[v].is_none() {
+                        self.membership[v] = Some(id);
+                        nodes.push(v);
                     }
                 }
             }
             nodes.sort_unstable();
-            let coords: Vec<Coord> = nodes.iter().map(|&n| mesh.coord_of(n)).collect();
-            // audit:allow(panic): a connected component always contains at least the seed node, so the bound exists
-            let region = Region::bounding_all(coords.iter()).expect("non-empty block");
-            blocks.push(FaultyBlock {
+            let region = nodes
+                .iter()
+                .fold(Region::point(&mesh.coord_of(start)), |r, &v| {
+                    r.union_point(&mesh.coord_of(v))
+                });
+            let faulty_count = nodes
+                .iter()
+                .filter(|&&v| statuses[v] == NodeStatus::Faulty)
+                .count();
+            let block = FaultyBlock {
                 id,
                 region,
                 nodes,
                 faulty_count,
-            });
+            };
+            match self.blocks.get_mut(id) {
+                Some(slot) => *slot = block,
+                None => self.blocks.push(block),
+            }
         }
-
-        BlockSet { blocks, membership }
+        spare.extend(self.blocks.drain(count..).map(|mut b| {
+            b.nodes.clear();
+            b.nodes
+        }));
     }
 
     /// The blocks, ordered by id.

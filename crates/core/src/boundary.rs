@@ -130,9 +130,12 @@ impl BoundaryMap {
     /// then by guard in [`Direction::all`] order.
     pub fn construct(mesh: &Mesh, blocks: &BlockSet) -> Self {
         let mut map = BoundaryMap::empty(mesh);
-        let mut builder = BoundaryBuilder::new(mesh, blocks);
+        let mut builder = BoundaryBuilder::default();
+        builder.prepare(mesh, blocks);
+        let mut out = Vec::new();
         for block in blocks.blocks() {
-            for (node, entry) in builder.block_entries(block.id) {
+            builder.block_entries(mesh, blocks, block.id, &mut out);
+            for &(node, entry) in &out {
                 map.entries[node].push(entry);
             }
         }
@@ -188,18 +191,20 @@ impl BoundaryMap {
 /// Builds the boundaries of single blocks of a [`BlockSet`].
 ///
 /// The merge rule needs, for every node, the block whose expanded frame holds it.
-/// The builder computes that adjacency once per block set by walking each block's
-/// `expand(1)` frame in block-id order, where the first block to claim a node
-/// wins.  Building one block's boundaries then costs the size of its frame and
-/// walls, not the mesh.  [`BoundaryMap::construct`] runs the builder over every
-/// block; the dynamic network runs it over the blocks that changed.
-#[derive(Debug)]
-pub(crate) struct BoundaryBuilder<'a> {
-    mesh: &'a Mesh,
-    blocks: &'a BlockSet,
+/// [`BoundaryBuilder::prepare`] computes that adjacency once per block set by
+/// walking each block's `expand(1)` frame in block-id order, where the first block
+/// to claim a node wins.  Building one block's boundaries then costs the size of
+/// its frame and walls, not the mesh.  [`BoundaryMap::construct`] runs the builder
+/// over every block; the dynamic network keeps one builder and runs it over the
+/// blocks that changed, so a warm rebuild reuses its tables: preparing clears only
+/// the nodes the previous block set claimed, and visit stamps need no clearing.
+#[derive(Debug, Default)]
+pub(crate) struct BoundaryBuilder {
     /// For every node, the first block whose expanded frame (not its extent)
     /// holds it.
     adjacency: Vec<Option<BlockId>>,
+    /// The nodes whose `adjacency` is set, so the next block set clears only them.
+    claimed: Vec<NodeId>,
     /// Per-node visit stamp: `seen[v] == pass` once the current propagation
     /// reached `v`.
     seen: Vec<u32>,
@@ -211,40 +216,57 @@ pub(crate) struct BoundaryBuilder<'a> {
     targets: Vec<NodeId>,
 }
 
-impl<'a> BoundaryBuilder<'a> {
-    /// Prepares a builder for the blocks of `blocks`.
-    pub(crate) fn new(mesh: &'a Mesh, blocks: &'a BlockSet) -> Self {
-        let mut adjacency = vec![None; mesh.node_count()];
+impl BoundaryBuilder {
+    /// Prepares the builder for the blocks of `blocks` on `mesh`; every
+    /// [`BoundaryBuilder::block_entries`] call until the next `prepare` must pass
+    /// the same mesh and block set.
+    pub(crate) fn prepare(&mut self, mesh: &Mesh, blocks: &BlockSet) {
+        let nodes = mesh.node_count();
+        if self.adjacency.len() != nodes {
+            self.adjacency.clear();
+            self.adjacency.resize(nodes, None);
+            self.claimed.clear();
+            self.seen.clear();
+            self.seen.resize(nodes, 0);
+            self.pass = 0;
+        }
+        for &v in &self.claimed {
+            self.adjacency[v] = None;
+        }
+        self.claimed.clear();
         for block in blocks.blocks() {
             for c in block.region.expand(1).iter_coords() {
                 if !mesh.contains(&c) || block.region.contains(&c) {
                     continue;
                 }
-                let slot = &mut adjacency[mesh.id_of(&c)];
-                if slot.is_none() {
-                    *slot = Some(block.id);
+                let v = mesh.id_of(&c);
+                if self.adjacency[v].is_none() {
+                    self.adjacency[v] = Some(block.id);
+                    self.claimed.push(v);
                 }
             }
         }
-        BoundaryBuilder {
-            mesh,
-            blocks,
-            adjacency,
-            seen: vec![0; mesh.node_count()],
-            pass: 0,
-            reached: Vec::new(),
-            targets: Vec::new(),
-        }
     }
 
-    /// The boundary entries of block `block_id` for every surface direction, as
-    /// `(node, entry)` pairs sorted by node, with a node's guards in
+    /// Fills `out` with the boundary entries of block `block_id` for every surface
+    /// direction, as `(node, entry)` pairs sorted by node, with a node's guards in
     /// [`Direction::all`] order.
-    pub(crate) fn block_entries(&mut self, block_id: BlockId) -> Vec<(NodeId, BoundaryEntry)> {
-        let region = &self.blocks.blocks()[block_id].region;
-        let mut out = Vec::new();
-        for guard in Direction::iter_all(self.mesh.ndim()) {
-            self.propagate(block_id, guard);
+    pub(crate) fn block_entries(
+        &mut self,
+        mesh: &Mesh,
+        blocks: &BlockSet,
+        block_id: BlockId,
+        out: &mut Vec<(NodeId, BoundaryEntry)>,
+    ) {
+        debug_assert_eq!(
+            self.adjacency.len(),
+            mesh.node_count(),
+            "builder not prepared"
+        );
+        let region = &blocks.blocks()[block_id].region;
+        out.clear();
+        for guard in Direction::iter_all(mesh.ndim()) {
+            self.propagate(mesh, blocks, block_id, guard);
             out.extend(self.reached.iter().map(|&(node, offset)| {
                 let entry = BoundaryEntry {
                     block_id,
@@ -255,27 +277,18 @@ impl<'a> BoundaryBuilder<'a> {
                 (node, entry)
             }));
         }
-        // Stable: a node's entries keep the guard order they were produced in.
-        out.sort_by_key(|&(node, _)| node);
-        out
+        // A propagation reaches a node at most once, so `(node, guard)` is unique
+        // and the unstable (allocation-free) sort leaves a node's guards in the
+        // order they were produced in.
+        out.sort_unstable_by_key(|&(node, entry)| (node, entry.guard.index()));
     }
 
     /// Propagates the boundary of `block_id` for surface direction `guard`,
     /// leaving the reached nodes and their arrival offsets in `self.reached`.
-    fn propagate(&mut self, block_id: BlockId, guard: Direction) {
+    fn propagate(&mut self, mesh: &Mesh, blocks: &BlockSet, block_id: BlockId, guard: Direction) {
         self.reached.clear();
-        let mesh = self.mesh;
-        let blocks = self.blocks;
         let region = &blocks.blocks()[block_id].region;
         let away = guard.opposite();
-        // If there is no shadow on the far side (the block touches the mesh surface
-        // there) the dangerous area is empty and no boundary is needed.
-        if region.shadow_prism(mesh, away).is_none() {
-            return;
-        }
-        self.pass += 1;
-        let pass = self.pass;
-
         // Seeds: the edge nodes (2-level frame nodes, not corners) of the opposite
         // adjacent surface S_{(g+n) mod 2n}, i.e. frame nodes whose coordinate in the
         // guard dimension is one unit outside the block on the `away` side.
@@ -285,6 +298,19 @@ impl<'a> BoundaryBuilder<'a> {
         } else {
             expanded.lo()[guard.dim]
         };
+        // If that surface lies outside the mesh, there is no shadow on the far side
+        // (the block touches the mesh surface there): the dangerous area is empty
+        // and no boundary is needed.
+        if away_coord < 0 || away_coord >= mesh.radix(guard.dim) {
+            return;
+        }
+        if self.pass == u32::MAX {
+            self.seen.fill(0);
+            self.pass = 0;
+        }
+        self.pass += 1;
+        let pass = self.pass;
+
         let mut lo = Coord::from_slice(expanded.lo());
         let mut hi = Coord::from_slice(expanded.hi());
         lo[guard.dim] = away_coord;

@@ -28,9 +28,12 @@
 //! [`IdentificationProcess`] reproduces this protocol at message granularity in time
 //! (one hop per round) and produces an [`IdentificationOutcome`] with the per-node
 //! information-arrival schedule and the total number of rounds, the paper's `b_i`.
+//! The dynamic network takes the same `b_i` from a closed form that records no
+//! schedule (`IdentificationProcess::completion_round`) on every rebuild.
 
 use std::collections::{BTreeMap, VecDeque};
 
+use lgfi_topology::coord::MAX_DIMS;
 use lgfi_topology::{Coord, Mesh, NodeId, Region};
 
 use crate::frame::BlockFrame;
@@ -103,26 +106,92 @@ impl IdentificationProcess {
     ///   and phase 3 collects along the opposite edge, giving
     ///   `max_i (1 + L_i + T_{k-1}(L without i))` over the `k-1` chosen phase-1
     ///   dimensions (all but the last).
+    ///
+    /// # Panics
+    /// Panics if there are more than [`MAX_DIMS`] extents.
     pub fn level_duration(extents: &[i32]) -> u64 {
         match extents.len() {
             0 => 0,
             1 => extents[0] as u64 + 1,
             2 => extents[0] as u64 + extents[1] as u64 + 2,
             k => {
+                assert!(
+                    k <= MAX_DIMS,
+                    "{k} extents exceed the {MAX_DIMS}-dimension limit"
+                );
                 let mut worst = 0u64;
+                let mut rest = [0i32; MAX_DIMS];
                 for i in 0..k - 1 {
-                    let rest: Vec<i32> = extents
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != i)
-                        .map(|(_, &l)| l)
-                        .collect();
-                    let t = 1 + extents[i] as u64 + Self::level_duration(&rest);
+                    let mut len = 0;
+                    for (j, &l) in extents.iter().enumerate() {
+                        if j != i {
+                            rest[len] = l;
+                            len += 1;
+                        }
+                    }
+                    let t = 1 + extents[i] as u64 + Self::level_duration(&rest[..len]);
                     worst = worst.max(t);
                 }
                 worst
             }
         }
+    }
+
+    /// The stability checks of the process: (a) every frame node exists in the
+    /// mesh and is enabled (a faulty or disabled node in a forwarding direction
+    /// means the block is not stable); (b) the block itself consists exclusively
+    /// of faulty/disabled nodes (otherwise the sections identified in phase 3
+    /// would differ).
+    fn is_stable(mesh: &Mesh, block: &Region, statuses: &[NodeStatus]) -> bool {
+        block.expand(1).iter_coords().all(|c| {
+            let inside = block.contains(&c);
+            if !mesh.contains(&c) {
+                // A missing frame node: the identification messages cannot go
+                // "straight" as expected.
+                return inside;
+            }
+            let st = statuses[mesh.id_of(&c)];
+            if inside {
+                st.in_block()
+            } else {
+                st == NodeStatus::Enabled
+            }
+        })
+    }
+
+    /// Rounds until every frame node of `block` holds the identified information
+    /// (the paper's `b_i`, [`IdentificationOutcome::completed_round`]), or `None`
+    /// if the stability checks fail or the process outlives the TTL.  Equal to
+    /// what [`IdentificationProcess::run_from_default_corner`] reports for a
+    /// stable outcome, but computed without simulating the messages, so it
+    /// allocates nothing: a stable frame is the whole shell around the block, and
+    /// the step-4 spread over that shell reaches its farthest node, the
+    /// initialization corner, `Σ (len_d + 1)` hops after the opposite corner (in
+    /// one dimension the two frame nodes are not adjacent, so nothing spreads).
+    pub(crate) fn completion_round(
+        &self,
+        mesh: &Mesh,
+        block: &Region,
+        statuses: &[NodeStatus],
+    ) -> Option<u64> {
+        if !Self::is_stable(mesh, block, statuses) {
+            return None;
+        }
+        let n = block.ndim();
+        let mut extents = [0i32; MAX_DIMS];
+        for (d, e) in extents[..n].iter_mut().enumerate() {
+            *e = block.len(d);
+        }
+        let formed_round = Self::level_duration(&extents[..n]);
+        if formed_round > self.ttl {
+            return None;
+        }
+        let spread: u64 = if n == 1 {
+            0
+        } else {
+            extents[..n].iter().map(|&l| l as u64 + 1).sum()
+        };
+        Some(formed_round + spread)
     }
 
     /// Runs the process for `block` on `mesh`, with the current `statuses` used for
@@ -152,34 +221,7 @@ impl IdentificationProcess {
             };
         }
 
-        // --- Stability checks -------------------------------------------------------
-        // (a) every frame node must exist in the mesh and be enabled (a faulty or
-        //     disabled node in a forwarding direction means the block is not stable);
-        // (b) the block itself must consist exclusively of faulty/disabled nodes
-        //     (otherwise the sections identified in phase 3 would differ).
-        let mut stable = true;
-        let expanded = block.expand(1);
-        for c in expanded.iter_coords() {
-            let inside = block.contains(&c);
-            if !mesh.contains(&c) {
-                if !inside {
-                    // A missing frame node: the identification messages cannot go
-                    // "straight" as expected.
-                    stable = false;
-                }
-                continue;
-            }
-            let st = statuses[mesh.id_of(&c)];
-            if inside {
-                if !st.in_block() {
-                    stable = false;
-                }
-            } else if block.frame_level(&c) != lgfi_topology::FrameLevel::Inside
-                && st != NodeStatus::Enabled
-            {
-                stable = false;
-            }
-        }
+        let stable = Self::is_stable(mesh, block, statuses);
 
         // --- Timing ------------------------------------------------------------------
         let extents: Vec<i32> = (0..n).map(|d| block.len(d)).collect();
@@ -398,6 +440,70 @@ mod tests {
         assert_eq!(outcome.formed_round, 2 + 2 + 2);
         // All 4*2 + ... frame nodes: 4 faces of 2 + 4 corners = 12.
         assert_eq!(outcome.info_arrival.len(), 12);
+    }
+
+    #[test]
+    fn completion_round_matches_the_simulated_process() {
+        use lgfi_sim::DetRng;
+        let proc = IdentificationProcess::default();
+        let short_ttl = IdentificationProcess::with_ttl(6);
+        let mut stable = 0;
+        let mut unstable = 0;
+        for (mesh, faults) in [
+            (Mesh::cubic(12, 2), 7),
+            (Mesh::cubic(8, 3), 6),
+            (Mesh::cubic(16, 1), 3),
+        ] {
+            for seed in 0..24u64 {
+                // Faults anywhere, the mesh surface included, so clipped frames and
+                // frames touching other blocks occur as well as stable blocks.
+                let mut rng = DetRng::seed_from_u64(seed);
+                let mut eng = LabelingEngine::new(mesh.clone());
+                for id in rng.sample_indices(mesh.node_count(), faults) {
+                    eng.inject_fault(id);
+                }
+                eng.run_to_fixpoint(1_000).unwrap();
+                let statuses = eng.statuses();
+                let blocks = BlockSet::extract(&mesh, statuses);
+                for block in blocks.blocks() {
+                    // The block's extent, and the extent shrunk by one in the first
+                    // dimension (a sub-extent is never stable).
+                    let mut regions = vec![block.region];
+                    if block.region.len(0) > 1 {
+                        let mut hi = Coord::from_slice(block.region.hi());
+                        hi[0] -= 1;
+                        regions.push(Region::from_bounds(
+                            Coord::from_slice(block.region.lo()),
+                            hi,
+                        ));
+                    }
+                    for region in regions {
+                        for p in [&proc, &short_ttl] {
+                            let simulated = p
+                                .run_from_default_corner(&mesh, &region, statuses)
+                                .filter(|o| o.stable)
+                                .map(|o| o.completed_round);
+                            assert_eq!(
+                                p.completion_round(&mesh, &region, statuses),
+                                simulated,
+                                "{:?} seed {seed}: {region:?} (ttl {})",
+                                mesh.dims(),
+                                p.ttl
+                            );
+                            if simulated.is_some() {
+                                stable += 1;
+                            } else {
+                                unstable += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            stable > 20 && unstable > 20,
+            "{stable} stable, {unstable} unstable"
+        );
     }
 
     #[test]

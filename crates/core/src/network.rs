@@ -184,29 +184,22 @@ pub struct LgfiNetwork {
     /// unchanged blocks, the paper's reactive rule), each with its holder nodes so
     /// a vanished region's entries are deleted without scanning the mesh.
     distributed: Vec<Distributed>,
-    /// The nodes holding at least one entry whose window closes (`visible_until`
-    /// set); a rebuild drops closed entries from these nodes only.
-    deleting: Vec<NodeId>,
+    /// Closing entries `(visible_until, node)`, one per entry marked for deletion:
+    /// a rebuild drops closed entries only from the nodes whose deletion came due.
+    closing: BinaryHeap<Reverse<(u64, NodeId)>>,
     /// Pending visibility transitions `(round, node)`: one per entry scheduled
     /// (`visible_from`) and one per entry marked for deletion (`visible_until`).
     transitions: BinaryHeap<Reverse<(u64, NodeId)>>,
     /// True if a rebuild ran since the visible arena was last refreshed.
     rebuilt: bool,
-    /// True if a rebuild pushed some node's timed list past its arena slots.
-    relayout: bool,
+    /// Buffers a rebuild refills instead of allocating.
+    scratch: RebuildScratch,
     convergence: Vec<ConvergenceRecord>,
     probes: Vec<ProbeState>,
     reports: Vec<ProbeReport>,
-    /// Slot arena of the boundary entries *currently visible* at each node: node
-    /// `i` owns the slots `vis_data[vis_off[i]..vis_off[i + 1]]`, one per entry of
-    /// its timed list at the last relayout, and its visible entries are
-    /// `vis_data[vis_off[i]..vis_end[i]]`.  Routing decisions borrow these slices
-    /// directly instead of filtering the timed lists per hop.  A due visibility
-    /// transition rewrites only its node's slots; the whole arena is laid out
-    /// afresh only when a rebuild pushes a node past its slots.
-    vis_data: Vec<BoundaryEntry>,
-    vis_off: Vec<usize>,
-    vis_end: Vec<usize>,
+    /// The boundary entries *currently visible* at each node.  Routing decisions
+    /// borrow these slices directly instead of filtering the timed lists per hop.
+    arena: SlotArena,
     /// Generation counter of the visible arena.  This is the single dirty signal
     /// the epoch publisher keys off: a step whose refresh leaves the generation
     /// unchanged (and applied no fault events) publishes nothing.
@@ -244,8 +237,7 @@ impl LgfiNetwork {
         let blocks = BlockSet::extract(&mesh, labeling.statuses());
         LgfiNetwork {
             info: vec![Vec::new(); mesh.node_count()],
-            vis_off: vec![0; mesh.node_count() + 1],
-            vis_end: vec![0; mesh.node_count()],
+            arena: SlotArena::new(mesh.node_count()),
             labeling,
             blocks,
             mesh,
@@ -258,14 +250,13 @@ impl LgfiNetwork {
             rounds_since_disturbance: 0,
             disturbance_step: 0,
             distributed: Vec::new(),
-            deleting: Vec::new(),
+            closing: BinaryHeap::new(),
             transitions: BinaryHeap::new(),
             rebuilt: false,
-            relayout: false,
+            scratch: RebuildScratch::default(),
             convergence: Vec::new(),
             probes: Vec::new(),
             reports: Vec::new(),
-            vis_data: Vec::new(),
             vis_gen: 0,
             events_pending: false,
             info_changes: 0,
@@ -353,8 +344,9 @@ impl LgfiNetwork {
 
     /// Number of nodes currently holding at least one visible entry.
     pub fn nodes_with_visible_info(&self) -> usize {
-        (0..self.mesh.node_count())
-            .filter(|&id| !self.visible_info(id).is_empty())
+        self.info
+            .iter()
+            .filter(|timed| timed.iter().any(|t| t.visible_at(self.round)))
             .count()
     }
 
@@ -400,7 +392,7 @@ impl LgfiNetwork {
             let mesh = &self.mesh;
             let statuses = self.labeling.statuses();
             let blocks = self.blocks.blocks();
-            let boundary = CsrBoundary::with_slots(&self.vis_data, &self.vis_off, &self.vis_end);
+            let boundary = self.arena.boundary();
             let max_probe_steps = self.config.max_probe_steps;
             let probes = &mut self.probes;
             let workers = self.probe_threads.min(probes.len());
@@ -545,20 +537,16 @@ impl LgfiNetwork {
 
     /// The boundary entries visible at each node this round.
     fn visible_boundary(&self) -> CsrBoundary<'_> {
-        CsrBoundary::with_slots(&self.vis_data, &self.vis_off, &self.vis_end)
+        self.arena.boundary()
     }
 
     /// Brings the visible arena up to the current round, once per step: pops the
-    /// visibility transitions that came due and rewrites only their nodes' slots
-    /// (after a full relayout if a rebuild outgrew some node's slots).  Due
-    /// transitions are drained even when nothing reads the arena, so they never
-    /// pile up.  `vis_gen` advances iff a rebuild ran since the last refresh or a
-    /// popped transition still belongs to an entry in the store.
+    /// visibility transitions that came due and rewrites only their nodes' slots.
+    /// Due transitions are drained even when nothing reads the arena, so they
+    /// never pile up.  `vis_gen` advances iff a rebuild ran since the last refresh
+    /// or a popped transition still belongs to an entry in the store.
     fn refresh_visible_arena(&mut self) {
         let mut changed = std::mem::take(&mut self.rebuilt);
-        if std::mem::take(&mut self.relayout) {
-            self.relayout_arena();
-        }
         while let Some(&Reverse((round, node))) = self.transitions.peek() {
             if round > self.round {
                 break;
@@ -568,30 +556,11 @@ impl LgfiNetwork {
             changed = changed || timed.iter().any(|t| t.transitions_at(round));
             // Rewrite the node even if the rebuild already dropped the entry this
             // transition was scheduled for: it may still sit in the node's slots.
-            let (start, slots_end) = (self.vis_off[node], self.vis_off[node + 1]);
-            let visible = patch_slots(timed, self.round, &mut self.vis_data[start..slots_end]);
-            self.vis_end[node] = start + visible;
+            self.arena.patch(node, timed, self.round);
         }
         if changed {
             self.vis_gen += 1;
         }
-    }
-
-    /// Lays the arena out afresh: every node gets one slot per entry of its timed
-    /// list, its visible entries first.
-    fn relayout_arena(&mut self) {
-        let round = self.round;
-        self.vis_data.clear();
-        for (node, timed) in self.info.iter().enumerate() {
-            self.vis_off[node] = self.vis_data.len();
-            let visible = |t: &&TimedEntry| t.visible_at(round);
-            self.vis_data
-                .extend(timed.iter().filter(visible).map(|t| t.entry));
-            self.vis_end[node] = self.vis_data.len();
-            self.vis_data
-                .extend(timed.iter().filter(|t| !visible(t)).map(|t| t.entry));
-        }
-        self.vis_off[self.info.len()] = self.vis_data.len();
     }
 
     /// Publishes a new [`EpochSnapshot`](crate::route_service::EpochSnapshot) to the
@@ -696,94 +665,109 @@ impl LgfiNetwork {
 
     /// Rebuilds blocks, identification outcomes and boundary maps after the labeling
     /// has stabilised, scheduling the visibility of every piece of information.
-    /// Only the blocks that changed are identified and propagated, and only the
-    /// nodes holding a vanished block's entries are touched.
+    /// Only the blocks that changed are identified and propagated, only the nodes
+    /// holding a vanished block's entries are touched, and a warm rebuild reuses
+    /// the buffers of the previous one.
     fn rebuild_information(&mut self) {
-        let new_blocks = BlockSet::extract(&self.mesh, self.labeling.statuses());
         let round = self.round;
+        let statuses = self.labeling.statuses();
+        let scratch = &mut self.scratch;
+        self.blocks
+            .refill(&self.mesh, statuses, &mut scratch.spare_members);
+        let blocks = &self.blocks;
 
         // Entries whose window already closed can never become visible again —
         // dropping them keeps the store proportional to the *live* information
         // under long fail/repair churn instead of every entry ever distributed.
-        // Only the nodes on the `deleting` list can hold such an entry.
+        // Only the nodes whose deletion came due can hold such an entry.
         let info = &mut self.info;
-        self.deleting.retain(|&node| {
+        while let Some(&Reverse((until, node))) = self.closing.peek() {
+            if until > round {
+                break;
+            }
+            self.closing.pop();
             info[node].retain(|t| t.visible_until.map_or(true, |u| u > round));
-            info[node].iter().any(|t| t.visible_until.is_some())
-        });
+        }
 
         // Information for regions that no longer exist is deleted; the deletion wave
         // travels the same path as the original distribution, so the entry disappears
         // `arrival_offset` rounds after the deletion starts (now).
-        let deleting = &mut self.deleting;
+        let closing = &mut self.closing;
         let transitions = &mut self.transitions;
-        self.distributed.retain(|d| {
-            if new_blocks.blocks().iter().any(|b| b.region == d.region) {
+        self.distributed.retain_mut(|d| {
+            if blocks.blocks().iter().any(|b| b.region == d.region) {
                 return true;
             }
             for &node in &d.holders {
-                let timed = &mut info[node];
-                if timed.iter().all(|t| t.visible_until.is_none()) {
-                    deleting.push(node);
-                }
-                for t in timed
+                for t in info[node]
                     .iter_mut()
                     .filter(|t| t.visible_until.is_none() && t.entry.block == d.region)
                 {
                     let until = round + t.entry.arrival_offset + 1;
                     t.visible_until = Some(until);
                     transitions.push(Reverse((until, node)));
+                    closing.push(Reverse((until, node)));
                 }
             }
+            d.holders.clear();
+            scratch.spare_holders.push(std::mem::take(&mut d.holders));
             false
         });
 
         // Identification + boundary construction for regions that are new or changed.
-        let changed: Vec<BlockId> = new_blocks
-            .blocks()
-            .iter()
-            .filter(|b| !self.distributed.iter().any(|d| d.region == b.region))
-            .map(|b| b.id)
-            .collect();
+        let changed = &mut scratch.changed;
+        changed.clear();
+        changed.extend(
+            blocks
+                .blocks()
+                .iter()
+                .filter(|b| !self.distributed.iter().any(|d| d.region == b.region))
+                .map(|b| b.id),
+        );
         let mut b_rounds = 0u64;
         let mut c_rounds = 0u64;
+        scratch.grown.clear();
         if !changed.is_empty() {
             let ident = IdentificationProcess::default();
-            let mut builder = BoundaryBuilder::new(&self.mesh, &new_blocks);
-            for &block_id in &changed {
-                let region = &new_blocks.blocks()[block_id].region;
-                let outcome =
-                    ident.run_from_default_corner(&self.mesh, region, self.labeling.statuses());
-                let b = outcome
-                    .as_ref()
-                    .filter(|o| o.stable)
-                    .map(|o| o.completed_round)
+            scratch.builder.prepare(&self.mesh, blocks);
+            for &block_id in changed.iter() {
+                let region = blocks.blocks()[block_id].region;
+                let b = ident
+                    .completion_round(&self.mesh, &region, statuses)
                     .unwrap_or(0);
                 b_rounds = b_rounds.max(b);
                 // Schedule the boundary entries of this block: visible b + offset
                 // rounds after now.
-                let mut holders = Vec::new();
-                for (node, entry) in builder.block_entries(block_id) {
+                let entries = &mut scratch.entries;
+                scratch
+                    .builder
+                    .block_entries(&self.mesh, blocks, block_id, entries);
+                let mut holders = scratch.spare_holders.pop().unwrap_or_default();
+                for &(node, entry) in entries.iter() {
                     c_rounds = c_rounds.max(entry.arrival_offset);
                     let visible_from = round + b + entry.arrival_offset;
                     self.transitions.push(Reverse((visible_from, node)));
-                    let timed = &mut self.info[node];
+                    let timed = &mut info[node];
+                    // Exact growth: a list keeps room for the most entries it ever
+                    // held, not for a doubling of them.
+                    timed.reserve_exact(1);
                     timed.push(TimedEntry {
                         entry,
                         visible_from,
                         visible_until: None,
                     });
-                    self.relayout |= timed.len() > self.vis_off[node + 1] - self.vis_off[node];
+                    // The list outgrows its slots once; record the node then.
+                    if timed.len() == self.arena.slots(node) + 1 {
+                        scratch.grown.push(node);
+                    }
                     if holders.last() != Some(&node) {
                         holders.push(node);
                     }
                 }
-                self.distributed.push(Distributed {
-                    region: *region,
-                    holders,
-                });
+                self.distributed.push(Distributed { region, holders });
             }
         }
+        self.arena.make_room(info, &scratch.grown, round);
 
         self.convergence.push(ConvergenceRecord {
             step: self.disturbance_step,
@@ -792,7 +776,6 @@ impl LgfiNetwork {
             c_rounds,
             blocks_changed: changed.len(),
         });
-        self.blocks = new_blocks;
         self.rebuilt = true;
     }
 
@@ -888,6 +871,145 @@ fn advance_probe(
         state.router.as_ref(),
     );
     state.probe.apply(mesh, decision);
+}
+
+/// Buffers [`LgfiNetwork::rebuild_information`] keeps between rebuilds, so a warm
+/// rebuild refills them instead of allocating.
+#[derive(Debug, Default)]
+struct RebuildScratch {
+    /// Member lists of vanished blocks, reused by the next block extraction.
+    spare_members: Vec<Vec<NodeId>>,
+    /// Holder lists of vanished regions, reused by the next distributed regions.
+    spare_holders: Vec<Vec<NodeId>>,
+    /// The blocks a rebuild identifies and propagates.
+    changed: Vec<BlockId>,
+    /// The boundary builder's adjacency and visit tables.
+    builder: BoundaryBuilder,
+    /// One block's boundary entries.
+    entries: Vec<(NodeId, BoundaryEntry)>,
+    /// The nodes a rebuild pushed past their arena slots.
+    grown: Vec<NodeId>,
+}
+
+/// Slot arena of the boundary entries currently visible at each node.
+///
+/// Node `i` owns the slots `data[start[i]..slot_end[i]]`, at least one per entry
+/// of its timed list, and its visible entries are `data[start[i]..end[i]]`.  The
+/// ranges are disjoint but need not be contiguous or in node order, so one node's
+/// visibility can change, and one node can grow, without touching any other node:
+///
+/// * a due visibility transition rewrites its node's slots in place
+///   ([`SlotArena::patch`]);
+/// * a node whose timed list outgrows its slots moves to fresh slots at the end
+///   of the arena, one per timed entry, and its old range becomes dead;
+/// * a compaction ([`SlotArena::relayout`]) lays every node out afresh, tight and
+///   in node order.  It runs when a rebuild's moves would grow the buffer past
+///   its capacity or leave more than half the arena dead, so moves never
+///   reallocate and dead slots stay under half the arena.  A compaction leaves
+///   the buffer room for twice the live slots, for the moves that follow, and
+///   replaces a smaller buffer; the first layout of an empty arena (a static
+///   fault set distributing once) needs room for exactly the live slots.
+#[derive(Debug)]
+struct SlotArena {
+    data: Vec<BoundaryEntry>,
+    /// Start of every node's slots, plus the sentinel `start[n] == data.len()`
+    /// that [`CsrBoundary::with_slots`] checks.
+    start: Vec<usize>,
+    /// End of every node's visible entries.
+    end: Vec<usize>,
+    /// End of every node's slots.
+    slot_end: Vec<usize>,
+    /// Slots no node owns: the old ranges of moved nodes.
+    dead: usize,
+    /// Compactions so far.
+    relayouts: u64,
+}
+
+impl SlotArena {
+    /// An empty arena over `nodes` nodes: no slots anywhere.
+    fn new(nodes: usize) -> Self {
+        SlotArena {
+            data: Vec::new(),
+            start: vec![0; nodes + 1],
+            end: vec![0; nodes],
+            slot_end: vec![0; nodes],
+            dead: 0,
+            relayouts: 0,
+        }
+    }
+
+    /// The visible entries of every node, as routing reads them.
+    fn boundary(&self) -> CsrBoundary<'_> {
+        CsrBoundary::with_slots(&self.data, &self.start, &self.end)
+    }
+
+    /// Number of slots `node` owns.
+    fn slots(&self, node: NodeId) -> usize {
+        self.slot_end[node] - self.start[node]
+    }
+
+    /// Rewrites `node`'s slots with the entries of `timed` visible at `round`.
+    fn patch(&mut self, node: NodeId, timed: &[TimedEntry], round: u64) {
+        let start = self.start[node];
+        let visible = patch_slots(timed, round, &mut self.data[start..self.slot_end[node]]);
+        self.end[node] = start + visible;
+    }
+
+    /// Gives every node of `grown`, whose timed list a rebuild pushed past its
+    /// slots, one slot per timed entry: each moves to the end of the arena, or,
+    /// when the moves would reallocate the buffer or leave more than half the
+    /// arena dead, the whole arena is compacted instead.  Either way the slots
+    /// laid out show the entries visible at `round`; every visibility change
+    /// after it has a pending transition that patches the node.
+    fn make_room(&mut self, info: &[Vec<TimedEntry>], grown: &[NodeId], round: u64) {
+        if grown.is_empty() {
+            return;
+        }
+        let needed: usize = grown.iter().map(|&n| info[n].len()).sum();
+        let freed: usize = grown.iter().map(|&n| self.slots(n)).sum();
+        let len = self.data.len() + needed;
+        if len > self.data.capacity() || 2 * (self.dead + freed) > len {
+            self.relayout(info, round);
+            return;
+        }
+        for &node in grown {
+            self.dead += self.slots(node);
+            self.lay_out(node, &info[node], round);
+        }
+        self.start[info.len()] = self.data.len();
+    }
+
+    /// Compacts the arena: every node gets one slot per entry of its timed list,
+    /// its entries visible at `round` first.
+    fn relayout(&mut self, info: &[Vec<TimedEntry>], round: u64) {
+        let live: usize = info.iter().map(Vec::len).sum();
+        let capacity = if self.data.is_empty() { live } else { 2 * live };
+        if self.data.capacity() < capacity {
+            // A fresh buffer: growing the old one would copy slots about to be
+            // overwritten.
+            self.data = Vec::with_capacity(capacity);
+        }
+        self.data.clear();
+        for (node, timed) in info.iter().enumerate() {
+            self.lay_out(node, timed, round);
+        }
+        self.start[info.len()] = self.data.len();
+        self.dead = 0;
+        self.relayouts += 1;
+    }
+
+    /// Appends `node`'s slots to the arena: its entries visible at `round`, then
+    /// the rest of its timed list.
+    fn lay_out(&mut self, node: NodeId, timed: &[TimedEntry], round: u64) {
+        let visible = |t: &&TimedEntry| t.visible_at(round);
+        self.start[node] = self.data.len();
+        self.data
+            .extend(timed.iter().filter(visible).map(|t| t.entry));
+        self.end[node] = self.data.len();
+        self.data
+            .extend(timed.iter().filter(|t| !visible(t)).map(|t| t.entry));
+        self.slot_end[node] = self.data.len();
+    }
 }
 
 /// Rewrites one node's arena slots with the entries of its timed list that are
@@ -1220,6 +1342,183 @@ mod tests {
         assert_eq!(service.epoch(), settled, "quiescent steps publish nothing");
         assert_eq!(net.info_changes(), settled);
         assert_eq!(service.stats().epochs_published, settled + 1);
+    }
+
+    /// A seeded Poisson fail/recover stream over the mesh interior, the process of
+    /// `lgfi_workloads::ChurnProcess`: fault arrivals with exponential gaps
+    /// (`fail_rate` per step) each fail a random healthy interior node while
+    /// fewer than `max_faulty` are down, and every fault recovers after an
+    /// exponential downtime with mean `mean_downtime` steps.
+    struct Churn {
+        rng: lgfi_sim::DetRng,
+        alive: Vec<NodeId>,
+        repairs: BinaryHeap<Reverse<(u64, NodeId)>>,
+        next_fail: f64,
+        fail_rate: f64,
+        mean_downtime: f64,
+        max_faulty: usize,
+    }
+
+    impl Churn {
+        fn new(
+            mesh: &Mesh,
+            seed: u64,
+            fail_rate: f64,
+            mean_downtime: f64,
+            max_faulty: usize,
+        ) -> Self {
+            let interior = mesh.interior_region().unwrap();
+            let mut churn = Churn {
+                rng: lgfi_sim::DetRng::seed_from_u64(seed),
+                alive: interior.iter_coords().map(|c| mesh.id_of(&c)).collect(),
+                repairs: BinaryHeap::new(),
+                next_fail: 0.0,
+                fail_rate,
+                mean_downtime,
+                max_faulty,
+            };
+            churn.next_fail = churn.exponential(1.0 / fail_rate);
+            churn
+        }
+
+        fn exponential(&mut self, mean: f64) -> f64 {
+            -(1.0 - self.rng.unit()).ln() * mean
+        }
+
+        fn events(&mut self, step: u64) -> Vec<FaultEvent> {
+            let mut out = Vec::new();
+            while self.next_fail < (step + 1) as f64 {
+                let gap = self.exponential(1.0 / self.fail_rate);
+                if !self.alive.is_empty() && self.repairs.len() < self.max_faulty {
+                    let victim = self.alive.swap_remove(self.rng.below(self.alive.len()));
+                    let downtime = self.exponential(self.mean_downtime).round() as u64;
+                    self.repairs.push(Reverse((step + downtime.max(1), victim)));
+                    out.push(FaultEvent::fail(step, victim));
+                }
+                self.next_fail += gap;
+            }
+            while let Some(&Reverse((when, node))) = self.repairs.peek() {
+                if when > step {
+                    break;
+                }
+                self.repairs.pop();
+                self.alive.push(node);
+                out.push(FaultEvent::recover(step, node));
+            }
+            out.sort_unstable_by_key(|e| e.node);
+            out
+        }
+    }
+
+    /// Checks the slot arena against the timed store: ranges inside the buffer and
+    /// pairwise disjoint, at least one slot per timed entry, visible prefixes equal
+    /// to [`LgfiNetwork::visible_info`], dead slots counted exactly and under half
+    /// the arena.
+    fn assert_arena_invariants(net: &LgfiNetwork, context: &str) {
+        let arena = &net.arena;
+        let nodes = net.mesh.node_count();
+        assert_eq!(arena.start[nodes], arena.data.len(), "{context}: sentinel");
+        let mut ranges = Vec::new();
+        let mut owned = 0;
+        for node in 0..nodes {
+            let (start, end, slot_end) = (arena.start[node], arena.end[node], arena.slot_end[node]);
+            assert!(
+                start <= end && end <= slot_end && slot_end <= arena.data.len(),
+                "{context}: node {node} range {start}..{end}..{slot_end} outside {} slots",
+                arena.data.len()
+            );
+            assert!(
+                slot_end - start >= net.info[node].len(),
+                "{context}: node {node} has {} slots for {} timed entries",
+                slot_end - start,
+                net.info[node].len()
+            );
+            assert_eq!(
+                net.arena.boundary().entries(node),
+                net.visible_info(node).as_slice(),
+                "{context}: node {node} visible prefix"
+            );
+            if slot_end > start {
+                ranges.push((start, slot_end));
+            }
+            owned += slot_end - start;
+        }
+        ranges.sort_unstable();
+        for pair in ranges.windows(2) {
+            assert!(
+                pair[0].1 <= pair[1].0,
+                "{context}: overlapping slot ranges {pair:?}"
+            );
+        }
+        assert_eq!(
+            arena.dead,
+            arena.data.len() - owned,
+            "{context}: dead slots must be exactly the slots no node owns"
+        );
+        assert!(
+            2 * arena.dead <= arena.data.len(),
+            "{context}: {} dead slots in an arena of {}",
+            arena.dead,
+            arena.data.len()
+        );
+    }
+
+    /// Fast churn on small 2-D and 3-D meshes, at λ 1 and 3, moves and compacts
+    /// the arena often; its invariants must hold after every step.
+    #[test]
+    fn slot_arena_invariants_hold_after_every_churn_step() {
+        for (mesh, seed) in [(Mesh::cubic(32, 2), 11), (Mesh::cubic(8, 3), 12)] {
+            for lambda in [1, 3] {
+                let context = format!("{:?} λ={lambda}", mesh.dims());
+                let mut net = LgfiNetwork::new(
+                    mesh.clone(),
+                    FaultPlan::empty(),
+                    NetworkConfig {
+                        lambda,
+                        ..NetworkConfig::default()
+                    },
+                );
+                let mut churn = Churn::new(&mesh, seed, 0.2, 40.0, 12);
+                let mut moved = false;
+                for step in 0..1_500 {
+                    let events = churn.events(step);
+                    net.run_step_with(&events);
+                    assert_arena_invariants(&net, &format!("{context} step {step}"));
+                    moved |= net.arena.dead > 0;
+                }
+                assert!(moved, "{context}: the stream never moved a node");
+                assert!(
+                    net.arena.relayouts >= 2,
+                    "{context}: the stream never compacted after its first layout"
+                );
+            }
+        }
+    }
+
+    /// The fault stream of perfbench's `churn64` (seed 13, its rates, its
+    /// warm-up and horizon): moves absorb the growth of the timed lists, so the
+    /// arena compacts rarely (14 times; relaying out on every overflow gives 199).
+    #[test]
+    fn slot_arena_compacts_rarely_on_the_churn64_stream() {
+        let mesh = Mesh::cubic(64, 2);
+        let mut net = LgfiNetwork::new(mesh.clone(), FaultPlan::empty(), NetworkConfig::default());
+        let mut churn = Churn::new(&mesh, 13, 0.05, 400.0, 64);
+        let (warmup, horizon) = (1_500, 4_000);
+        let mut relayouts_at_warmup = 0;
+        for step in 0..warmup + horizon {
+            if step == warmup {
+                relayouts_at_warmup = net.arena.relayouts;
+            }
+            let events = churn.events(step);
+            net.run_step_with(&events);
+        }
+        let rebuilds = net.convergence_records().len();
+        let relayouts = net.arena.relayouts - relayouts_at_warmup;
+        assert!(
+            relayouts <= 20,
+            "{relayouts} full relayouts over a {horizon}-step horizon ({rebuilds} rebuilds)"
+        );
+        assert_arena_invariants(&net, "churn64 stream");
     }
 
     #[test]

@@ -93,10 +93,11 @@ impl BoundarySource for BoundaryMap {
 ///
 /// Two layouts share the view.  A compact CSR arena (epoch snapshots, static
 /// environments) packs the nodes back to back, so `end` is `start` shifted by one.
-/// The slot arena of [`LgfiNetwork`](crate::network::LgfiNetwork) gives node `i`
-/// the slots `data[off[i]..off[i + 1]]`, of which the first `end[i] - off[i]` hold
-/// its visible entries, so one node's visibility can change without moving any
-/// other node's slots.
+/// The slot arena of [`LgfiNetwork`](crate::network::LgfiNetwork) gives each node
+/// its own range of slots, starting at `start[i]`, of which the first
+/// `end[i] - start[i]` hold its visible entries.  The ranges are disjoint but
+/// neither contiguous nor in node order (a node that outgrows its range moves to
+/// the end of the arena), so the view reads only each node's start and end.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrBoundary<'a> {
     data: &'a [BoundaryEntry],
@@ -124,8 +125,8 @@ impl<'a> CsrBoundary<'a> {
         }
     }
 
-    /// Wraps a slot arena: node `i` owns `data[off[i]..off[i + 1]]` and its entries
-    /// are `data[off[i]..end[i]]`.
+    /// Wraps a slot arena: node `i`'s entries are `data[off[i]..end[i]]`, and the
+    /// sentinel `off[n]` is the length of the arena's slots.
     ///
     /// # Panics
     /// Panics if `off` does not hold exactly one offset more than `end`, or its
