@@ -19,12 +19,28 @@
 //! * the packet records of a 4-flit, 2-VC wormhole `TrafficEngine` run on the
 //!   64×64 layout.
 //!
+//! Five further cases pin the two traffic drivers, `Scenario::run_traffic` and
+//! `SloCampaign::run`, with expected values recorded before the two were folded
+//! onto one loop:
+//!
+//! * `run_traffic` on the dynamic scenarios of `traffic_equivalence` and
+//!   `wormhole_equivalence`, on a wormhole scenario whose plan fails one node per
+//!   step while the worms drain (a drain without plan events moves it), and on
+//!   `exp_traffic`'s static scenario (60 warm-up steps) at rate 2.0;
+//! * `SloCampaign::run` on a plan campaign with events right after its horizon,
+//!   which its event-free drain must not apply, and on
+//!   `SloCampaign::small_churn()`.
+//!
 //! The hash is test-local (no std hasher), so the fingerprints do not depend on
 //! the standard library's hashing algorithm.
 
 use lgfi::prelude::*;
+use lgfi_sim::{Histogram, SloTracker};
 use lgfi_topology::NodeId;
-use lgfi_workloads::{ChurnConfig, ChurnProcess, FaultGenerator, FaultPlacement};
+use lgfi_workloads::{
+    CampaignFaults, CampaignResult, ChurnConfig, ChurnProcess, DynamicFaultConfig, FaultGenerator,
+    FaultPlacement, SloCampaign, TrafficPattern,
+};
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -66,6 +82,57 @@ fn fold_outcome(h: &mut Fnv, o: &ProbeOutcome) {
     h.word(o.backtracks);
     h.word(o.path_length);
     h.word(u64::from(o.initial_distance));
+}
+
+/// Folds every field of each packet record, in order.
+fn fold_records(h: &mut Fnv, records: &[PacketRecord]) {
+    for r in records {
+        h.word(r.id);
+        h.word(r.source as u64);
+        h.word(r.dest as u64);
+        h.word(r.injected_at);
+        h.word(r.finished_at);
+        h.word(status_code(r.status));
+        h.word(r.hops);
+        h.word(r.stalls);
+        h.word(u64::from(r.flits));
+        h.word(u64::from(r.initial_distance));
+    }
+}
+
+/// Folds a histogram's count and every bucket up to its largest value.
+fn fold_histogram(h: &mut Fnv, hist: &Histogram) {
+    h.word(hist.count());
+    for v in 0..=hist.max().unwrap_or(0) {
+        h.word(hist.count_of(v));
+    }
+}
+
+fn fold_traffic_stats(h: &mut Fnv, s: &TrafficStats) {
+    h.word(s.injected());
+    h.word(s.delivered());
+    h.word(s.failed());
+    h.word(s.deadlocked());
+    h.word(s.cycles());
+    h.word(s.total_hops());
+    h.word(s.total_stalls());
+    fold_histogram(h, s.latency_histogram());
+}
+
+fn fold_tracker(h: &mut Fnv, t: &SloTracker) {
+    for n in t.per_node() {
+        h.word(n.injected);
+        h.word(n.delivered);
+        h.word(n.unreachable);
+        h.word(n.failed);
+        h.word(n.latency_sum);
+        h.word(n.detour_violations);
+    }
+    fold_histogram(h, t.latency());
+    fold_histogram(h, t.reconverge());
+    h.word(t.bursts());
+    h.word(t.detour_violations());
+    h.word(t.unreachable());
 }
 
 /// A stabilised static environment: the labeling fixpoint of the seeded fault
@@ -271,22 +338,224 @@ fn wormhole_packet_records_match_the_golden_routes() {
     traffic.drain_static(&env, 10_000);
     assert_eq!(traffic.in_flight(), 0, "every worm finishes");
     let mut h = Fnv::new();
-    for r in traffic.records() {
-        h.word(r.id);
-        h.word(r.source as u64);
-        h.word(r.dest as u64);
-        h.word(r.injected_at);
-        h.word(r.finished_at);
-        h.word(status_code(r.status));
-        h.word(r.hops);
-        h.word(r.stalls);
-        h.word(u64::from(r.flits));
-        h.word(u64::from(r.initial_distance));
-    }
+    fold_records(&mut h, traffic.records());
     let delivered = traffic.records().iter().filter(|r| r.delivered()).count();
     assert_eq!(
         (traffic.records().len(), delivered, h.0),
         (1_500, 1_500, 0xd811_e292_0bf0_bcb1),
         "wormhole packet records moved: (records, delivered, fingerprint)"
+    );
+}
+
+/// A traffic scenario with clustered faults, seeded, on a `side`×`side` mesh.
+fn traffic_scenario(
+    side: i32,
+    seed: u64,
+    fault_count: usize,
+    clusters: usize,
+    dynamic: Option<DynamicFaultConfig>,
+    launch_step: u64,
+) -> Scenario {
+    Scenario {
+        dims: vec![side, side],
+        seed,
+        fault_count,
+        placement: FaultPlacement::Clustered { clusters },
+        dynamic,
+        lambda: 1,
+        traffic: TrafficPattern::UniformRandom,
+        messages: 0,
+        launch_step,
+        max_steps: 50_000,
+        threads: 1,
+        frontier: true,
+        probe_threads: 1,
+    }
+}
+
+/// Runs `scenario` under `spec` with the LGFI router and returns
+/// `(records, delivered, fingerprint)` over the records and the engine stats.
+fn traffic_fingerprint(scenario: &Scenario, spec: TrafficSpec) -> (usize, u64, u64) {
+    let result = scenario.run_traffic(spec, &|| Box::new(LgfiRouter::new()));
+    assert_eq!(
+        result.records.len() as u64,
+        result.stats.delivered() + result.stats.failed(),
+        "records are the finished packets"
+    );
+    let mut h = Fnv::new();
+    fold_records(&mut h, &result.records);
+    fold_traffic_stats(&mut h, &result.stats);
+    (result.records.len(), result.stats.delivered(), h.0)
+}
+
+/// The plan events of a run without warm-up that take effect after its
+/// injection window, while packets are still draining.
+fn plan_events_in_the_drain(scenario: &Scenario, spec: TrafficSpec) -> usize {
+    let result = scenario.run_traffic(spec, &|| Box::new(LgfiRouter::new()));
+    let last = result.records.iter().map(|r| r.finished_at).max().unwrap();
+    scenario
+        .fault_plan()
+        .events()
+        .iter()
+        .filter(|e| e.step >= spec.cycles && e.step <= last)
+        .count()
+}
+
+#[test]
+fn dynamic_traffic_run_matches_the_golden_records() {
+    let scenario = traffic_scenario(
+        14,
+        23,
+        8,
+        2,
+        Some(DynamicFaultConfig {
+            fault_count: 8,
+            first_step: 10,
+            interval: 20,
+            with_recovery: true,
+            recovery_delay: 60,
+        }),
+        0,
+    );
+    let spec = TrafficSpec::at_rate(1.5)
+        .cycles(80)
+        .drain_cycles(5_000)
+        .max_packet_cycles(scenario.max_steps);
+    assert_eq!(
+        traffic_fingerprint(&scenario, spec),
+        (120, 119, 0x8dad_8a35_8a88_2266),
+        "dynamic traffic run moved: (records, delivered, fingerprint)"
+    );
+}
+
+#[test]
+fn dynamic_wormhole_run_matches_the_golden_records() {
+    let scenario = traffic_scenario(
+        12,
+        29,
+        6,
+        2,
+        Some(DynamicFaultConfig {
+            fault_count: 6,
+            first_step: 10,
+            interval: 25,
+            with_recovery: true,
+            recovery_delay: 70,
+        }),
+        0,
+    );
+    let spec = TrafficSpec::at_rate(1.2)
+        .cycles(60)
+        .drain_cycles(5_000)
+        .flits_per_packet(4)
+        .vc_count(2)
+        .escape_vc(true)
+        .max_packet_cycles(scenario.max_steps);
+    // The plan keeps firing while the worms drain: this pin covers it.
+    assert!(plan_events_in_the_drain(&scenario, spec) > 0);
+    assert_eq!(
+        traffic_fingerprint(&scenario, spec),
+        (72, 72, 0x303c_2bde_10c9_af69),
+        "dynamic wormhole run moved: (records, delivered, fingerprint)"
+    );
+}
+
+#[test]
+fn traffic_run_applies_plan_events_through_the_drain() {
+    // One fault per step from the end of the injection window on, each
+    // recovering 6 steps later: worms still in flight meet them.
+    let scenario = traffic_scenario(
+        12,
+        31,
+        12,
+        2,
+        Some(DynamicFaultConfig {
+            fault_count: 12,
+            first_step: 40,
+            interval: 1,
+            with_recovery: true,
+            recovery_delay: 6,
+        }),
+        0,
+    );
+    let spec = TrafficSpec::at_rate(1.2)
+        .cycles(40)
+        .drain_cycles(5_000)
+        .flits_per_packet(4)
+        .vc_count(2)
+        .escape_vc(true)
+        .max_packet_cycles(scenario.max_steps);
+    assert!(plan_events_in_the_drain(&scenario, spec) > 10);
+    assert_eq!(
+        traffic_fingerprint(&scenario, spec),
+        (48, 47, 0x1d25_6707_9e13_b4b5),
+        "drain-fault traffic run moved: (records, delivered, fingerprint)"
+    );
+}
+
+#[test]
+fn static_traffic_run_after_warm_up_matches_the_golden_records() {
+    // `exp_traffic`'s scenario: 60 warm-up steps before the first injection.
+    let mut scenario = traffic_scenario(16, 21, 12, 3, None, 60);
+    scenario.max_steps = 100_000;
+    assert_eq!(
+        traffic_fingerprint(&scenario, TrafficSpec::at_rate(2.0)),
+        (400, 400, 0xc5e0_7af0_995f_86d3),
+        "static traffic run moved: (records, delivered, fingerprint)"
+    );
+}
+
+fn campaign_fingerprint(result: &CampaignResult) -> (u64, u64, u64) {
+    let mut h = Fnv::new();
+    fold_tracker(&mut h, &result.tracker);
+    h.word(result.drained);
+    h.word(result.e_max_seen);
+    h.word(result.a_steps_max);
+    (result.tracker.injected(), result.drained, h.0)
+}
+
+#[test]
+fn plan_campaign_drain_ignores_events_after_the_horizon() {
+    const HORIZON: u64 = 300;
+    let mesh = Mesh::cubic(12, 2);
+    // Faults every 2 steps from 6 steps before the horizon, each recovering 10
+    // steps later: most of the plan lies after the horizon.
+    let plan = FaultGenerator::new(mesh, 5).dynamic_plan(
+        DynamicFaultConfig {
+            fault_count: 8,
+            first_step: HORIZON - 6,
+            interval: 2,
+            with_recovery: true,
+            recovery_delay: 10,
+        },
+        FaultPlacement::UniformInterior,
+    );
+    let small = SloCampaign::small_churn();
+    let campaign = SloCampaign {
+        traffic: small.traffic.cycles(HORIZON).rate(2.0),
+        faults: CampaignFaults::Plan(plan.clone()),
+        ..small
+    };
+    let result = campaign.run(&|| Box::new(LgfiRouter::new()));
+    let skipped = plan
+        .events()
+        .iter()
+        .filter(|e| e.step >= HORIZON && e.step < HORIZON + result.drained)
+        .count();
+    assert!(skipped > 0, "the drain must run through plan events");
+    assert_eq!(
+        campaign_fingerprint(&result),
+        (600, 9, 0xb601_6b59_9e1b_6164),
+        "plan campaign moved: (injected, drained, fingerprint)"
+    );
+}
+
+#[test]
+fn small_churn_campaign_matches_the_golden_slos() {
+    let result = SloCampaign::small_churn().run(&|| Box::new(LgfiRouter::new()));
+    assert_eq!(
+        campaign_fingerprint(&result),
+        (750, 7, 0x27e3_cd7c_2a13_d8ab),
+        "churn campaign moved: (injected, drained, fingerprint)"
     );
 }
