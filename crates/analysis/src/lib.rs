@@ -18,6 +18,6 @@ pub mod verify;
 
 pub use route_service::{RouteServiceReport, RouteServiceRow};
 pub use slo::{SloReport, SloRow};
-pub use summary::{Summary, TrafficSummary};
+pub use summary::Summary;
 pub use table::Table;
 pub use verify::{check_theorem3, check_theorem4, BoundCheck};

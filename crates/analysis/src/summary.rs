@@ -1,7 +1,5 @@
 //! Statistical summaries of measured samples.
 
-use lgfi_core::traffic_engine::PacketRecord;
-
 /// Summary statistics of a sample of `f64` observations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
@@ -72,72 +70,6 @@ impl Summary {
     }
 }
 
-/// Latency/throughput summary of a concurrent-traffic run (the
-/// `traffic_saturation` bench and the `exp_traffic` experiment report these
-/// columns).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficSummary {
-    /// Packets recorded.
-    pub packets: usize,
-    /// Delivered packets.
-    pub delivered: usize,
-    /// Packets that finished without delivery (unreachable, exhausted, failed).
-    pub failed: usize,
-    /// Delivered fraction of the recorded packets (1.0 when empty).
-    pub delivery_ratio: f64,
-    /// Mean delivered latency in cycles, queueing included (0.0 before any
-    /// delivery).
-    pub mean_latency: f64,
-    /// Exact nearest-rank 99th-percentile delivered latency in cycles.
-    pub p99_latency: u64,
-    /// Largest delivered latency in cycles.
-    pub max_latency: u64,
-    /// Mean stall cycles per recorded packet.
-    pub mean_stalls: f64,
-    /// Delivered packets per injection-window cycle.
-    pub accepted_throughput: f64,
-}
-
-impl TrafficSummary {
-    /// Summarises finished-packet records over an injection window of `cycles`.
-    pub fn of_records(records: &[PacketRecord], cycles: u64) -> TrafficSummary {
-        let delivered: Vec<&PacketRecord> = records.iter().filter(|r| r.delivered()).collect();
-        let mut latencies: Vec<u64> = delivered.iter().map(|r| r.latency()).collect();
-        latencies.sort_unstable();
-        let p99 = if latencies.is_empty() {
-            0
-        } else {
-            let rank = ((0.99 * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-            latencies[rank - 1]
-        };
-        let mean_latency = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-        };
-        let mean_stalls = if records.is_empty() {
-            0.0
-        } else {
-            records.iter().map(|r| r.stalls).sum::<u64>() as f64 / records.len() as f64
-        };
-        TrafficSummary {
-            packets: records.len(),
-            delivered: delivered.len(),
-            failed: records.len() - delivered.len(),
-            delivery_ratio: if records.is_empty() {
-                1.0
-            } else {
-                delivered.len() as f64 / records.len() as f64
-            },
-            mean_latency,
-            p99_latency: p99,
-            max_latency: latencies.last().copied().unwrap_or(0),
-            mean_stalls,
-            accepted_throughput: delivered.len() as f64 / cycles.max(1) as f64,
-        }
-    }
-}
-
 /// Nearest-rank percentile of an already sorted sample.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -187,49 +119,6 @@ mod tests {
         assert_eq!(s.count, 5);
         assert_eq!(s.max, 100.0);
         assert_eq!(s.median, 3.0);
-    }
-
-    #[test]
-    fn traffic_summary_of_records() {
-        use lgfi_core::routing::ProbeStatus;
-        let rec = |id: u64, finished: u64, status: ProbeStatus, stalls: u64| PacketRecord {
-            id,
-            source: 0,
-            dest: 9,
-            injected_at: 0,
-            finished_at: finished,
-            status,
-            hops: finished - stalls,
-            stalls,
-            initial_distance: 3,
-            flits: 1,
-        };
-        let records = [
-            rec(0, 3, ProbeStatus::Delivered, 0),
-            rec(1, 5, ProbeStatus::Delivered, 2),
-            rec(2, 9, ProbeStatus::Delivered, 4),
-            rec(3, 7, ProbeStatus::Unreachable, 0),
-        ];
-        let s = TrafficSummary::of_records(&records, 10);
-        assert_eq!(s.packets, 4);
-        assert_eq!(s.delivered, 3);
-        assert_eq!(s.failed, 1);
-        assert!((s.delivery_ratio - 0.75).abs() < 1e-12);
-        assert!((s.mean_latency - 17.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.p99_latency, 9);
-        assert_eq!(s.max_latency, 9);
-        assert!((s.mean_stalls - 1.5).abs() < 1e-12);
-        assert!((s.accepted_throughput - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_traffic_summary() {
-        let s = TrafficSummary::of_records(&[], 0);
-        assert_eq!(s.packets, 0);
-        assert_eq!(s.delivery_ratio, 1.0);
-        assert_eq!(s.mean_latency, 0.0);
-        assert_eq!(s.p99_latency, 0);
-        assert_eq!(s.accepted_throughput, 0.0);
     }
 
     #[test]

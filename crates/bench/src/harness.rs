@@ -6,7 +6,7 @@
 //! `experiments` binary runs all of them in order.
 
 use lgfi_analysis::table::{f2, pct};
-use lgfi_analysis::{check_theorem3, check_theorem4, Summary, Table, TrafficSummary};
+use lgfi_analysis::{check_theorem3, check_theorem4, Summary, Table};
 use lgfi_baselines::{DimensionOrderRouter, GlobalInfoRouter, LocalInfoRouter, StaticBlockRouter};
 use lgfi_core::block::BlockSet;
 use lgfi_core::boundary::BoundaryMap;
@@ -1304,15 +1304,14 @@ pub fn exp_traffic_with(threads: usize, traffic_threads: usize) -> String {
             let scenario = traffic_scenario(threads);
             let spec = TrafficSpec::at_rate(rate).traffic_threads(traffic_threads);
             let result = scenario.run_traffic(spec, &|| router_by_name(router));
-            let s = TrafficSummary::of_records(&result.records, result.measured_cycles);
             table.row(&[
                 router.to_string(),
                 f2(rate),
-                pct(s.delivery_ratio),
-                f2(s.accepted_throughput),
-                f2(s.mean_latency),
-                s.p99_latency.to_string(),
-                f2(s.mean_stalls),
+                pct(result.stats.delivery_ratio()),
+                f2(result.accepted_throughput()),
+                f2(result.mean_latency()),
+                result.p99_latency().to_string(),
+                f2(result.stats.mean_stalls()),
             ]);
         }
     }
@@ -1372,14 +1371,13 @@ pub fn exp_wormhole_with(threads: usize, traffic_threads: usize, flits: u32, vcs
                 .vc_count(vcs.max(2))
                 .traffic_threads(traffic_threads);
             let result = scenario.run_traffic(spec, &|| router_by_name(router));
-            let s = TrafficSummary::of_records(&result.records, result.measured_cycles);
             table.row(&[
                 router.to_string(),
                 f2(rate),
-                pct(s.delivery_ratio),
-                f2(s.accepted_throughput),
-                f2(s.mean_latency),
-                s.p99_latency.to_string(),
+                pct(result.stats.delivery_ratio()),
+                f2(result.accepted_throughput()),
+                f2(result.mean_latency()),
+                result.p99_latency().to_string(),
                 result.deadlocked().to_string(),
             ]);
         }

@@ -457,12 +457,10 @@ pub fn measure_traffic_spec(
     traffic_threads: usize,
     variant: &str,
 ) -> TrafficBenchRecord {
-    use lgfi_analysis::TrafficSummary;
     let mut scenario = crate::harness::traffic_scenario(1);
     scenario.traffic = pattern;
     let spec = spec.traffic_threads(traffic_threads);
     let result = scenario.run_traffic(spec, &|| crate::harness::router_by_name(router_name));
-    let s = TrafficSummary::of_records(&result.records, result.measured_cycles);
     TrafficBenchRecord {
         bench: bench.into(),
         variant: variant.into(),
@@ -473,10 +471,10 @@ pub fn measure_traffic_spec(
         cycles: result.measured_cycles,
         injected: result.stats.injected(),
         delivered: result.stats.delivered(),
-        accepted_throughput: s.accepted_throughput,
-        mean_latency: s.mean_latency,
-        p99_latency: s.p99_latency,
-        mean_stalls: s.mean_stalls,
+        accepted_throughput: result.accepted_throughput(),
+        mean_latency: result.mean_latency(),
+        p99_latency: result.p99_latency(),
+        mean_stalls: result.stats.mean_stalls(),
         flits: spec.flits_per_packet,
         vcs: spec.vc_count,
         deadlocked: result.deadlocked(),

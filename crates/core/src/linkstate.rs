@@ -5,24 +5,31 @@
 //! sweeps never contend for wires.  Real traffic does: every node of an n-D mesh
 //! has `2n` directed output links, each able to move a bounded number of *flits*
 //! per cycle, carrying `vc_count` virtual channels and a shared DAMQ flit-buffer
-//! pool at its downstream end.  [`LinkState`] binds the generic grant table of
-//! [`lgfi_sim::traffic_engine::LinkArbiter`] and the VC/credit table of
-//! [`lgfi_sim::traffic_engine::VcTable`] to the mesh's [`Direction`] indexing,
-//! giving the wormhole traffic engine ([`crate::traffic_engine`]) a
-//! topology-aware view: bandwidth (`try_flit`), channel allocation
+//! pool at its downstream end.  [`LinkState`] holds all three per `(node, dir)`
+//! link, indexed `node * 2n + dir.index()`, and gives the wormhole traffic engine
+//! ([`crate::traffic_engine`]) bandwidth (`try_flit`), channel allocation
 //! (`free_adaptive_vc` / `acquire_vc` / `release_vc`) and credits
-//! (`credits` / `deposit` / `drain`) per `(node, dir)` link.
+//! (`credits` / `deposit` / `drain`).
 //!
 //! Determinism contract: bandwidth grants, VC grants and credits are handed out
 //! in request order and the traffic engine requests them in packet-launch order,
 //! so which worms stall in a contended cycle is a pure function of the simulation
 //! inputs — never of thread scheduling.
 
-use lgfi_sim::traffic_engine::{LinkArbiter, VcTable, NO_OWNER};
 use lgfi_topology::{Direction, Mesh, NodeId};
+
+/// Sentinel owner id of a free virtual channel.
+pub const NO_OWNER: u64 = u64::MAX;
 
 /// Per-cycle bandwidth, virtual-channel ownership and flit-buffer credits of
 /// every directed link of a mesh.
+///
+/// A worm *owns* a VC on every link its flits still have to cross (acquired
+/// head-first, released once its tail flit has crossed), and every flit sitting
+/// in a downstream buffer occupies one slot of the link's shared pool of
+/// `vc_count * vc_buffer_flits` slots.  Credit-based flow control falls out of
+/// the pool: a flit may cross a link only while [`LinkState::credits`] is
+/// non-zero, and draining a buffer returns the credit.
 ///
 /// The escape class is VC 0 when enabled (see
 /// [`TrafficSpec::escape_vc`](crate::traffic_engine::TrafficSpec)); adaptive
@@ -30,8 +37,24 @@ use lgfi_topology::{Direction, Mesh, NodeId};
 /// the escape VC with a dimension-order hop when every adaptive VC is held.
 #[derive(Debug, Clone)]
 pub struct LinkState {
-    arbiter: LinkArbiter,
-    vcs: VcTable,
+    /// Flits granted on each link this cycle.
+    grants: Vec<u32>,
+    /// The links with a non-zero grant count this cycle, so the per-cycle reset
+    /// is `O(touched)` and allocation-free once warm.
+    touched: Vec<usize>,
+    /// VC owner packet ids, indexed `link * vc_count + vc` ([`NO_OWNER`] = free).
+    owners: Vec<u64>,
+    /// Flits buffered at the downstream end of each link.  May transiently
+    /// exceed the pool when a backtracking worm folds a buffer back onto the
+    /// previous link; credits stay at zero until the overflow drains.
+    buffered: Vec<u32>,
+    /// Output links per node (`2n`).
+    ports: usize,
+    /// Flits one link moves per cycle.
+    capacity: u32,
+    vc_count: usize,
+    /// Slots of one link's shared buffer pool.
+    pool: u32,
     /// First VC index the adaptive class may allocate (1 when an escape VC is
     /// reserved, 0 otherwise).
     adaptive_base: usize,
@@ -60,22 +83,38 @@ impl LinkState {
             !escape_vc || vc_count >= 2,
             "an escape VC needs at least 2 virtual channels, got {vc_count}"
         );
+        assert!(capacity >= 1, "link capacity must be at least 1, got 0");
+        assert!(
+            vc_count >= 1,
+            "virtual-channel count must be at least 1, got 0"
+        );
+        assert!(
+            vc_buffer_flits >= 1,
+            "VC buffer depth must be at least 1, got 0"
+        );
         let ports = 2 * mesh.ndim();
+        let links = mesh.node_count() * ports;
         LinkState {
-            arbiter: LinkArbiter::new(mesh.node_count(), ports, capacity),
-            vcs: VcTable::new(mesh.node_count(), ports, vc_count as usize, vc_buffer_flits),
+            grants: vec![0; links],
+            touched: Vec::new(),
+            owners: vec![NO_OWNER; links * vc_count as usize],
+            buffered: vec![0; links],
+            ports,
+            capacity,
+            vc_count: vc_count as usize,
+            pool: vc_count * vc_buffer_flits,
             adaptive_base: usize::from(escape_vc),
         }
     }
 
     /// The per-cycle flit capacity of one directed link.
     pub fn capacity(&self) -> u32 {
-        self.arbiter.capacity()
+        self.capacity
     }
 
     /// Virtual channels per directed link.
     pub fn vc_count(&self) -> usize {
-        self.vcs.vcs()
+        self.vc_count
     }
 
     /// True when VC 0 is reserved as the dimension-order escape class.
@@ -83,11 +122,20 @@ impl LinkState {
         self.adaptive_base == 1
     }
 
+    #[inline]
+    fn link(&self, node: NodeId, dir: Direction) -> usize {
+        let port = dir.index();
+        debug_assert!(port < self.ports, "port out of range");
+        node * self.ports + port
+    }
+
     /// Starts a new cycle; every link returns to full bandwidth (`O(touched
     /// links)`, allocation-free once warm).  VC ownership and buffered flits
     /// persist across cycles — they are worm state, not cycle state.
     pub fn begin_cycle(&mut self) {
-        self.arbiter.begin_cycle();
+        while let Some(link) = self.touched.pop() {
+            self.grants[link] = 0;
+        }
     }
 
     /// Requests bandwidth for one flit on the outgoing link of `node` in
@@ -95,62 +143,81 @@ impl LinkState {
     /// moved `capacity` flits — the flit must wait a cycle.
     #[inline]
     pub fn try_flit(&mut self, node: NodeId, dir: Direction) -> bool {
-        self.arbiter.try_grant(node, dir.index())
-    }
-
-    /// Flits granted on the outgoing link of `node` in direction `dir` this cycle.
-    pub fn flits_moved(&self, node: NodeId, dir: Direction) -> u32 {
-        self.arbiter.granted(node, dir.index())
+        let link = self.link(node, dir);
+        if self.grants[link] >= self.capacity {
+            return false;
+        }
+        if self.grants[link] == 0 {
+            self.touched.push(link);
+        }
+        self.grants[link] += 1;
+        true
     }
 
     /// The lowest-index free *adaptive-class* VC of `(node, dir)`, if any.
     #[inline]
     pub fn free_adaptive_vc(&self, node: NodeId, dir: Direction) -> Option<usize> {
-        self.vcs
-            .free_vc_in(node, dir.index(), self.adaptive_base, self.vcs.vcs())
+        let base = self.link(node, dir) * self.vc_count;
+        (self.adaptive_base..self.vc_count).find(|&vc| self.owners[base + vc] == NO_OWNER)
     }
 
     /// True when the escape VC (VC 0) of `(node, dir)` is reserved and free.
     #[inline]
     pub fn escape_vc_free(&self, node: NodeId, dir: Direction) -> bool {
-        self.has_escape_vc() && self.vcs.owner(node, dir.index(), 0) == NO_OWNER
+        self.has_escape_vc() && self.owners[self.link(node, dir) * self.vc_count] == NO_OWNER
     }
 
     /// The owner of the lowest-index held VC of `(node, dir)`, or
     /// [`NO_OWNER`] — the deadlock detector's wait-for witness.
     #[inline]
     pub fn first_vc_owner(&self, node: NodeId, dir: Direction) -> u64 {
-        self.vcs.first_owner(node, dir.index())
+        let base = self.link(node, dir) * self.vc_count;
+        self.owners[base..base + self.vc_count]
+            .iter()
+            .copied()
+            .find(|&o| o != NO_OWNER)
+            .unwrap_or(NO_OWNER)
     }
 
     /// Grants VC `vc` of `(node, dir)` to worm `owner`.
     #[inline]
     pub fn acquire_vc(&mut self, node: NodeId, dir: Direction, vc: usize, owner: u64) {
-        self.vcs.acquire(node, dir.index(), vc, owner);
+        let slot = self.link(node, dir) * self.vc_count + vc;
+        debug_assert_eq!(self.owners[slot], NO_OWNER, "acquiring an owned VC");
+        debug_assert_ne!(owner, NO_OWNER, "NO_OWNER is reserved");
+        self.owners[slot] = owner;
     }
 
     /// Releases VC `vc` of `(node, dir)` (the worm's tail crossed the link).
     #[inline]
     pub fn release_vc(&mut self, node: NodeId, dir: Direction, vc: usize) {
-        self.vcs.release(node, dir.index(), vc);
+        let slot = self.link(node, dir) * self.vc_count + vc;
+        self.owners[slot] = NO_OWNER;
     }
 
-    /// Free downstream buffer slots (credits) of `(node, dir)`.
+    /// Free downstream buffer slots (credits) of `(node, dir)`, zero while a
+    /// backtrack-overflowed buffer drains.
     #[inline]
     pub fn credits(&self, node: NodeId, dir: Direction) -> u32 {
-        self.vcs.credits(node, dir.index())
+        self.pool
+            .saturating_sub(self.buffered[self.link(node, dir)])
     }
 
     /// Deposits `n` flits into the downstream buffer of `(node, dir)`.
+    /// Depositing past the pool is allowed only for backtrack merges; the
+    /// caller otherwise checks [`LinkState::credits`] first.
     #[inline]
     pub fn deposit(&mut self, node: NodeId, dir: Direction, n: u32) {
-        self.vcs.deposit(node, dir.index(), n);
+        let link = self.link(node, dir);
+        self.buffered[link] += n;
     }
 
     /// Drains `n` flits from the downstream buffer of `(node, dir)`.
     #[inline]
     pub fn drain(&mut self, node: NodeId, dir: Direction, n: u32) {
-        self.vcs.drain(node, dir.index(), n);
+        let link = self.link(node, dir);
+        debug_assert!(self.buffered[link] >= n, "draining an empty buffer");
+        self.buffered[link] -= n;
     }
 }
 
@@ -170,13 +237,14 @@ mod tests {
         let dir = Direction::pos(0);
         assert!(links.try_flit(5, dir));
         assert!(!links.try_flit(5, dir), "capacity 1 per cycle");
-        assert_eq!(links.flits_moved(5, dir), 1);
-        // The opposite direction and the reverse link are independent.
+        // Other ports of the node and other nodes' links are independent.
         assert!(links.try_flit(5, Direction::neg(0)));
+        assert!(links.try_flit(5, Direction::pos(1)));
         assert!(links.try_flit(6, Direction::neg(0)));
+        assert!(links.try_flit(9, dir));
         links.begin_cycle();
-        assert_eq!(links.flits_moved(5, dir), 0);
-        assert!(links.try_flit(5, dir));
+        assert!(links.try_flit(5, dir), "capacity returns each cycle");
+        assert!(!links.try_flit(5, dir));
     }
 
     #[test]
@@ -187,25 +255,44 @@ mod tests {
         assert!(links.try_flit(0, dir));
         assert!(links.try_flit(0, dir));
         assert!(!links.try_flit(0, dir));
+        links.begin_cycle();
+        assert!(links.try_flit(0, dir));
+        assert!(links.try_flit(0, dir));
     }
 
     #[test]
     fn escape_class_partitions_the_vcs() {
         let mesh = Mesh::cubic(4, 2);
-        let mut links = LinkState::new(&mesh, 1, 2, 2, true);
+        let mut links = LinkState::new(&mesh, 1, 3, 2, true);
+        assert_eq!(links.vc_count(), 3);
         let dir = Direction::pos(1);
         assert!(links.has_escape_vc());
         // The adaptive class starts above the escape VC.
         assert_eq!(links.free_adaptive_vc(3, dir), Some(1));
         links.acquire_vc(3, dir, 1, 42);
+        assert_eq!(links.free_adaptive_vc(3, dir), Some(2));
+        links.acquire_vc(3, dir, 2, 43);
         assert_eq!(links.free_adaptive_vc(3, dir), None);
         assert!(links.escape_vc_free(3, dir), "escape VC is still free");
         assert_eq!(links.first_vc_owner(3, dir), 42);
         links.acquire_vc(3, dir, 0, 7);
         assert!(!links.escape_vc_free(3, dir));
-        assert_eq!(links.first_vc_owner(3, dir), 7);
+        assert_eq!(links.first_vc_owner(3, dir), 7, "lowest-index owner wins");
+        // Other ports and other nodes' links are untouched.
+        assert_eq!(links.free_adaptive_vc(3, Direction::neg(1)), Some(1));
+        assert_eq!(links.first_vc_owner(3, Direction::neg(1)), NO_OWNER);
+        assert_eq!(links.first_vc_owner(7, dir), NO_OWNER);
+        assert!(links.escape_vc_free(7, dir));
+        links.release_vc(3, dir, 0);
+        assert_eq!(links.first_vc_owner(3, dir), 42);
         links.release_vc(3, dir, 1);
         assert_eq!(links.free_adaptive_vc(3, dir), Some(1));
+        assert_eq!(links.first_vc_owner(3, dir), 43);
+        // Without an escape class every VC is adaptive and none is escape.
+        let plain = LinkState::new(&mesh, 1, 2, 2, false);
+        assert!(!plain.has_escape_vc());
+        assert_eq!(plain.free_adaptive_vc(3, dir), Some(0));
+        assert!(!plain.escape_vc_free(3, dir));
     }
 
     #[test]
@@ -214,16 +301,40 @@ mod tests {
         let mut links = LinkState::new(&mesh, 1, 2, 1, false);
         let dir = Direction::neg(1);
         assert_eq!(links.credits(9, dir), 2);
+        links.deposit(9, dir, 1);
+        assert_eq!(links.credits(9, dir), 1);
+        links.deposit(9, dir, 1);
+        assert_eq!(links.credits(9, dir), 0);
+        // A backtrack merge may overflow; credits stay at zero until it drains.
         links.deposit(9, dir, 2);
+        assert_eq!(links.credits(9, dir), 0);
+        links.drain(9, dir, 2);
         assert_eq!(links.credits(9, dir), 0);
         links.drain(9, dir, 1);
         assert_eq!(links.credits(9, dir), 1);
+        assert_eq!(
+            links.credits(9, Direction::pos(1)),
+            2,
+            "other ports untouched"
+        );
+        assert_eq!(links.credits(8, dir), 2, "other nodes untouched");
     }
 
     #[test]
-    #[should_panic(expected = "escape VC needs at least 2")]
-    fn escape_with_one_vc_is_rejected() {
-        let mesh = Mesh::cubic(3, 2);
-        let _ = LinkState::new(&mesh, 1, 1, 1, true);
+    fn degenerate_links_are_rejected() {
+        let rejection = |capacity, vcs, depth, escape| {
+            let err = std::panic::catch_unwind(|| {
+                LinkState::new(&Mesh::cubic(3, 2), capacity, vcs, depth, escape)
+            })
+            .expect_err("the configuration must be rejected");
+            match err.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(err) => err.downcast::<&str>().map(|m| m.to_string()).unwrap(),
+            }
+        };
+        assert!(rejection(1, 1, 1, true).contains("escape VC needs at least 2"));
+        assert!(rejection(0, 1, 1, false).contains("link capacity must be at least 1"));
+        assert!(rejection(1, 0, 1, false).contains("virtual-channel count must be at least 1"));
+        assert!(rejection(1, 1, 0, false).contains("VC buffer depth must be at least 1"));
     }
 }

@@ -63,10 +63,10 @@
 
 use crate::block::FaultyBlock;
 use crate::boundary::{BoundaryEntry, BoundaryMap};
-use crate::linkstate::LinkState;
+use crate::linkstate::{LinkState, NO_OWNER};
 use crate::routing::{CsrBoundary, Probe, ProbeStatus, Router, RoutingDecision};
 use crate::status::NodeStatus;
-use lgfi_sim::{TrafficStats, NO_OWNER};
+use lgfi_sim::TrafficStats;
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 use std::collections::VecDeque;
 

@@ -22,10 +22,9 @@
 //! * [`step::StepConfig`] and [`step::StepPhase`] describe the Figure-7 step
 //!   structure,
 //! * [`faults::FaultPlan`] schedules dynamic fault occurrences and recoveries,
-//! * [`traffic_engine`] supplies the router-agnostic substrate of the cycle-driven
-//!   concurrent-traffic data plane (finite-capacity link arbitration, deterministic
-//!   injection schedules, latency/throughput statistics) consumed by the traffic
-//!   engine in `lgfi-core`,
+//! * [`traffic_engine`] supplies the router-agnostic accounting of the cycle-driven
+//!   concurrent-traffic data plane (deterministic injection schedules,
+//!   latency/throughput statistics) consumed by the traffic engine in `lgfi-core`,
 //! * [`epoch::EpochCell`] is the single-writer/many-reader snapshot cell behind the
 //!   epoch-published route-query plane of `lgfi-core` (lock-free reader staleness
 //!   check, retired-buffer recycling),
@@ -54,4 +53,4 @@ pub use shard::{batch_ranges, resolve_threads, shard_ranges, PoolHandle, WorkerP
 pub use slo::{NodeSlo, SloOutcome, SloTracker};
 pub use stats::{EngineStats, Histogram};
 pub use step::{StepConfig, StepPhase};
-pub use traffic_engine::{InjectionProcess, LinkArbiter, TrafficStats, VcTable, NO_OWNER};
+pub use traffic_engine::{InjectionProcess, TrafficStats};

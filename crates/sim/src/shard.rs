@@ -94,30 +94,6 @@ pub fn slab_width(mesh: &Mesh) -> usize {
     mesh.node_count() / mesh.dims()[0] as usize
 }
 
-/// Carves `buf` into the disjoint mutable sub-slices described by `shards`
-/// (contiguous ascending ranges covering `0..buf.len()`, as produced by
-/// [`shard_ranges`]), returning `(shard_start, slice)` pairs ready to hand to the
-/// per-shard workers.
-///
-/// # Panics
-/// Panics if the ranges are not contiguous from 0 or do not cover `buf` exactly.
-pub fn split_shards_mut<'a, T>(
-    mut buf: &'a mut [T],
-    shards: &[Range<usize>],
-) -> Vec<(usize, &'a mut [T])> {
-    let mut out = Vec::with_capacity(shards.len());
-    let mut consumed = 0usize;
-    for range in shards {
-        assert_eq!(range.start, consumed, "shards must be contiguous from 0");
-        let (mine, rest) = buf.split_at_mut(range.len());
-        buf = rest;
-        consumed = range.end;
-        out.push((range.start, mine));
-    }
-    assert!(buf.is_empty(), "shards must cover the whole buffer");
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Persistent worker pool
 // ---------------------------------------------------------------------------
@@ -635,28 +611,6 @@ mod tests {
         assert_eq!(slab_width(&Mesh::new(&[4, 5, 6])), 30);
         assert_eq!(slab_width(&Mesh::new(&[7])), 1);
         assert_eq!(slab_width(&Mesh::cubic(64, 2)), 64);
-    }
-
-    #[test]
-    fn split_shards_mut_carves_disjoint_covering_slices() {
-        let mut buf: Vec<u32> = (0..12).collect();
-        let shards = shard_ranges(12, 2, 3);
-        let pieces = split_shards_mut(&mut buf, &shards);
-        assert_eq!(pieces.len(), 3);
-        let mut seen = 0usize;
-        for (base, slice) in pieces {
-            assert_eq!(base, seen);
-            assert_eq!(slice[0], base as u32, "slice must start at its shard base");
-            seen += slice.len();
-        }
-        assert_eq!(seen, 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the whole buffer")]
-    fn split_shards_mut_rejects_partial_cover() {
-        let mut buf = [0u8; 6];
-        split_shards_mut(&mut buf, &[0..2, 2..4]);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! All recording paths are allocation-free once the tracker is sized to its mesh
 //! ([`SloTracker::new`] + [`SloTracker::reserve`]): counters live in fixed per-node
 //! slots, histograms are pre-sized, and [`SloTracker::reset`] clears only the touched
-//! node slots (the `LinkArbiter` touched-stack idiom) so a dense campaign can reuse
-//! one tracker across many runs without reallocating.
+//! node slots (the touched-stack idiom of `lgfi_core::linkstate::LinkState`'s
+//! per-cycle reset) so a dense campaign can reuse one tracker across many runs
+//! without reallocating.
 
 use crate::stats::Histogram;
 

@@ -1,256 +1,19 @@
-//! Cycle-driven traffic substrate: link arbitration, injection scheduling and
-//! latency/throughput accounting.
+//! Cycle-driven traffic accounting: injection scheduling and
+//! latency/throughput statistics.
 //!
 //! The round/step machinery of this crate models *information* flow; this module
-//! supplies the router-agnostic pieces of the *data* flow under contention, used by
-//! the concurrent-traffic engine in `lgfi-core`:
+//! supplies the router-agnostic pieces of the *data* flow under contention that
+//! the concurrent-traffic engine in `lgfi-core` uses (its links, virtual channels
+//! and flit buffers live there, in `lgfi_core::linkstate`):
 //!
-//! * [`LinkArbiter`] — a finite-capacity grant table over the directed output ports
-//!   of every node.  Each cycle every port can carry at most `capacity` packets;
-//!   grants are handed out in the (deterministic) order they are requested, and the
-//!   per-cycle reset costs `O(touched links)`, not `O(all links)`, so a warm arbiter
-//!   never allocates.
-//! * [`VcTable`] — per-link virtual-channel ownership plus a DAMQ-style shared
-//!   flit-buffer pool per directed link, the substrate of wormhole switching with
-//!   credit-based flow control: a worm acquires a VC on every link it spans,
-//!   deposits flits into the downstream buffer pool as they cross, and drains them
-//!   as they move on — credits are simply the free slots of the pool.
-//! * [`InjectionProcess`] — a deterministic fractional-accumulator injection
-//!   schedule: an offered load of `r` packets per cycle injects `floor(r)` or
-//!   `ceil(r)` packets each cycle such that the long-run average is exactly `r`.
+//! * [`InjectionProcess`] — a deterministic closed-form injection schedule: an
+//!   offered load of `r` packets per cycle injects `floor(r)` or `ceil(r)`
+//!   packets each cycle such that the long-run average is exactly `r`.
 //! * [`TrafficStats`] — injected/delivered/failed/deadlocked counters, per-packet
 //!   hop and stall totals, and the delivered-latency distribution (mean, quantiles)
 //!   backed by the integer [`Histogram`].
 
 use crate::stats::Histogram;
-
-/// Sentinel owner id of a free virtual channel in a [`VcTable`].
-pub const NO_OWNER: u64 = u64::MAX;
-
-/// A finite-capacity grant table over the directed output ports of a mesh.
-///
-/// Port indexing is caller-defined (the LGFI data plane uses
-/// `lgfi_topology::Direction::index`, i.e. `2n` ports per node).  The arbiter knows
-/// nothing about topology: it only enforces that no `(node, port)` pair is granted
-/// more than `capacity` times per cycle.
-#[derive(Debug, Clone)]
-pub struct LinkArbiter {
-    /// Per-cycle grant counts, indexed `node * ports + port`.
-    grants: Vec<u32>,
-    /// The link slots with a non-zero grant count this cycle, so the per-cycle
-    /// reset is `O(touched)` and allocation-free once warm.
-    touched: Vec<usize>,
-    /// Output ports per node.
-    ports: usize,
-    /// Packets a single directed link can carry per cycle.
-    capacity: u32,
-}
-
-impl LinkArbiter {
-    /// An arbiter for `node_count` nodes with `ports` output ports each and the
-    /// given per-cycle link capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.  A zero-capacity link can never carry
-    /// anything; earlier versions silently clamped it to 1, which hid
-    /// misconfiguration — validate the configuration up front instead (see
-    /// `TrafficSpec::validate` in `lgfi-core`).
-    pub fn new(node_count: usize, ports: usize, capacity: u32) -> Self {
-        assert!(capacity >= 1, "link capacity must be at least 1, got 0");
-        LinkArbiter {
-            grants: vec![0; node_count * ports],
-            touched: Vec::new(),
-            ports,
-            capacity,
-        }
-    }
-
-    /// The per-cycle capacity of one directed link.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// Output ports per node.
-    pub fn ports(&self) -> usize {
-        self.ports
-    }
-
-    /// Starts a new cycle: every grant count returns to zero in `O(touched)`.
-    pub fn begin_cycle(&mut self) {
-        while let Some(slot) = self.touched.pop() {
-            self.grants[slot] = 0;
-        }
-    }
-
-    /// Requests one unit of the directed link `(node, port)` this cycle.  Returns
-    /// `true` (and consumes capacity) if the link still has room, `false` if the
-    /// requester must stall.
-    #[inline]
-    pub fn try_grant(&mut self, node: usize, port: usize) -> bool {
-        debug_assert!(port < self.ports, "port out of range");
-        let slot = node * self.ports + port;
-        if self.grants[slot] >= self.capacity {
-            return false;
-        }
-        if self.grants[slot] == 0 {
-            self.touched.push(slot);
-        }
-        self.grants[slot] += 1;
-        true
-    }
-
-    /// The number of grants handed out for `(node, port)` this cycle.
-    pub fn granted(&self, node: usize, port: usize) -> u32 {
-        self.grants[node * self.ports + port]
-    }
-}
-
-/// Virtual-channel ownership and DAMQ flit buffers over the directed links of a
-/// mesh — the wormhole-switching substrate.
-///
-/// Every directed link `(node, port)` carries `vcs` virtual channels and one
-/// shared (dynamically allocated multi-queue) flit-buffer pool of `vcs * depth`
-/// slots at its downstream end.  A worm *owns* a VC on every link its flits still
-/// have to cross (acquired head-first, released as soon as its tail flit has
-/// crossed the link), and every flit sitting in a downstream buffer occupies one
-/// pool slot.  Credit-based flow control falls out of the pool: a flit may cross a
-/// link only while [`VcTable::credits`] is non-zero, and draining a buffer returns
-/// the credit.
-///
-/// Like [`LinkArbiter`], the table is topology-agnostic (caller-defined port
-/// indexing) and allocation-free after construction; determinism comes from the
-/// caller acquiring and releasing in a deterministic (packet-launch) order.
-#[derive(Debug, Clone)]
-pub struct VcTable {
-    /// VC owner packet ids, indexed `(node * ports + port) * vcs + vc`
-    /// ([`NO_OWNER`] = free).
-    owners: Vec<u64>,
-    /// Flits currently buffered at the downstream end of each directed link,
-    /// indexed `node * ports + port`.  May transiently exceed the pool capacity
-    /// when a backtracking worm folds a buffer back onto the previous link; credits
-    /// saturate at zero until the overflow drains.
-    buffered: Vec<u32>,
-    ports: usize,
-    vcs: usize,
-    depth: u32,
-}
-
-impl VcTable {
-    /// A table for `node_count` nodes with `ports` output ports each, `vcs`
-    /// virtual channels per link and `depth` buffer slots per VC (pooled DAMQ-style
-    /// into `vcs * depth` shared slots per link).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vcs` or `depth` is zero (validate the configuration up front;
-    /// see `TrafficSpec::validate` in `lgfi-core`).
-    pub fn new(node_count: usize, ports: usize, vcs: usize, depth: u32) -> Self {
-        assert!(vcs >= 1, "virtual-channel count must be at least 1, got 0");
-        assert!(depth >= 1, "VC buffer depth must be at least 1, got 0");
-        VcTable {
-            owners: vec![NO_OWNER; node_count * ports * vcs],
-            buffered: vec![0; node_count * ports],
-            ports,
-            vcs,
-            depth,
-        }
-    }
-
-    /// Virtual channels per directed link.
-    pub fn vcs(&self) -> usize {
-        self.vcs
-    }
-
-    /// Buffer slots contributed per VC (the shared pool holds `vcs * depth`).
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
-    /// Total flit-buffer slots of one directed link's shared pool.
-    pub fn pool_capacity(&self) -> u32 {
-        self.vcs as u32 * self.depth
-    }
-
-    #[inline]
-    fn link(&self, node: usize, port: usize) -> usize {
-        debug_assert!(port < self.ports, "port out of range");
-        node * self.ports + port
-    }
-
-    /// The packet id owning VC `vc` of link `(node, port)`, or [`NO_OWNER`].
-    #[inline]
-    pub fn owner(&self, node: usize, port: usize, vc: usize) -> u64 {
-        self.owners[self.link(node, port) * self.vcs + vc]
-    }
-
-    /// The lowest-index free VC of link `(node, port)` within `[from, to)`, if any.
-    #[inline]
-    pub fn free_vc_in(&self, node: usize, port: usize, from: usize, to: usize) -> Option<usize> {
-        let base = self.link(node, port) * self.vcs;
-        (from..to.min(self.vcs)).find(|&vc| self.owners[base + vc] == NO_OWNER)
-    }
-
-    /// The owner of the lowest-index *owned* VC of link `(node, port)`, or
-    /// [`NO_OWNER`] when every VC is free — the deterministic "who is blocking this
-    /// link" witness used by the deadlock detector.
-    #[inline]
-    pub fn first_owner(&self, node: usize, port: usize) -> u64 {
-        let base = self.link(node, port) * self.vcs;
-        self.owners[base..base + self.vcs]
-            .iter()
-            .copied()
-            .find(|&o| o != NO_OWNER)
-            .unwrap_or(NO_OWNER)
-    }
-
-    /// Grants VC `vc` of link `(node, port)` to packet `owner`.
-    #[inline]
-    pub fn acquire(&mut self, node: usize, port: usize, vc: usize, owner: u64) {
-        let slot = self.link(node, port) * self.vcs + vc;
-        debug_assert_eq!(self.owners[slot], NO_OWNER, "acquiring an owned VC");
-        debug_assert_ne!(owner, NO_OWNER, "NO_OWNER is reserved");
-        self.owners[slot] = owner;
-    }
-
-    /// Releases VC `vc` of link `(node, port)`.
-    #[inline]
-    pub fn release(&mut self, node: usize, port: usize, vc: usize) {
-        let slot = self.link(node, port) * self.vcs + vc;
-        self.owners[slot] = NO_OWNER;
-    }
-
-    /// Flits currently buffered at the downstream end of link `(node, port)`.
-    #[inline]
-    pub fn occupancy(&self, node: usize, port: usize) -> u32 {
-        self.buffered[self.link(node, port)]
-    }
-
-    /// Free buffer slots (credits) of link `(node, port)`, saturating at zero
-    /// while a backtrack-overflowed buffer drains.
-    #[inline]
-    pub fn credits(&self, node: usize, port: usize) -> u32 {
-        self.pool_capacity()
-            .saturating_sub(self.occupancy(node, port))
-    }
-
-    /// Deposits `n` flits into the downstream buffer of link `(node, port)`.
-    /// Depositing past the pool capacity is allowed only for backtrack merges; the
-    /// caller otherwise checks [`VcTable::credits`] first.
-    #[inline]
-    pub fn deposit(&mut self, node: usize, port: usize, n: u32) {
-        let slot = self.link(node, port);
-        self.buffered[slot] += n;
-    }
-
-    /// Drains `n` flits from the downstream buffer of link `(node, port)`.
-    #[inline]
-    pub fn drain(&mut self, node: usize, port: usize, n: u32) {
-        let slot = self.link(node, port);
-        debug_assert!(self.buffered[slot] >= n, "draining an empty buffer");
-        self.buffered[slot] -= n;
-    }
-}
 
 /// A deterministic injection schedule: an offered load of `rate` packets per cycle,
 /// realised as `floor(rate * (c + 1)) - floor(rate * c)` injections in cycle `c`
@@ -404,6 +167,27 @@ impl TrafficStats {
         self.latency.quantile(q)
     }
 
+    /// Delivered fraction of the finished packets (delivered + failed; packets
+    /// still in flight do not count), 1.0 before any packet finished.
+    pub fn delivery_ratio(&self) -> f64 {
+        let finished = self.delivered + self.failed;
+        if finished == 0 {
+            1.0
+        } else {
+            self.delivered as f64 / finished as f64
+        }
+    }
+
+    /// Mean stall cycles per finished packet (0.0 before any packet finished).
+    pub fn mean_stalls(&self) -> f64 {
+        let finished = self.delivered + self.failed;
+        if finished == 0 {
+            0.0
+        } else {
+            self.total_stalls as f64 / finished as f64
+        }
+    }
+
     /// Accepted throughput: delivered packets per executed cycle (0.0 before any
     /// cycle ran).
     pub fn accepted_throughput(&self) -> f64 {
@@ -418,87 +202,6 @@ impl TrafficStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arbiter_enforces_capacity_per_cycle() {
-        let mut arb = LinkArbiter::new(4, 4, 1);
-        assert_eq!(arb.capacity(), 1);
-        assert!(arb.try_grant(2, 3));
-        assert!(!arb.try_grant(2, 3), "capacity 1 is exhausted");
-        assert!(arb.try_grant(2, 2), "other ports are unaffected");
-        assert!(arb.try_grant(1, 3), "other nodes are unaffected");
-        assert_eq!(arb.granted(2, 3), 1);
-        arb.begin_cycle();
-        assert_eq!(arb.granted(2, 3), 0);
-        assert!(arb.try_grant(2, 3), "capacity returns each cycle");
-    }
-
-    #[test]
-    fn arbiter_capacity_two_admits_two() {
-        let mut arb = LinkArbiter::new(2, 2, 2);
-        assert!(arb.try_grant(0, 0));
-        assert!(arb.try_grant(0, 0));
-        assert!(!arb.try_grant(0, 0));
-        assert_eq!(arb.granted(0, 0), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "link capacity must be at least 1")]
-    fn arbiter_capacity_zero_is_rejected() {
-        let _ = LinkArbiter::new(1, 1, 0);
-    }
-
-    #[test]
-    fn vc_table_tracks_ownership_per_link() {
-        let mut vcs = VcTable::new(4, 4, 2, 2);
-        assert_eq!(vcs.vcs(), 2);
-        assert_eq!(vcs.pool_capacity(), 4);
-        assert_eq!(vcs.free_vc_in(2, 3, 0, 2), Some(0));
-        vcs.acquire(2, 3, 0, 7);
-        assert_eq!(vcs.owner(2, 3, 0), 7);
-        assert_eq!(vcs.free_vc_in(2, 3, 0, 2), Some(1));
-        assert_eq!(vcs.free_vc_in(2, 3, 0, 1), None, "class window respected");
-        assert_eq!(vcs.first_owner(2, 3), 7);
-        vcs.acquire(2, 3, 1, 9);
-        assert_eq!(vcs.free_vc_in(2, 3, 0, 2), None);
-        assert_eq!(vcs.first_owner(2, 3), 7, "lowest-index owner wins");
-        // Other links are untouched.
-        assert_eq!(vcs.free_vc_in(2, 2, 0, 2), Some(0));
-        assert_eq!(vcs.first_owner(1, 3), NO_OWNER);
-        vcs.release(2, 3, 0);
-        assert_eq!(vcs.owner(2, 3, 0), NO_OWNER);
-        assert_eq!(vcs.first_owner(2, 3), 9);
-    }
-
-    #[test]
-    fn vc_table_credits_follow_the_shared_pool() {
-        let mut vcs = VcTable::new(2, 2, 2, 1);
-        assert_eq!(vcs.credits(0, 1), 2);
-        vcs.deposit(0, 1, 1);
-        assert_eq!(vcs.occupancy(0, 1), 1);
-        assert_eq!(vcs.credits(0, 1), 1);
-        vcs.deposit(0, 1, 1);
-        assert_eq!(vcs.credits(0, 1), 0);
-        // A backtrack merge may overflow; credits saturate until it drains.
-        vcs.deposit(0, 1, 2);
-        assert_eq!(vcs.occupancy(0, 1), 4);
-        assert_eq!(vcs.credits(0, 1), 0);
-        vcs.drain(0, 1, 3);
-        assert_eq!(vcs.credits(0, 1), 1);
-        assert_eq!(vcs.credits(1, 0), 2, "other links are untouched");
-    }
-
-    #[test]
-    #[should_panic(expected = "virtual-channel count must be at least 1")]
-    fn vc_table_zero_vcs_is_rejected() {
-        let _ = VcTable::new(1, 1, 0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "VC buffer depth must be at least 1")]
-    fn vc_table_zero_depth_is_rejected() {
-        let _ = VcTable::new(1, 1, 1, 0);
-    }
 
     #[test]
     fn injection_accumulator_hits_the_exact_average() {
@@ -551,6 +254,19 @@ mod tests {
         assert_eq!(s.latency_quantile(0.99), Some(8));
         assert_eq!(s.accepted_throughput(), 1.0);
         assert_eq!(s.latency_histogram().count(), 2);
+        assert_eq!(s.delivery_ratio(), 2.0 / 3.0);
+        assert_eq!(s.mean_stalls(), 1.0);
+    }
+
+    #[test]
+    fn latency_p99_is_the_nearest_rank() {
+        // 150 deliveries with latencies 1..=150: rank ceil(0.99 * 150) = 149.
+        let mut s = TrafficStats::new();
+        for latency in (1..=150).rev() {
+            s.record_finished(latency, latency, 0, true);
+        }
+        assert_eq!(s.latency_quantile(0.99), Some(149));
+        assert_eq!(s.latency_quantile(0.5), Some(75));
     }
 
     #[test]
@@ -559,5 +275,7 @@ mod tests {
         assert_eq!(s.mean_latency(), 0.0);
         assert_eq!(s.latency_quantile(0.99), None);
         assert_eq!(s.accepted_throughput(), 0.0);
+        assert_eq!(s.delivery_ratio(), 1.0, "nothing finished, nothing lost");
+        assert_eq!(s.mean_stalls(), 0.0);
     }
 }

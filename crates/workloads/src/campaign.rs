@@ -1,4 +1,4 @@
-//! Adversarial fault campaigns with SLO observation.
+//! Adversarial fault campaigns with SLO observation, and the one traffic loop.
 //!
 //! An [`SloCampaign`] is the robustness counterpart of
 //! [`Scenario::run_traffic`](crate::scenario::Scenario::run_traffic): it drives
@@ -9,13 +9,16 @@
 //! per-router availability SLOs in an [`SloObserver`] instead of keeping every
 //! packet record.
 //!
-//! The network itself always runs with an *empty* plan: the campaign feeds every
-//! fault event through `LgfiNetwork::run_traffic_step_with` from a reused buffer
-//! (a [`FaultPlanCursor`] over the held plan, or [`ChurnProcess::events_at`]), so
-//! a multi-million-cycle churn run never materialises its schedule, the per-step
-//! burst scan inside the observer stays O(1), and the traffic engine's
-//! finished-packet records are folded into the SLOs and cleared every cycle.
-//! Results are bit-identical across every thread knob.
+//! Both run the same loop (warm-up, injection window, drain) and differ only in
+//! the fault source they give it and in what they do with each step's finished
+//! packets.  The network itself always runs with an *empty* plan: the loop feeds
+//! every fault event through `LgfiNetwork::run_traffic_step_with` from a reused
+//! buffer (a [`FaultPlanCursor`] over the held plan, or
+//! [`ChurnProcess::events_at`]), so a multi-million-cycle churn run never
+//! materialises its schedule, the per-step burst scan inside the observer stays
+//! O(1), and the traffic engine's finished-packet records are handed on and
+//! cleared every cycle.  A campaign's drain applies no events; a scenario's plan
+//! keeps firing through it.  Results are bit-identical across every thread knob.
 
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
 use lgfi_core::routing::Router;
@@ -113,9 +116,6 @@ impl SloCampaign {
             },
         );
         let mut engine = TrafficEngine::new(mesh.clone(), self.traffic, make_router);
-        let mut traffic =
-            TrafficGenerator::new(mesh.clone(), self.pattern, self.seed ^ 0x00AF_F1C0);
-        let mut injection = InjectionProcess::new(self.traffic.injection_rate);
         let mut obs = SloObserver::new(mesh.node_count());
 
         // Pre-size the accumulators: latencies are capped by `max_packet_cycles`,
@@ -135,44 +135,34 @@ impl SloCampaign {
             self.traffic.max_packet_cycles + 2,
         );
 
-        // The event stream: a cursor over the held plan, or the churn process.
+        // The event stream of the injection window: a cursor over the held plan,
+        // or the churn process.  The drain runs without events.
         let mut plan_cursor = FaultPlanCursor::new();
         let mut churn = match &self.faults {
             CampaignFaults::Churn(cfg) => Some(ChurnProcess::new(mesh, self.seed, *cfg)),
             CampaignFaults::Plan(_) => None,
         };
-        let mut events: Vec<FaultEvent> = Vec::with_capacity(32);
-
-        for _ in 0..horizon {
-            let step = net.step();
-            match (&self.faults, churn.as_mut()) {
-                (CampaignFaults::Plan(plan), _) => {
+        let drained = drive(
+            &mut net,
+            &mut engine,
+            self.pattern,
+            self.seed,
+            0,
+            |step, events| match (&self.faults, churn.as_mut()) {
+                (CampaignFaults::Plan(plan), _) if step < horizon => {
                     events.clear();
                     events.extend_from_slice(plan_cursor.events_at(plan, step));
                 }
-                (CampaignFaults::Churn(_), Some(churn)) => churn.events_at(step, &mut events),
-                (CampaignFaults::Churn(_), None) => events.clear(),
-            }
-            for _ in 0..injection.packets_this_cycle() {
-                let statuses = net.statuses();
-                if let Some(req) = traffic.next_request(|id| statuses[id] == NodeStatus::Enabled) {
-                    engine.inject(req.source, req.dest);
+                (CampaignFaults::Churn(_), Some(churn)) if step < horizon => {
+                    churn.events_at(step, events);
                 }
-            }
-            net.run_traffic_step_with(&events, &mut engine);
-            obs.observe_step(&net, &engine, &events);
-            engine.clear_records();
-            obs.notify_records_cleared();
-        }
-        // Event-free drain: let the in-flight packets finish.
-        let mut drained = 0u64;
-        while engine.in_flight() > 0 && drained < self.traffic.drain_cycles {
-            net.run_traffic_step_with(&[], &mut engine);
-            obs.observe_step(&net, &engine, &[]);
-            engine.clear_records();
-            obs.notify_records_cleared();
-            drained += 1;
-        }
+                _ => events.clear(),
+            },
+            |net, engine, events| {
+                obs.observe_step(net, engine, events);
+                obs.notify_records_cleared();
+            },
+        );
 
         CampaignResult {
             router: engine.router_name(),
@@ -185,6 +175,57 @@ impl SloCampaign {
             tracker: obs.into_tracker(),
         }
     }
+}
+
+/// The traffic loop of [`SloCampaign::run`] and
+/// [`Scenario::run_traffic`](crate::scenario::Scenario::run_traffic).
+///
+/// `warmup` steps run the network without traffic; then `spec.cycles` steps
+/// inject packets drawn from `pattern` at `spec.injection_rate`, and up to
+/// `spec.drain_cycles` further steps let the in-flight packets finish (`spec`
+/// is the engine's).  Every step applies the fault events `faults` writes for
+/// it into a reused buffer.  After each step `sink` sees the network, the
+/// engine and those events, and the engine's finished-packet records are then
+/// cleared.  Returns the drain steps used.
+pub(crate) fn drive(
+    net: &mut LgfiNetwork,
+    engine: &mut TrafficEngine,
+    pattern: TrafficPattern,
+    seed: u64,
+    warmup: u64,
+    mut faults: impl FnMut(u64, &mut Vec<FaultEvent>),
+    mut sink: impl FnMut(&LgfiNetwork, &TrafficEngine, &[FaultEvent]),
+) -> u64 {
+    let spec = *engine.spec();
+    let mut traffic = TrafficGenerator::new(net.mesh().clone(), pattern, seed ^ 0x00AF_F1C0);
+    let mut injection = InjectionProcess::new(spec.injection_rate);
+    let mut events = Vec::with_capacity(32);
+    let injection_end = warmup + spec.cycles;
+    let mut step = 0;
+    while step < injection_end
+        || (engine.in_flight() > 0 && step - injection_end < spec.drain_cycles)
+    {
+        faults(net.step(), &mut events);
+        if step < warmup {
+            net.run_step_with(&events);
+        } else {
+            if step < injection_end {
+                for _ in 0..injection.packets_this_cycle() {
+                    let statuses = net.statuses();
+                    if let Some(req) =
+                        traffic.next_request(|id| statuses[id] == NodeStatus::Enabled)
+                    {
+                        engine.inject(req.source, req.dest);
+                    }
+                }
+            }
+            net.run_traffic_step_with(&events, engine);
+        }
+        sink(net, engine, &events);
+        engine.clear_records();
+        step += 1;
+    }
+    step - injection_end
 }
 
 /// The outcome of an [`SloCampaign`] run.

@@ -2,11 +2,11 @@
 
 use lgfi_core::network::{ConvergenceRecord, LgfiNetwork, NetworkConfig, ProbeReport};
 use lgfi_core::routing::Router;
-use lgfi_core::status::NodeStatus;
 use lgfi_core::traffic_engine::{PacketRecord, TrafficEngine, TrafficSpec};
-use lgfi_sim::{FaultPlan, InjectionProcess, TrafficStats};
+use lgfi_sim::{FaultPlan, FaultPlanCursor, TrafficStats};
 use lgfi_topology::Mesh;
 
+use crate::campaign::drive;
 use crate::faultgen::{DynamicFaultConfig, FaultGenerator, FaultPlacement};
 use crate::traffic::{TrafficGenerator, TrafficPattern};
 
@@ -139,7 +139,22 @@ impl Scenario {
     /// One network step is one traffic cycle.  The first `launch_step` steps run
     /// without traffic (information warm-up, as in [`Scenario::run`]), then
     /// `spec.cycles` injection cycles, then up to `spec.drain_cycles` further
-    /// cycles to let the in-flight packets finish.
+    /// cycles to let the in-flight packets finish.  The fault plan fires at every
+    /// one of these steps, the drain included.
+    ///
+    /// ```
+    /// use lgfi_core::routing::LgfiRouter;
+    /// use lgfi_core::traffic_engine::TrafficSpec;
+    /// use lgfi_workloads::Scenario;
+    ///
+    /// let scenario = Scenario::small();
+    /// // 1 = serial, 0 = one worker per core; results are identical for every count.
+    /// let spec = TrafficSpec::at_rate(1.0).traffic_threads(4);
+    /// let result = scenario.run_traffic(spec, &|| Box::new(LgfiRouter::new()));
+    /// println!("accepted {:.2} pkt/cycle, mean latency {:.1} cycles",
+    ///          result.accepted_throughput(), result.mean_latency());
+    /// assert_eq!(result.traffic_threads, 4);
+    /// ```
     pub fn run_traffic(
         &self,
         spec: TrafficSpec,
@@ -149,7 +164,7 @@ impl Scenario {
         let plan = self.fault_plan();
         let mut net = LgfiNetwork::new(
             mesh.clone(),
-            plan,
+            FaultPlan::empty(),
             NetworkConfig {
                 lambda: self.lambda,
                 max_probe_steps: self.max_steps,
@@ -158,33 +173,29 @@ impl Scenario {
                 probe_threads: self.probe_threads,
             },
         );
-        while net.step() < self.launch_step {
-            net.run_step();
-        }
-        let mut engine = TrafficEngine::new(mesh.clone(), spec, router_factory);
-        let mut traffic = TrafficGenerator::new(mesh, self.traffic, self.seed ^ 0x00AF_F1C0);
-        let mut injection = InjectionProcess::new(spec.injection_rate);
-        for _ in 0..spec.cycles {
-            for _ in 0..injection.packets_this_cycle() {
-                let statuses = net.statuses();
-                if let Some(req) = traffic.next_request(|id| statuses[id] == NodeStatus::Enabled) {
-                    engine.inject(req.source, req.dest);
-                }
-            }
-            net.run_traffic_step(&mut engine);
-        }
-        let mut drained = 0u64;
-        while engine.in_flight() > 0 && drained < spec.drain_cycles {
-            net.run_traffic_step(&mut engine);
-            drained += 1;
-        }
+        let mut engine = TrafficEngine::new(mesh, spec, router_factory);
+        // The plan fires at every step: warm-up, injection window and drain.
+        let mut cursor = FaultPlanCursor::new();
+        let mut records = Vec::new();
+        drive(
+            &mut net,
+            &mut engine,
+            self.traffic,
+            self.seed,
+            self.launch_step,
+            |step, events| {
+                events.clear();
+                events.extend_from_slice(cursor.events_at(&plan, step));
+            },
+            |_, engine, _| records.extend_from_slice(engine.records()),
+        );
         TrafficResult {
             offered_load: spec.injection_rate,
             measured_cycles: spec.cycles,
             traffic_threads: engine.traffic_threads(),
             router: engine.router_name(),
             stats: engine.stats().clone(),
-            records: engine.records().to_vec(),
+            records,
         }
     }
 }
