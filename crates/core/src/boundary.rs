@@ -214,6 +214,9 @@ pub(crate) struct BoundaryBuilder {
     reached: Vec<(NodeId, u64)>,
     /// Expansion targets of the node being visited.
     targets: Vec<NodeId>,
+    /// One block's entries as `((node << 4) | guard index, arrival offset)`
+    /// sort keys: 2n <= 16 guard directions fit the low four bits.
+    keys: Vec<(u64, u64)>,
 }
 
 impl BoundaryBuilder {
@@ -263,24 +266,31 @@ impl BoundaryBuilder {
             mesh.node_count(),
             "builder not prepared"
         );
-        let region = &blocks.blocks()[block_id].region;
-        out.clear();
+        self.keys.clear();
         for guard in Direction::iter_all(mesh.ndim()) {
             self.propagate(mesh, blocks, block_id, guard);
-            out.extend(self.reached.iter().map(|&(node, offset)| {
-                let entry = BoundaryEntry {
-                    block_id,
-                    block: *region,
-                    guard,
-                    arrival_offset: offset,
-                };
-                (node, entry)
-            }));
+            let guard = guard.index() as u64;
+            self.keys.extend(
+                self.reached
+                    .iter()
+                    .map(|&(node, offset)| (((node as u64) << 4) | guard, offset)),
+            );
         }
-        // A propagation reaches a node at most once, so `(node, guard)` is unique
-        // and the unstable (allocation-free) sort leaves a node's guards in the
-        // order they were produced in.
-        out.sort_unstable_by_key(|&(node, entry)| (node, entry.guard.index()));
+        // A propagation reaches a node at most once, so `(node, guard)` is unique:
+        // the unstable (allocation-free) sort of the compact keys orders the
+        // entries by node, then guard, without moving whole entries.
+        self.keys.sort_unstable_by_key(|&(key, _)| key);
+        let region = blocks.blocks()[block_id].region;
+        out.clear();
+        out.extend(self.keys.iter().map(|&(key, offset)| {
+            let entry = BoundaryEntry {
+                block_id,
+                block: region,
+                guard: Direction::from_index((key & 0xf) as usize),
+                arrival_offset: offset,
+            };
+            ((key >> 4) as NodeId, entry)
+        }));
     }
 
     /// Propagates the boundary of `block_id` for surface direction `guard`,

@@ -21,8 +21,7 @@
 //! `D(i)` at every fault occurrence) so the experiment harness can compare measured
 //! behaviour against the bounds of Theorems 3–5.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use lgfi_sim::{FaultEvent, FaultEventKind, FaultPlan, FaultPlanCursor, StepConfig};
 use lgfi_topology::{Mesh, NodeId, Region};
@@ -184,12 +183,13 @@ pub struct LgfiNetwork {
     /// unchanged blocks, the paper's reactive rule), each with its holder nodes so
     /// a vanished region's entries are deleted without scanning the mesh.
     distributed: Vec<Distributed>,
-    /// Closing entries `(visible_until, node)`, one per entry marked for deletion:
-    /// a rebuild drops closed entries only from the nodes whose deletion came due.
-    closing: BinaryHeap<Reverse<(u64, NodeId)>>,
-    /// Pending visibility transitions `(round, node)`: one per entry scheduled
-    /// (`visible_from`) and one per entry marked for deletion (`visible_until`).
-    transitions: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// Closing entries, one node at its `visible_until` round per entry marked for
+    /// deletion: a rebuild drops closed entries only from the nodes whose
+    /// deletion came due.
+    closing: RoundCalendar,
+    /// Pending visibility transitions, one node at its round per entry scheduled
+    /// (`visible_from`) and per entry marked for deletion (`visible_until`).
+    transitions: RoundCalendar,
     /// True if a rebuild ran since the visible arena was last refreshed.
     rebuilt: bool,
     /// Buffers a rebuild refills instead of allocating.
@@ -250,8 +250,8 @@ impl LgfiNetwork {
             rounds_since_disturbance: 0,
             disturbance_step: 0,
             distributed: Vec::new(),
-            closing: BinaryHeap::new(),
-            transitions: BinaryHeap::new(),
+            closing: RoundCalendar::new(),
+            transitions: RoundCalendar::new(),
             rebuilt: false,
             scratch: RebuildScratch::default(),
             convergence: Vec::new(),
@@ -540,24 +540,21 @@ impl LgfiNetwork {
         self.arena.boundary()
     }
 
-    /// Brings the visible arena up to the current round, once per step: pops the
-    /// visibility transitions that came due and rewrites only their nodes' slots.
-    /// Due transitions are drained even when nothing reads the arena, so they
-    /// never pile up.  `vis_gen` advances iff a rebuild ran since the last refresh
-    /// or a popped transition still belongs to an entry in the store.
+    /// Brings the visible arena up to the current round, once per step: drains
+    /// the visibility transitions that came due and rewrites only their nodes'
+    /// slots.  Due transitions are drained even when nothing reads the arena, so
+    /// they never pile up.  `vis_gen` advances iff a rebuild ran since the last
+    /// refresh or a drained transition still belongs to an entry in the store.
     fn refresh_visible_arena(&mut self) {
         let mut changed = std::mem::take(&mut self.rebuilt);
-        while let Some(&Reverse((round, node))) = self.transitions.peek() {
-            if round > self.round {
-                break;
-            }
-            self.transitions.pop();
-            let timed = &self.info[node];
+        let (info, arena, now) = (&self.info, &mut self.arena, self.round);
+        self.transitions.drain_through(now, |round, node| {
+            let timed = &info[node];
             changed = changed || timed.iter().any(|t| t.transitions_at(round));
             // Rewrite the node even if the rebuild already dropped the entry this
             // transition was scheduled for: it may still sit in the node's slots.
-            self.arena.patch(node, timed, self.round);
-        }
+            arena.patch(node, timed, now);
+        });
         if changed {
             self.vis_gen += 1;
         }
@@ -681,13 +678,9 @@ impl LgfiNetwork {
         // under long fail/repair churn instead of every entry ever distributed.
         // Only the nodes whose deletion came due can hold such an entry.
         let info = &mut self.info;
-        while let Some(&Reverse((until, node))) = self.closing.peek() {
-            if until > round {
-                break;
-            }
-            self.closing.pop();
+        self.closing.drain_through(round, |_, node| {
             info[node].retain(|t| t.visible_until.map_or(true, |u| u > round));
-        }
+        });
 
         // Information for regions that no longer exist is deleted; the deletion wave
         // travels the same path as the original distribution, so the entry disappears
@@ -705,8 +698,8 @@ impl LgfiNetwork {
                 {
                     let until = round + t.entry.arrival_offset + 1;
                     t.visible_until = Some(until);
-                    transitions.push(Reverse((until, node)));
-                    closing.push(Reverse((until, node)));
+                    transitions.push(until, node);
+                    closing.push(until, node);
                 }
             }
             d.holders.clear();
@@ -746,7 +739,7 @@ impl LgfiNetwork {
                 for &(node, entry) in entries.iter() {
                     c_rounds = c_rounds.max(entry.arrival_offset);
                     let visible_from = round + b + entry.arrival_offset;
-                    self.transitions.push(Reverse((visible_from, node)));
+                    self.transitions.push(visible_from, node);
                     let timed = &mut info[node];
                     // Exact growth: a list keeps room for the most entries it ever
                     // held, not for a doubling of them.
@@ -1025,12 +1018,151 @@ fn patch_slots(timed: &[TimedEntry], round: u64, slots: &mut [BoundaryEntry]) ->
     visible
 }
 
+/// End of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pooled calendar link: a node id and the next link of its bucket, or of
+/// the free list while the link is unused.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    node: u32,
+    next: u32,
+}
+
+/// A calendar of per-node events keyed by absolute round: a power-of-two ring of
+/// round buckets over a pooled, intrusive list of node ids.
+///
+/// Round `r` lives in bucket `r & (len - 1)`.  Every pending event is due in
+/// `next..next + len`, so a bucket holds the events of exactly one round and an
+/// event stores no round: 8 bytes per pending event.
+///
+/// * [`RoundCalendar::push`] is O(1).  An event is never scheduled before the
+///   next undrained round: an arrival comes due at or after the current round,
+///   which the transition calendar drains only at the end of the step, and a
+///   deletion at least one round after it.
+/// * [`RoundCalendar::drain_through`] visits the buckets from `next` on, in
+///   round order, and stops after the last pending event: O(rounds advanced +
+///   events due), and at most one pass over the ring however long the
+///   calendar sat idle.
+/// * An event scheduled `len` or more rounds ahead doubles the ring (a cold
+///   path: the control plane's span is bounded by the identification and
+///   boundary-construction times).  Ring growth and the pool's high-water
+///   growth are the only allocations; a warm calendar recycles links through
+///   its free list.
+#[derive(Debug)]
+struct RoundCalendar {
+    /// First link of every round's bucket, or [`NIL`].
+    heads: Vec<u32>,
+    /// The link pool: pending events and the free list.
+    links: Vec<Link>,
+    /// First free link, or [`NIL`].
+    free: u32,
+    /// The first round not yet drained.
+    next: u64,
+    /// Events scheduled and not yet drained.
+    pending: usize,
+}
+
+impl RoundCalendar {
+    /// Ring size of a new calendar: above the 73-round span of `churn64`'s
+    /// fault stream, so its calendars never grow.
+    const INITIAL_BUCKETS: usize = 128;
+
+    fn new() -> Self {
+        RoundCalendar {
+            heads: vec![NIL; Self::INITIAL_BUCKETS],
+            links: Vec::new(),
+            free: NIL,
+            next: 0,
+            pending: 0,
+        }
+    }
+
+    /// The bucket of `round`.
+    fn bucket(&self, round: u64) -> usize {
+        (round & (self.heads.len() as u64 - 1)) as usize
+    }
+
+    /// Schedules an event for `node` at `round`.
+    fn push(&mut self, round: u64, node: NodeId) {
+        debug_assert!(
+            round >= self.next,
+            "event at round {round} scheduled before the next undrained round {}",
+            self.next
+        );
+        debug_assert!(node < NIL as usize, "node id {node} does not fit a link");
+        // An overdue event comes due at the next drain, as in a priority queue.
+        let round = round.max(self.next);
+        if round - self.next >= self.heads.len() as u64 {
+            self.grow(round);
+        }
+        let node = node as u32;
+        let link = if self.free == NIL {
+            self.links.push(Link { node, next: NIL });
+            (self.links.len() - 1) as u32
+        } else {
+            let link = self.free;
+            self.free = self.links[link as usize].next;
+            self.links[link as usize].node = node;
+            link
+        };
+        let bucket = self.bucket(round);
+        self.links[link as usize].next = self.heads[bucket];
+        self.heads[bucket] = link;
+        self.pending += 1;
+    }
+
+    /// Calls `f(round, node)` once for every event due at or before `round`,
+    /// bucket by bucket in round order, and moves the calendar past `round`.
+    fn drain_through(&mut self, round: u64, mut f: impl FnMut(u64, NodeId)) {
+        let mut at = self.next;
+        while self.pending > 0 && at <= round {
+            let bucket = self.bucket(at);
+            let mut link = std::mem::replace(&mut self.heads[bucket], NIL);
+            while link != NIL {
+                let Link { node, next } = self.links[link as usize];
+                f(at, node as NodeId);
+                self.links[link as usize].next = self.free;
+                self.free = link;
+                self.pending -= 1;
+                link = next;
+            }
+            at += 1;
+        }
+        self.next = self.next.max(round + 1);
+    }
+
+    /// Doubles the ring until `round` fits, moving every pending event to the
+    /// bucket of the round its old bucket stood for.
+    fn grow(&mut self, round: u64) {
+        let old_mask = self.heads.len() as u64 - 1;
+        let mut len = self.heads.len();
+        while round - self.next >= len as u64 {
+            len *= 2;
+        }
+        let old = std::mem::replace(&mut self.heads, vec![NIL; len]);
+        for (bucket, mut link) in old.into_iter().enumerate() {
+            // The one round in `next..next + old len` that maps to this bucket.
+            let at = self.next + ((bucket as u64).wrapping_sub(self.next) & old_mask);
+            let to = self.bucket(at);
+            while link != NIL {
+                let next = self.links[link as usize].next;
+                self.links[link as usize].next = self.heads[to];
+                self.heads[to] = link;
+                link = next;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::LgfiRouter;
     use lgfi_sim::FaultEvent;
     use lgfi_topology::coord;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn mesh10() -> Mesh {
         Mesh::cubic(10, 2)
@@ -1519,6 +1651,138 @@ mod tests {
             "{relayouts} full relayouts over a {horizon}-step horizon ({rebuilds} rebuilds)"
         );
         assert_arena_invariants(&net, "churn64 stream");
+        // Arrivals reach at most 73 rounds ahead and deletions 65: the rings
+        // never grow.
+        for calendar in [&net.transitions, &net.closing] {
+            assert_eq!(calendar.heads.len(), RoundCalendar::INITIAL_BUCKETS);
+        }
+    }
+
+    /// The priority queue the round calendar replaced, as its reference.
+    #[derive(Default)]
+    struct HeapCalendar(BinaryHeap<Reverse<(u64, NodeId)>>);
+
+    impl HeapCalendar {
+        fn drain_through(&mut self, round: u64) -> Vec<(u64, NodeId)> {
+            let mut due = Vec::new();
+            while let Some(&Reverse(event)) = self.0.peek() {
+                if event.0 > round {
+                    break;
+                }
+                self.0.pop();
+                due.push(event);
+            }
+            due
+        }
+    }
+
+    /// Drains the calendar and the heap through `round` and asserts that both
+    /// yield the same multiset of `(round, node)`, the calendar in round order.
+    fn drain_both(
+        calendar: &mut RoundCalendar,
+        heap: &mut HeapCalendar,
+        round: u64,
+        context: &str,
+    ) {
+        let mut got = Vec::new();
+        calendar.drain_through(round, |at, node| got.push((at, node)));
+        assert!(
+            got.windows(2).all(|w| w[0].0 <= w[1].0),
+            "{context}: drained out of round order: {got:?}"
+        );
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            heap.drain_through(round),
+            "{context}: drain through {round}"
+        );
+        assert_eq!(
+            calendar.pending,
+            heap.0.len(),
+            "{context}: pending after {round}"
+        );
+    }
+
+    /// Drives a calendar and the heap through one seeded schedule shaped like the
+    /// control plane's: each drain advances `lambda` rounds, or up to `max_idle`
+    /// rounds when idle gaps are on; before it, a burst of up to 40 events is
+    /// scheduled from a round inside the advanced stretch (never before the next
+    /// undrained round) at spans below `max_span`.  Returns the calendar.
+    fn run_against_a_heap(seed: u64, lambda: u64, max_idle: u64, max_span: u64) -> RoundCalendar {
+        let context = format!("seed {seed} λ={lambda} idle<={max_idle} span<{max_span}");
+        let mut rng = lgfi_sim::DetRng::seed_from_u64(seed);
+        let mut calendar = RoundCalendar::new();
+        let mut heap = HeapCalendar::default();
+        let mut drained = 0u64;
+        let mut last = 0u64;
+        for _ in 0..600 {
+            let advance = lambda.max(1 + rng.below(max_idle as usize + 1) as u64);
+            let from = drained + 1 + rng.below(advance as usize) as u64;
+            for _ in 0..rng.below(41) {
+                let round = from + rng.below(max_span as usize) as u64;
+                let node = rng.below(4096);
+                calendar.push(round, node);
+                heap.0.push(Reverse((round, node)));
+                last = last.max(round);
+            }
+            drained += advance;
+            drain_both(&mut calendar, &mut heap, drained, &context);
+        }
+        drain_both(&mut calendar, &mut heap, last, &context);
+        assert_eq!(calendar.pending, 0, "{context}: events left behind");
+        calendar
+    }
+
+    #[test]
+    fn round_calendar_matches_a_heap_within_its_ring() {
+        for (seed, lambda) in [(1, 1), (2, 3)] {
+            let calendar = run_against_a_heap(seed, lambda, 0, 100);
+            assert_eq!(calendar.heads.len(), RoundCalendar::INITIAL_BUCKETS);
+        }
+    }
+
+    #[test]
+    fn round_calendar_matches_a_heap_while_its_ring_grows() {
+        // Spans up to four rings ahead double the ring while earlier bursts are
+        // still pending, so re-bucketing must keep every event's round.
+        for (seed, lambda) in [(3, 1), (4, 3)] {
+            let calendar =
+                run_against_a_heap(seed, lambda, 0, 4 * RoundCalendar::INITIAL_BUCKETS as u64);
+            assert!(
+                calendar.heads.len() >= 4 * RoundCalendar::INITIAL_BUCKETS,
+                "seed {seed}: the ring never grew twice ({} buckets)",
+                calendar.heads.len()
+            );
+        }
+    }
+
+    #[test]
+    fn round_calendar_matches_a_heap_across_long_idle_gaps() {
+        // The closing sweep drains only at rebuilds: gaps of up to eight rings
+        // pass between drains, with deletion-like spans pending across them.
+        for (seed, lambda) in [(5, 1), (6, 3)] {
+            run_against_a_heap(seed, lambda, 8 * RoundCalendar::INITIAL_BUCKETS as u64, 66);
+        }
+    }
+
+    #[test]
+    fn round_calendar_drains_of_an_empty_calendar_yield_nothing() {
+        let mut calendar = RoundCalendar::new();
+        let mut heap = HeapCalendar::default();
+        for round in [0, 1, 5, 1_000] {
+            drain_both(&mut calendar, &mut heap, round, "empty");
+        }
+        // Draining through a round already drained changes nothing.
+        drain_both(&mut calendar, &mut heap, 999, "behind");
+        assert_eq!(calendar.next, 1_001);
+        for (round, node) in [(1_001, 7), (1_001, 7), (1_128, 3), (1_500, 9)] {
+            calendar.push(round, node);
+            heap.0.push(Reverse((round, node)));
+        }
+        for round in [1_000, 1_001, 1_200, 1_200, 1_500] {
+            drain_both(&mut calendar, &mut heap, round, "after the empty drains");
+        }
+        assert_eq!(calendar.pending, 0);
     }
 
     #[test]

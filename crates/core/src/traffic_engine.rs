@@ -717,7 +717,11 @@ impl TrafficEngine {
                 _ => false,
             };
             if live {
-                packets.swap(write, read);
+                // A packet already in place stays put: swapping it with itself
+                // would copy it three times.
+                if write != read {
+                    packets.swap(write, read);
+                }
                 write += 1;
             } else {
                 let p = &packets[read];

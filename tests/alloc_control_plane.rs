@@ -1,7 +1,7 @@
 //! Allocation-regression guard for the incremental control plane.
 //!
 //! Once a rebuild has scheduled a block's boundary entries, the information
-//! reaches the boundary nodes one round at a time.  Each of those steps pops the
+//! reaches the boundary nodes one round at a time.  Each of those steps drains the
 //! visibility transitions that came due and rewrites only those nodes' arena
 //! slots, cloning into the slots in place.  This test installs a counting global
 //! allocator and proves that such steps perform **zero heap allocations**, even
@@ -10,7 +10,9 @@
 //! round each: the round engine's buffers and statistics stay at their warm size.
 //! And so does a warm rebuild: once a fault cluster has come and gone, the same
 //! burst at the same place rebuilds blocks, identification and boundaries in the
-//! buffers the first one left behind.
+//! buffers the first one left behind, even when it recurs at another place in the
+//! ring of the round calendar that schedules the transitions, so that its
+//! arrivals wrap the ring.
 //!
 //! The counter is per thread, so each test counts only its own allocations and
 //! the libtest harness may run the tests side by side.
@@ -248,6 +250,89 @@ fn a_warm_rebuild_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "revealing the rebuilt information must not allocate"
+    );
+    assert_eq!(net.nodes_with_visible_info(), distributed);
+}
+
+/// Buckets in the ring of the network's round calendar, which schedules the
+/// visibility transitions and deletion sweeps: an event due at round `r` sits
+/// in bucket `r % CALENDAR_RING`.
+const CALENDAR_RING: u64 = 128;
+
+#[test]
+fn a_warm_rebuild_whose_events_wrap_the_calendar_ring_allocates_nothing() {
+    let mesh = Mesh::cubic(32, 2);
+    let mut net = LgfiNetwork::new(mesh.clone(), FaultPlan::empty(), NetworkConfig::default());
+    let cluster: Vec<NodeId> = (0..5)
+        .map(|k| mesh.id_of(&coord![12 + k, 12 + k]))
+        .collect();
+    let burst = |step: u64, fail: bool| -> Vec<FaultEvent> {
+        let event = if fail {
+            FaultEvent::fail
+        } else {
+            FaultEvent::recover
+        };
+        cluster.iter().map(|&node| event(step, node)).collect()
+    };
+    let settle = |net: &mut LgfiNetwork| {
+        let mut steady = 0;
+        let mut last = usize::MAX;
+        while steady < 80 {
+            net.run_step();
+            let now = net.nodes_with_visible_info();
+            steady = if now == last { steady + 1 } else { 0 };
+            last = now;
+        }
+    };
+    // Runs steps up to and including the next rebuild and returns its round.
+    let until_rebuild = |net: &mut LgfiNetwork| {
+        let rebuilds = net.convergence_records().len();
+        while net.convergence_records().len() == rebuilds {
+            net.run_step();
+            assert!(net.step() < 10_000, "the burst never rebuilt");
+        }
+        net.round()
+    };
+
+    // Cold, early in the ring: the cluster fails and distributes, then
+    // recovers, and its deletion wave completes.
+    let events = burst(net.step(), true);
+    net.run_step_with(&events);
+    let cold = until_rebuild(&mut net);
+    settle(&mut net);
+    let distributed = net.nodes_with_visible_info();
+    let events = burst(net.step(), false);
+    net.run_step_with(&events);
+    settle(&mut net);
+    assert_eq!(net.nodes_with_visible_info(), 0);
+
+    // Warm, late in the ring: the same burst rebuilds a few rounds before the
+    // ring's end, so its arrivals wrap into the ring's first buckets.
+    while net.round() % CALENDAR_RING != CALENDAR_RING - 12 {
+        net.run_step();
+    }
+    let events = burst(net.step(), true);
+    net.run_step_with(&events);
+    let mut warm = 0;
+    let allocs = count_allocations(|| {
+        warm = until_rebuild(&mut net);
+        settle(&mut net);
+    });
+    let record = *net.convergence_records().last().unwrap();
+    assert_eq!(
+        record.blocks_changed, 1,
+        "the block was rebuilt, not reused"
+    );
+    assert_ne!(cold % CALENDAR_RING, warm % CALENDAR_RING);
+    assert!(
+        warm % CALENDAR_RING + record.b_rounds + record.c_rounds >= CALENDAR_RING,
+        "the arrivals must wrap the ring: rebuild at round {warm}, b {} + c {}",
+        record.b_rounds,
+        record.c_rounds
+    );
+    assert_eq!(
+        allocs, 0,
+        "a warm rebuild wrapping the calendar ring must not allocate"
     );
     assert_eq!(net.nodes_with_visible_info(), distributed);
 }

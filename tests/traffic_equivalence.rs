@@ -128,6 +128,69 @@ fn sharded_dynamic_traffic_is_bit_identical_to_serial_for_every_router() {
     }
 }
 
+/// The plan of `routing_golden`'s `traffic_run_applies_plan_events_through_the_drain`:
+/// `fault_count` nodes fail one per step from the end of the 40-cycle injection
+/// window on, each recovering 6 steps later, so 4-flit worms still in flight
+/// meet them while the run drains.  Every event lies after the window, so with
+/// `fault_count` 0 the plan is the same plan cut off at the window.
+fn drain_fault_fingerprint(
+    router: &str,
+    fault_count: usize,
+    traffic_threads: usize,
+) -> (Vec<PacketRecord>, TrafficStats) {
+    const CYCLES: u64 = 40;
+    let s = Scenario {
+        dims: vec![12, 12],
+        seed: 31,
+        fault_count,
+        placement: FaultPlacement::Clustered { clusters: 2 },
+        dynamic: Some(DynamicFaultConfig {
+            fault_count,
+            first_step: CYCLES,
+            interval: 1,
+            with_recovery: true,
+            recovery_delay: 6,
+        }),
+        launch_step: 0,
+        ..scenario(true, 1, true, 1)
+    };
+    let spec = TrafficSpec::at_rate(1.2)
+        .cycles(CYCLES)
+        .drain_cycles(5_000)
+        .flits_per_packet(4)
+        .vc_count(2)
+        .escape_vc(true)
+        .max_packet_cycles(s.max_steps)
+        .traffic_threads(traffic_threads);
+    let result = s.run_traffic(spec, &|| router_by_name(router));
+    (result.records, result.stats)
+}
+
+#[test]
+fn drain_time_faults_are_bit_identical_across_traffic_threads_for_every_router() {
+    // The other dynamic scenarios apply their faults during injection only; here
+    // every plan event takes effect while the run drains.
+    let mut unchanged = Vec::new();
+    for router in ROUTERS {
+        let serial = drain_fault_fingerprint(router, 12, 1);
+        for traffic_threads in [2usize, 3] {
+            let sharded = drain_fault_fingerprint(router, 12, traffic_threads);
+            assert_eq!(
+                serial.0, sharded.0,
+                "router {router} traffic_threads {traffic_threads}: records diverged"
+            );
+            assert_eq!(serial.1, sharded.1);
+        }
+        if serial.0 == drain_fault_fingerprint(router, 0, 1).0 {
+            unchanged.push(router);
+        }
+    }
+    assert!(
+        unchanged.is_empty(),
+        "no drain-time fault changed a packet record of {unchanged:?}"
+    );
+}
+
 #[test]
 fn traffic_sharding_composes_with_every_other_knob() {
     // All four execution knobs at once must still be bit-identical to the fully
