@@ -5,11 +5,15 @@
 //! sweeps never contend for wires.  Real traffic does: every node of an n-D mesh
 //! has `2n` directed output links, each able to move a bounded number of *flits*
 //! per cycle, carrying `vc_count` virtual channels and a shared DAMQ flit-buffer
-//! pool at its downstream end.  [`LinkState`] holds all three per `(node, dir)`
-//! link, indexed `node * 2n + dir.index()`, and gives the wormhole traffic engine
-//! ([`crate::traffic_engine`]) bandwidth (`try_flit`), channel allocation
-//! (`free_adaptive_vc` / `acquire_vc` / `release_vc`) and credits
-//! (`credits` / `deposit` / `drain`).
+//! pool at its downstream end.  [`LinkState`] holds all three per directed link
+//! and gives the wormhole traffic engine ([`crate::traffic_engine`]) bandwidth
+//! (`try_flit`), channel allocation (`free_adaptive_vc` / `acquire_vc` /
+//! `release_vc`) and credits (`credits` / `deposit` / `drain`).
+//!
+//! Every accessor takes a link index.  [`LinkState::link`] is the one mapping
+//! from `(node, dir)` to that index (`node * 2n + dir.index()`): the traffic
+//! engine computes it once when a worm's head crosses a link and keeps it with
+//! the worm, so the flits behind the head never recompute it.
 //!
 //! Determinism contract: bandwidth grants, VC grants and credits are handed out
 //! in request order and the traffic engine requests them in packet-launch order,
@@ -20,6 +24,18 @@ use lgfi_topology::{Direction, Mesh, NodeId};
 
 /// Sentinel owner id of a free virtual channel.
 pub const NO_OWNER: u64 = u64::MAX;
+
+/// The per-cycle grant count and the buffer occupancy of one directed link,
+/// kept side by side: a flit crossing reads and writes both.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkCell {
+    /// Flits granted on the link this cycle.
+    grants: u32,
+    /// Flits buffered at the link's downstream end.  May transiently exceed the
+    /// pool when a backtracking worm folds a buffer back onto the previous link;
+    /// credits stay at zero until the overflow drains.
+    buffered: u32,
+}
 
 /// Per-cycle bandwidth, virtual-channel ownership and flit-buffer credits of
 /// every directed link of a mesh.
@@ -37,17 +53,13 @@ pub const NO_OWNER: u64 = u64::MAX;
 /// the escape VC with a dimension-order hop when every adaptive VC is held.
 #[derive(Debug, Clone)]
 pub struct LinkState {
-    /// Flits granted on each link this cycle.
-    grants: Vec<u32>,
+    /// Grant count and buffer occupancy of every link.
+    cells: Vec<LinkCell>,
     /// The links with a non-zero grant count this cycle, so the per-cycle reset
     /// is `O(touched)` and allocation-free once warm.
-    touched: Vec<usize>,
+    touched: Vec<u32>,
     /// VC owner packet ids, indexed `link * vc_count + vc` ([`NO_OWNER`] = free).
     owners: Vec<u64>,
-    /// Flits buffered at the downstream end of each link.  May transiently
-    /// exceed the pool when a backtracking worm folds a buffer back onto the
-    /// previous link; credits stay at zero until the overflow drains.
-    buffered: Vec<u32>,
     /// Output links per node (`2n`).
     ports: usize,
     /// Flits one link moves per cycle.
@@ -72,6 +84,8 @@ impl LinkState {
     /// `escape_vc` is set with fewer than two VCs (the escape class would starve
     /// the adaptive one) — reject such configurations up front with
     /// [`TrafficSpec::validate`](crate::traffic_engine::TrafficSpec::validate).
+    /// Also panics if the mesh has more directed links than a `u32` link index
+    /// can name.
     pub fn new(
         mesh: &Mesh,
         capacity: u32,
@@ -94,11 +108,14 @@ impl LinkState {
         );
         let ports = 2 * mesh.ndim();
         let links = mesh.node_count() * ports;
+        assert!(
+            u32::try_from(links).is_ok(),
+            "{links} directed links exceed the u32 link index"
+        );
         LinkState {
-            grants: vec![0; links],
+            cells: vec![LinkCell::default(); links],
             touched: Vec::new(),
             owners: vec![NO_OWNER; links * vc_count as usize],
-            buffered: vec![0; links],
             ports,
             capacity,
             vc_count: vc_count as usize,
@@ -122,11 +139,13 @@ impl LinkState {
         self.adaptive_base == 1
     }
 
+    /// The index of the outgoing link of `node` in direction `dir`
+    /// (`node * 2n + dir.index()`), which every other accessor takes.
     #[inline]
-    fn link(&self, node: NodeId, dir: Direction) -> usize {
+    pub fn link(&self, node: NodeId, dir: Direction) -> u32 {
         let port = dir.index();
         debug_assert!(port < self.ports, "port out of range");
-        node * self.ports + port
+        (node * self.ports + port) as u32
     }
 
     /// Starts a new cycle; every link returns to full bandwidth (`O(touched
@@ -134,44 +153,44 @@ impl LinkState {
     /// persist across cycles — they are worm state, not cycle state.
     pub fn begin_cycle(&mut self) {
         while let Some(link) = self.touched.pop() {
-            self.grants[link] = 0;
+            self.cells[link as usize].grants = 0;
         }
     }
 
-    /// Requests bandwidth for one flit on the outgoing link of `node` in
-    /// direction `dir` this cycle.  Returns `false` when the link has already
-    /// moved `capacity` flits — the flit must wait a cycle.
+    /// Requests bandwidth for one flit on `link` this cycle.  Returns `false`
+    /// when the link has already moved `capacity` flits — the flit must wait a
+    /// cycle.
     #[inline]
-    pub fn try_flit(&mut self, node: NodeId, dir: Direction) -> bool {
-        let link = self.link(node, dir);
-        if self.grants[link] >= self.capacity {
+    pub fn try_flit(&mut self, link: u32) -> bool {
+        let cell = &mut self.cells[link as usize];
+        if cell.grants >= self.capacity {
             return false;
         }
-        if self.grants[link] == 0 {
+        if cell.grants == 0 {
             self.touched.push(link);
         }
-        self.grants[link] += 1;
+        cell.grants += 1;
         true
     }
 
-    /// The lowest-index free *adaptive-class* VC of `(node, dir)`, if any.
+    /// The lowest-index free *adaptive-class* VC of `link`, if any.
     #[inline]
-    pub fn free_adaptive_vc(&self, node: NodeId, dir: Direction) -> Option<usize> {
-        let base = self.link(node, dir) * self.vc_count;
+    pub fn free_adaptive_vc(&self, link: u32) -> Option<usize> {
+        let base = link as usize * self.vc_count;
         (self.adaptive_base..self.vc_count).find(|&vc| self.owners[base + vc] == NO_OWNER)
     }
 
-    /// True when the escape VC (VC 0) of `(node, dir)` is reserved and free.
+    /// True when the escape VC (VC 0) of `link` is reserved and free.
     #[inline]
-    pub fn escape_vc_free(&self, node: NodeId, dir: Direction) -> bool {
-        self.has_escape_vc() && self.owners[self.link(node, dir) * self.vc_count] == NO_OWNER
+    pub fn escape_vc_free(&self, link: u32) -> bool {
+        self.has_escape_vc() && self.owners[link as usize * self.vc_count] == NO_OWNER
     }
 
-    /// The owner of the lowest-index held VC of `(node, dir)`, or
-    /// [`NO_OWNER`] — the deadlock detector's wait-for witness.
+    /// The owner of the lowest-index held VC of `link`, or [`NO_OWNER`] — the
+    /// deadlock detector's wait-for witness.
     #[inline]
-    pub fn first_vc_owner(&self, node: NodeId, dir: Direction) -> u64 {
-        let base = self.link(node, dir) * self.vc_count;
+    pub fn first_vc_owner(&self, link: u32) -> u64 {
+        let base = link as usize * self.vc_count;
         self.owners[base..base + self.vc_count]
             .iter()
             .copied()
@@ -179,45 +198,42 @@ impl LinkState {
             .unwrap_or(NO_OWNER)
     }
 
-    /// Grants VC `vc` of `(node, dir)` to worm `owner`.
+    /// Grants VC `vc` of `link` to worm `owner`.
     #[inline]
-    pub fn acquire_vc(&mut self, node: NodeId, dir: Direction, vc: usize, owner: u64) {
-        let slot = self.link(node, dir) * self.vc_count + vc;
+    pub fn acquire_vc(&mut self, link: u32, vc: usize, owner: u64) {
+        let slot = link as usize * self.vc_count + vc;
         debug_assert_eq!(self.owners[slot], NO_OWNER, "acquiring an owned VC");
         debug_assert_ne!(owner, NO_OWNER, "NO_OWNER is reserved");
         self.owners[slot] = owner;
     }
 
-    /// Releases VC `vc` of `(node, dir)` (the worm's tail crossed the link).
+    /// Releases VC `vc` of `link` (the worm's tail crossed the link).
     #[inline]
-    pub fn release_vc(&mut self, node: NodeId, dir: Direction, vc: usize) {
-        let slot = self.link(node, dir) * self.vc_count + vc;
-        self.owners[slot] = NO_OWNER;
+    pub fn release_vc(&mut self, link: u32, vc: usize) {
+        self.owners[link as usize * self.vc_count + vc] = NO_OWNER;
     }
 
-    /// Free downstream buffer slots (credits) of `(node, dir)`, zero while a
+    /// Free downstream buffer slots (credits) of `link`, zero while a
     /// backtrack-overflowed buffer drains.
     #[inline]
-    pub fn credits(&self, node: NodeId, dir: Direction) -> u32 {
-        self.pool
-            .saturating_sub(self.buffered[self.link(node, dir)])
+    pub fn credits(&self, link: u32) -> u32 {
+        self.pool.saturating_sub(self.cells[link as usize].buffered)
     }
 
-    /// Deposits `n` flits into the downstream buffer of `(node, dir)`.
-    /// Depositing past the pool is allowed only for backtrack merges; the
-    /// caller otherwise checks [`LinkState::credits`] first.
+    /// Deposits `n` flits into the downstream buffer of `link`.  Depositing
+    /// past the pool is allowed only for backtrack merges; the caller otherwise
+    /// checks [`LinkState::credits`] first.
     #[inline]
-    pub fn deposit(&mut self, node: NodeId, dir: Direction, n: u32) {
-        let link = self.link(node, dir);
-        self.buffered[link] += n;
+    pub fn deposit(&mut self, link: u32, n: u32) {
+        self.cells[link as usize].buffered += n;
     }
 
-    /// Drains `n` flits from the downstream buffer of `(node, dir)`.
+    /// Drains `n` flits from the downstream buffer of `link`.
     #[inline]
-    pub fn drain(&mut self, node: NodeId, dir: Direction, n: u32) {
-        let link = self.link(node, dir);
-        debug_assert!(self.buffered[link] >= n, "draining an empty buffer");
-        self.buffered[link] -= n;
+    pub fn drain(&mut self, link: u32, n: u32) {
+        let cell = &mut self.cells[link as usize];
+        debug_assert!(cell.buffered >= n, "draining an empty buffer");
+        cell.buffered -= n;
     }
 }
 
@@ -230,34 +246,51 @@ mod tests {
     }
 
     #[test]
+    fn link_indices_are_node_major_and_distinct() {
+        let mesh = Mesh::new(&[3, 5, 4]);
+        let links = single_vc(&mesh, 1);
+        let mut seen = vec![false; mesh.node_count() * 6];
+        for node in mesh.node_ids() {
+            for dir in Direction::iter_all(3) {
+                let link = links.link(node, dir);
+                assert_eq!(link as usize, node * 6 + dir.index());
+                assert!(!seen[link as usize], "link {link} named twice");
+                seen[link as usize] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
     fn links_saturate_and_reset_per_cycle() {
         let mesh = Mesh::cubic(4, 2);
         let mut links = single_vc(&mesh, 1);
         assert_eq!(links.capacity(), 1);
         let dir = Direction::pos(0);
-        assert!(links.try_flit(5, dir));
-        assert!(!links.try_flit(5, dir), "capacity 1 per cycle");
+        let link = links.link(5, dir);
+        assert!(links.try_flit(link));
+        assert!(!links.try_flit(link), "capacity 1 per cycle");
         // Other ports of the node and other nodes' links are independent.
-        assert!(links.try_flit(5, Direction::neg(0)));
-        assert!(links.try_flit(5, Direction::pos(1)));
-        assert!(links.try_flit(6, Direction::neg(0)));
-        assert!(links.try_flit(9, dir));
+        assert!(links.try_flit(links.link(5, Direction::neg(0))));
+        assert!(links.try_flit(links.link(5, Direction::pos(1))));
+        assert!(links.try_flit(links.link(6, Direction::neg(0))));
+        assert!(links.try_flit(links.link(9, dir)));
         links.begin_cycle();
-        assert!(links.try_flit(5, dir), "capacity returns each cycle");
-        assert!(!links.try_flit(5, dir));
+        assert!(links.try_flit(link), "capacity returns each cycle");
+        assert!(!links.try_flit(link));
     }
 
     #[test]
     fn higher_capacity_admits_more_flits() {
         let mesh = Mesh::cubic(3, 3);
         let mut links = single_vc(&mesh, 2);
-        let dir = Direction::pos(2);
-        assert!(links.try_flit(0, dir));
-        assert!(links.try_flit(0, dir));
-        assert!(!links.try_flit(0, dir));
+        let link = links.link(0, Direction::pos(2));
+        assert!(links.try_flit(link));
+        assert!(links.try_flit(link));
+        assert!(!links.try_flit(link));
         links.begin_cycle();
-        assert!(links.try_flit(0, dir));
-        assert!(links.try_flit(0, dir));
+        assert!(links.try_flit(link));
+        assert!(links.try_flit(link));
     }
 
     #[test]
@@ -266,33 +299,37 @@ mod tests {
         let mut links = LinkState::new(&mesh, 1, 3, 2, true);
         assert_eq!(links.vc_count(), 3);
         let dir = Direction::pos(1);
+        let link = links.link(3, dir);
         assert!(links.has_escape_vc());
         // The adaptive class starts above the escape VC.
-        assert_eq!(links.free_adaptive_vc(3, dir), Some(1));
-        links.acquire_vc(3, dir, 1, 42);
-        assert_eq!(links.free_adaptive_vc(3, dir), Some(2));
-        links.acquire_vc(3, dir, 2, 43);
-        assert_eq!(links.free_adaptive_vc(3, dir), None);
-        assert!(links.escape_vc_free(3, dir), "escape VC is still free");
-        assert_eq!(links.first_vc_owner(3, dir), 42);
-        links.acquire_vc(3, dir, 0, 7);
-        assert!(!links.escape_vc_free(3, dir));
-        assert_eq!(links.first_vc_owner(3, dir), 7, "lowest-index owner wins");
+        assert_eq!(links.free_adaptive_vc(link), Some(1));
+        links.acquire_vc(link, 1, 42);
+        assert_eq!(links.free_adaptive_vc(link), Some(2));
+        links.acquire_vc(link, 2, 43);
+        assert_eq!(links.free_adaptive_vc(link), None);
+        assert!(links.escape_vc_free(link), "escape VC is still free");
+        assert_eq!(links.first_vc_owner(link), 42);
+        links.acquire_vc(link, 0, 7);
+        assert!(!links.escape_vc_free(link));
+        assert_eq!(links.first_vc_owner(link), 7, "lowest-index owner wins");
         // Other ports and other nodes' links are untouched.
-        assert_eq!(links.free_adaptive_vc(3, Direction::neg(1)), Some(1));
-        assert_eq!(links.first_vc_owner(3, Direction::neg(1)), NO_OWNER);
-        assert_eq!(links.first_vc_owner(7, dir), NO_OWNER);
-        assert!(links.escape_vc_free(7, dir));
-        links.release_vc(3, dir, 0);
-        assert_eq!(links.first_vc_owner(3, dir), 42);
-        links.release_vc(3, dir, 1);
-        assert_eq!(links.free_adaptive_vc(3, dir), Some(1));
-        assert_eq!(links.first_vc_owner(3, dir), 43);
+        let other_port = links.link(3, Direction::neg(1));
+        let other_node = links.link(7, dir);
+        assert_eq!(links.free_adaptive_vc(other_port), Some(1));
+        assert_eq!(links.first_vc_owner(other_port), NO_OWNER);
+        assert_eq!(links.first_vc_owner(other_node), NO_OWNER);
+        assert!(links.escape_vc_free(other_node));
+        links.release_vc(link, 0);
+        assert_eq!(links.first_vc_owner(link), 42);
+        links.release_vc(link, 1);
+        assert_eq!(links.free_adaptive_vc(link), Some(1));
+        assert_eq!(links.first_vc_owner(link), 43);
         // Without an escape class every VC is adaptive and none is escape.
         let plain = LinkState::new(&mesh, 1, 2, 2, false);
         assert!(!plain.has_escape_vc());
-        assert_eq!(plain.free_adaptive_vc(3, dir), Some(0));
-        assert!(!plain.escape_vc_free(3, dir));
+        let link = plain.link(3, dir);
+        assert_eq!(plain.free_adaptive_vc(link), Some(0));
+        assert!(!plain.escape_vc_free(link));
     }
 
     #[test]
@@ -300,24 +337,50 @@ mod tests {
         let mesh = Mesh::cubic(4, 2);
         let mut links = LinkState::new(&mesh, 1, 2, 1, false);
         let dir = Direction::neg(1);
-        assert_eq!(links.credits(9, dir), 2);
-        links.deposit(9, dir, 1);
-        assert_eq!(links.credits(9, dir), 1);
-        links.deposit(9, dir, 1);
-        assert_eq!(links.credits(9, dir), 0);
+        let link = links.link(9, dir);
+        assert_eq!(links.credits(link), 2);
+        links.deposit(link, 1);
+        assert_eq!(links.credits(link), 1);
+        links.deposit(link, 1);
+        assert_eq!(links.credits(link), 0);
         // A backtrack merge may overflow; credits stay at zero until it drains.
-        links.deposit(9, dir, 2);
-        assert_eq!(links.credits(9, dir), 0);
-        links.drain(9, dir, 2);
-        assert_eq!(links.credits(9, dir), 0);
-        links.drain(9, dir, 1);
-        assert_eq!(links.credits(9, dir), 1);
+        links.deposit(link, 2);
+        assert_eq!(links.credits(link), 0);
+        links.drain(link, 2);
+        assert_eq!(links.credits(link), 0);
+        links.drain(link, 1);
+        assert_eq!(links.credits(link), 1);
         assert_eq!(
-            links.credits(9, Direction::pos(1)),
+            links.credits(links.link(9, Direction::pos(1))),
             2,
             "other ports untouched"
         );
-        assert_eq!(links.credits(8, dir), 2, "other nodes untouched");
+        assert_eq!(
+            links.credits(links.link(8, dir)),
+            2,
+            "other nodes untouched"
+        );
+    }
+
+    #[test]
+    fn grants_and_credits_share_a_cell_without_interfering() {
+        // A link's bandwidth grants and its buffer occupancy sit in one cell:
+        // spending the cycle's bandwidth leaves the credits alone, the per-cycle
+        // reset leaves buffered flits alone, and filling the buffer leaves the
+        // bandwidth alone.
+        let mesh = Mesh::cubic(4, 2);
+        let mut links = LinkState::new(&mesh, 2, 2, 1, false);
+        let link = links.link(6, Direction::pos(0));
+        assert!(links.try_flit(link));
+        assert_eq!(links.credits(link), 2);
+        links.deposit(link, 1);
+        assert!(links.try_flit(link));
+        assert!(!links.try_flit(link));
+        links.begin_cycle();
+        assert_eq!(links.credits(link), 1, "the reset keeps buffered flits");
+        links.deposit(link, 1);
+        assert_eq!(links.credits(link), 0);
+        assert!(links.try_flit(link), "a full buffer keeps the bandwidth");
     }
 
     #[test]

@@ -295,93 +295,39 @@ impl LgfiRouter {
     /// node).  The same rule as [`Router::decide`], answered from the same
     /// per-decision masks.
     pub fn classify(&self, ctx: &RouteCtx<'_>, dir: Direction) -> Option<DirectionClass> {
-        self.class_of(ctx, &HopMasks::for_decision(ctx), dir.index())
-    }
-
-    /// The class of the direction with index `i` under the masks of this decision.
-    #[inline]
-    fn class_of(&self, ctx: &RouteCtx<'_>, masks: &HopMasks, i: usize) -> Option<DirectionClass> {
-        let bit = 1u16 << i;
-        if ctx.used.bits() & bit != 0 {
+        let i = dir.index();
+        if i >= ctx.neighbors.len() {
             return None;
         }
-        let (_, status) = ctx.neighbors[i]?;
-        if status == NodeStatus::Faulty {
-            return None;
-        }
-        if self.avoid_known_blocked && status == NodeStatus::Disabled {
-            return None;
-        }
-        if ctx.incoming.is_some_and(|d| d.opposite().index() == i) {
-            return Some(DirectionClass::Incoming);
-        }
-        Some(if masks.preferred & bit != 0 {
-            // Critical routing: a boundary entry stored here flags this hop.
-            if masks.critical & bit != 0 {
-                DirectionClass::PreferredButDetour
-            } else {
-                DirectionClass::Preferred
-            }
-        } else if masks.blocked_preferred {
-            // Spare direction "along the block": a preferred direction is blocked by
-            // a faulty/disabled neighbor, so moving sideways slides around that
-            // block's surface.
-            DirectionClass::SpareAlongBlock
-        } else {
-            DirectionClass::Spare
-        })
-    }
-
-    /// Orders the candidate directions by (class, tie-break) and returns the best
-    /// one, in one pass over the `2n` directions.
-    fn best_direction(&self, ctx: &RouteCtx<'_>) -> Option<(Direction, DirectionClass)> {
-        let masks = HopMasks::for_decision(ctx);
-        let mut best: Option<(DirectionClass, i64, usize)> = None;
-        for i in 0..2 * ctx.mesh.ndim() {
-            let Some(class) = self.class_of(ctx, &masks, i) else {
-                continue;
-            };
-            // Tie-break within a class: preferred moves pick the dimension with the
-            // largest remaining offset (classic adaptive heuristic); spare moves pick
-            // the dimension with the *smallest* remaining offset, so that a detour
-            // slides around the block instead of retreating along the main travel
-            // axis.  The direction index breaks remaining ties deterministically.
-            let dim = i / 2;
-            let offset = i64::from((ctx.dest[dim] - ctx.current[dim]).abs());
-            let score = match class {
-                DirectionClass::Preferred | DirectionClass::PreferredButDetour => {
-                    -offset * 16 + i as i64
-                }
-                _ => offset * 16 + i as i64,
-            };
-            if best.map_or(true, |(bc, bs, _)| (class, score) < (bc, bs)) {
-                best = Some((class, score, i));
-            }
-        }
-        best.map(|(class, _, i)| (Direction::from_index(i), class))
+        DecisionMasks::for_decision(self, ctx).class_at(i)
     }
 }
 
-/// The direction-independent facts of one Algorithm-3 decision, computed once so
-/// that classifying each of the `2n` directions costs a few bit tests.  Bit `i`
-/// of a mask stands for the direction with [`Direction::index`] `i`.
-#[derive(Debug)]
-struct HopMasks {
+/// The masks of one Algorithm-3 decision, computed once per hop: the whole rule
+/// is bit arithmetic over them plus a tie-break inside the winning class.  Bit `i`
+/// of a mask stands for the direction whose [`Direction::index`] is `i`.
+#[derive(Debug, Clone, Copy)]
+struct DecisionMasks {
     /// Directions that reduce the distance to the destination.
     preferred: u16,
-    /// Preferred directions that some boundary entry stored at the node flags as
-    /// entering a dangerous area ([`BoundaryEntry::is_critical_hop`]).
+    /// Usable directions: in-mesh neighbors that are not faulty (nor disabled
+    /// when the router avoids known-blocked nodes), minus the used ones.
+    open: u16,
+    /// The open directions other than the way back (the candidates).
+    cand: u16,
+    /// Candidate preferred directions that some boundary entry stored at the node
+    /// flags as entering a dangerous area ([`BoundaryEntry::is_critical_hop`]).
     critical: u16,
-    /// Some preferred direction leads to a faulty or disabled neighbor.
-    blocked_preferred: bool,
+    /// Some preferred direction leads to a faulty or disabled neighbor, so spare
+    /// moves slide along that block's surface.
+    along_block: bool,
 }
 
-impl HopMasks {
+impl DecisionMasks {
     #[inline]
-    fn for_decision(ctx: &RouteCtx<'_>) -> Self {
-        let n = ctx.mesh.ndim();
+    fn for_decision(router: &LgfiRouter, ctx: &RouteCtx<'_>) -> Self {
         let mut preferred = 0u16;
-        for d in 0..n {
+        for d in 0..ctx.mesh.ndim() {
             let delta = ctx.dest[d] - ctx.current[d];
             if delta > 0 {
                 preferred |= 1 << (2 * d + 1);
@@ -389,35 +335,125 @@ impl HopMasks {
                 preferred |= 1 << (2 * d);
             }
         }
-        let blocked_preferred = (0..2 * n).any(|i| {
-            preferred & (1 << i) != 0 && ctx.neighbors[i].is_some_and(|(_, s)| s.in_block())
-        });
-        // One pass over the node's entries: the destination half of the critical
-        // test does not depend on the hop (and fails for most entries); only the
-        // preferred directions not yet flagged test the next-node half.
-        let mut critical = 0u16;
-        for entry in ctx.boundary_info {
-            if critical == preferred {
-                break;
-            }
-            if !entry.guards_destination(ctx.dest) {
+        let mut open = 0u16;
+        let mut in_block = 0u16;
+        for (i, slot) in ctx.neighbors.iter().enumerate() {
+            let Some((_, status)) = *slot else {
                 continue;
+            };
+            let bit = 1u16 << i;
+            match status {
+                NodeStatus::Faulty => in_block |= bit,
+                NodeStatus::Disabled => {
+                    in_block |= bit;
+                    if !router.avoid_known_blocked {
+                        open |= bit;
+                    }
+                }
+                NodeStatus::Clean | NodeStatus::Enabled => open |= bit,
             }
-            let mut open = preferred & !critical;
-            while open != 0 {
-                let i = open.trailing_zeros() as usize;
-                open &= open - 1;
-                if entry.shadows_next_hop(&ctx.current.step(Direction::from_index(i))) {
-                    critical |= 1 << i;
+        }
+        open &= !ctx.used.bits();
+        let back = ctx.incoming.map_or(0, |d| 1u16 << d.opposite().index());
+        let cand = open & !back;
+        // Critical routing: only the candidate preferred directions can win, so
+        // only they are tested.  The destination half of the test does not depend
+        // on the hop (and fails for most entries); the next-node half runs per
+        // direction not yet flagged.
+        let target = cand & preferred;
+        let mut critical = 0u16;
+        if target != 0 {
+            for entry in ctx.boundary_info {
+                if critical == target {
+                    break;
+                }
+                if !entry.guards_destination(ctx.dest) {
+                    continue;
+                }
+                let mut rest = target & !critical;
+                while rest != 0 {
+                    let i = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    if entry.shadows_next_hop(&ctx.current.step(Direction::from_index(i))) {
+                        critical |= 1 << i;
+                    }
                 }
             }
         }
-        HopMasks {
+        DecisionMasks {
             preferred,
+            open,
+            cand,
             critical,
-            blocked_preferred,
+            along_block: preferred & in_block != 0,
         }
     }
+
+    /// The class of the direction with index `i` under these masks.
+    #[inline]
+    fn class_at(&self, i: usize) -> Option<DirectionClass> {
+        let bit = 1u16 << i;
+        if self.open & bit == 0 {
+            return None;
+        }
+        Some(if self.cand & bit == 0 {
+            DirectionClass::Incoming
+        } else if self.preferred & bit != 0 {
+            if self.critical & bit != 0 {
+                DirectionClass::PreferredButDetour
+            } else {
+                DirectionClass::Preferred
+            }
+        } else if self.along_block {
+            DirectionClass::SpareAlongBlock
+        } else {
+            DirectionClass::Spare
+        })
+    }
+
+    /// The index of the best candidate: the first non-empty class mask in the
+    /// order preferred, spare along block, preferred but detour, spare, then the
+    /// tie-break inside it.  `None` when only the way back (or nothing) is left.
+    #[inline]
+    fn pick(&self, ctx: &RouteCtx<'_>) -> Option<usize> {
+        let toward = self.cand & self.preferred;
+        let spare = self.cand & !self.preferred;
+        if toward & !self.critical != 0 {
+            Some(tie_break(ctx, toward & !self.critical, true))
+        } else if spare != 0 && self.along_block {
+            Some(tie_break(ctx, spare, false))
+        } else if toward != 0 {
+            // Every candidate preferred direction is critical here.
+            Some(tie_break(ctx, toward, true))
+        } else if spare != 0 {
+            Some(tie_break(ctx, spare, false))
+        } else {
+            None
+        }
+    }
+}
+
+/// The tie-break inside one class: preferred moves take the dimension with the
+/// largest remaining offset (classic adaptive heuristic); spare moves take the
+/// dimension with the *smallest* remaining offset, so that a detour slides around
+/// the block instead of retreating along the main travel axis.  Remaining ties go
+/// to the lowest direction index.  `mask` must not be empty.
+#[inline]
+fn tie_break(ctx: &RouteCtx<'_>, mask: u16, largest: bool) -> usize {
+    let mut rest = mask;
+    let mut best = rest.trailing_zeros() as usize;
+    let mut best_offset = (ctx.dest[best / 2] - ctx.current[best / 2]).abs();
+    rest &= rest - 1;
+    while rest != 0 {
+        let i = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        let offset = (ctx.dest[i / 2] - ctx.current[i / 2]).abs();
+        if (largest && offset > best_offset) || (!largest && offset < best_offset) {
+            best = i;
+            best_offset = offset;
+        }
+    }
+    best
 }
 
 impl Router for LgfiRouter {
@@ -430,10 +466,11 @@ impl Router for LgfiRouter {
         if ctx.current_status == NodeStatus::Disabled {
             return RoutingDecision::Backtrack;
         }
-        match self.best_direction(ctx) {
-            // Choosing the incoming direction is the same as backtracking.
-            Some((_, DirectionClass::Incoming)) | None => RoutingDecision::Backtrack,
-            Some((dir, _)) => RoutingDecision::Forward(dir),
+        // Choosing the incoming direction is the same as backtracking, so an
+        // empty candidate set backtracks.
+        match DecisionMasks::for_decision(self, ctx).pick(ctx) {
+            Some(i) => RoutingDecision::Forward(Direction::from_index(i)),
+            None => RoutingDecision::Backtrack,
         }
     }
 }

@@ -17,7 +17,8 @@
 //!    parallel cycle, parked between cycles), each worker holding its own router
 //!    instance — the launch-order-merge discipline of the round and probe engines.
 //! 2. **Arbitration phase** — serial, in packet-launch order (packet-id tie-break):
-//!    each worm advances through the [`LinkState`] layer.  The head needs a free
+//!    each worm advances through the [`LinkState`] layer, keeping the link index
+//!    of every link it holds so its body flits never recompute it.  The head needs a free
 //!    virtual channel of its class, a downstream buffer credit and link bandwidth
 //!    to extend the worm by one link; body flits stream forward behind it subject
 //!    to bandwidth and credits, and flits crossing the final link are consumed by
@@ -39,7 +40,9 @@
 //!    buffers (probe path, used-direction arena, held-link deque) recycled for
 //!    future injections, so a warm engine performs **zero
 //!    steady-state heap allocations per cycle** (proved by
-//!    `tests/alloc_regression.rs`).
+//!    `tests/alloc_regression.rs`).  The arbitration loop and the deadlock
+//!    teardown note whether any worm finished; on the many cycles where none did,
+//!    the pass is skipped.
 //!
 //! With the default [`TrafficSpec`] (`flits_per_packet = 1`) a worm acquires and
 //! releases its VC within the crossing cycle, and the engine reproduces the PR-5
@@ -372,15 +375,14 @@ enum CycleRequest {
     Finish(ProbeStatus),
 }
 
-/// One link a worm currently occupies: the upstream node and direction identify
-/// the directed link, `vc` the held channel, `buffered` this worm's flits sitting
-/// in the downstream buffer.  `vc_released` is set once the worm's tail flit has
-/// crossed the link (the channel is free for other worms while the buffered flits
-/// drain through the shared pool).
+/// One link a worm currently occupies: `link` is its [`LinkState`] index
+/// (computed once, when the head crosses), `vc` the held channel, `buffered` this
+/// worm's flits sitting in the downstream buffer.  `vc_released` is set once the
+/// worm's tail flit has crossed the link (the channel is free for other worms
+/// while the buffered flits drain through the shared pool).
 #[derive(Debug, Clone, Copy)]
 struct WormLink {
-    node: NodeId,
-    dir: Direction,
+    link: u32,
     vc: u32,
     buffered: u32,
     vc_released: bool,
@@ -410,6 +412,19 @@ struct FlightPacket {
     /// ([`NO_OWNER`] = not VC/credit-blocked) — the deadlock detector's wait-for
     /// edge.
     blocked_on: u64,
+}
+
+impl FlightPacket {
+    /// True while the worm still has work: its head is in flight, or it was
+    /// delivered and its tail flit has not been consumed yet.
+    #[inline]
+    fn is_live(&self) -> bool {
+        match self.probe.status {
+            ProbeStatus::InFlight => true,
+            ProbeStatus::Delivered => self.ejected < self.flits,
+            _ => false,
+        }
+    }
 }
 
 /// The outcome of one head-advance attempt.
@@ -636,6 +651,9 @@ impl TrafficEngine {
         let link = &mut self.link;
         link.begin_cycle();
         let mut suspicious = false;
+        // Whether any worm stopped being live this cycle; when none did, the
+        // retirement pass has nothing to do.
+        let mut finished = false;
         for p in &mut self.packets {
             let mut moved = false;
             p.blocked_on = NO_OWNER;
@@ -685,9 +703,10 @@ impl TrafficEngine {
                 }
             }
             p.request = CycleRequest::Hold;
+            finished |= !p.is_live();
         }
         if suspicious {
-            detect_deadlocks(
+            finished |= detect_deadlocks(
                 &mut self.packets,
                 link,
                 &mut self.stats,
@@ -698,8 +717,14 @@ impl TrafficEngine {
         }
         self.cycle += 1;
         self.stats.record_cycle();
+        if finished {
+            self.retire();
+        }
+    }
 
-        // --- Retirement phase: record finished packets in launch order, recycle. --
+    /// Retirement phase: records the finished packets in launch order and
+    /// recycles their buffers.
+    fn retire(&mut self) {
         let finished_at = self.cycle;
         let Self {
             packets,
@@ -710,13 +735,7 @@ impl TrafficEngine {
         } = self;
         let mut write = 0usize;
         for read in 0..packets.len() {
-            let live = match packets[read].probe.status {
-                ProbeStatus::InFlight => true,
-                // A delivered worm stays until its tail flit is consumed.
-                ProbeStatus::Delivered => packets[read].ejected < packets[read].flits,
-                _ => false,
-            };
-            if live {
+            if packets[read].is_live() {
                 // A packet already in place stays put: swapping it with itself
                 // would copy it three times.
                 if write != read {
@@ -837,34 +856,43 @@ fn advance_head(
     dir: Direction,
 ) -> HeadMove {
     let from = p.probe.current;
+    let wanted = link.link(from, dir);
     // Adaptive class on the router's link: a free VC plus a buffer credit.
     let mut choice = link
-        .free_adaptive_vc(from, dir)
-        .filter(|_| link.credits(from, dir) > 0)
-        .map(|vc| (dir, vc));
+        .free_adaptive_vc(wanted)
+        .filter(|_| link.credits(wanted) > 0)
+        .map(|vc| (dir, wanted, vc));
     // Escape class: when the adaptive path is VC- or credit-blocked, a
-    // dimension-order hop on the reserved VC 0 is always deadlock-free.
+    // dimension-order hop on the reserved VC 0 is always deadlock-free.  The
+    // surface test reads the carried coordinate and the neighbor id steps by the
+    // stride, so the fallback divides nothing.
     if choice.is_none() && link.has_escape_vc() {
-        if let Some(dor) = dor_direction(p.probe.current_coord(), p.probe.dest_coord()) {
-            let usable = mesh
-                .neighbor_id(from, dor)
-                .is_some_and(|nb| env.statuses[nb] == NodeStatus::Enabled);
-            if usable && link.escape_vc_free(from, dor) && link.credits(from, dor) > 0 {
-                choice = Some((dor, 0));
+        let at = p.probe.current_coord();
+        if let Some(dor) = dor_direction(at, p.probe.dest_coord()) {
+            let (x, stride) = (at[dor.dim], mesh.stride(dor.dim));
+            let neighbor = if dor.positive {
+                (x + 1 < mesh.radix(dor.dim)).then(|| from + stride)
+            } else {
+                (x > 0).then(|| from - stride)
+            };
+            if neighbor.is_some_and(|nb| env.statuses[nb] == NodeStatus::Enabled) {
+                let escape = link.link(from, dor);
+                if link.escape_vc_free(escape) && link.credits(escape) > 0 {
+                    choice = Some((dor, escape, 0));
+                }
             }
         }
     }
-    let Some((out, vc)) = choice else {
-        return HeadMove::Blocked(link.first_vc_owner(from, dir));
+    let Some((out, out_link, vc)) = choice else {
+        return HeadMove::Blocked(link.first_vc_owner(wanted));
     };
-    if !link.try_flit(from, out) {
+    if !link.try_flit(out_link) {
         return HeadMove::NoBandwidth;
     }
     // The head flit leaves the buffer behind it (or the rear node).
     if let Some(back) = p.held.back_mut() {
         back.buffered -= 1;
-        let (n, d) = (back.node, back.dir);
-        link.drain(n, d, 1);
+        link.drain(back.link, 1);
     } else {
         p.rear_flits -= 1;
     }
@@ -873,18 +901,16 @@ fn advance_head(
         // The destination consumes flits as they arrive — no buffer, no VC.
         p.ejected += 1;
         p.held.push_back(WormLink {
-            node: from,
-            dir: out,
+            link: out_link,
             vc: 0,
             buffered: 0,
             vc_released: true,
         });
     } else {
-        link.acquire_vc(from, out, vc, p.id);
-        link.deposit(from, out, 1);
+        link.acquire_vc(out_link, vc, p.id);
+        link.deposit(out_link, 1);
         p.held.push_back(WormLink {
-            node: from,
-            dir: out,
+            link: out_link,
             vc: vc as u32,
             buffered: 1,
             vc_released: false,
@@ -899,42 +925,43 @@ fn advance_head(
 /// needed); every other crossing needs a downstream credit and link bandwidth.
 /// Returns true when any flit moved.
 fn advance_body(link: &mut LinkState, p: &mut FlightPacket) -> bool {
-    if p.held.is_empty() {
-        return false;
-    }
-    let last = p.held.len() - 1;
     let delivered = p.probe.status == ProbeStatus::Delivered;
+    // Indexing one slice spares every flit the deque's wrap arithmetic; the
+    // rotation this may cost is rare and bounded by the links the worm holds.
+    let held = p.held.make_contiguous();
+    let Some(last) = held.len().checked_sub(1) else {
+        return false;
+    };
     let mut moved = false;
     for i in (0..=last).rev() {
         loop {
             let avail = if i == 0 {
                 p.rear_flits
             } else {
-                p.held[i - 1].buffered
+                held[i - 1].buffered
             };
             if avail == 0 {
                 break;
             }
-            let lk = p.held[i];
+            let lk = held[i].link;
             let eject = delivered && i == last;
-            if !eject && link.credits(lk.node, lk.dir) == 0 {
+            if !eject && link.credits(lk) == 0 {
                 break;
             }
-            if !link.try_flit(lk.node, lk.dir) {
+            if !link.try_flit(lk) {
                 break;
             }
             if i == 0 {
                 p.rear_flits -= 1;
             } else {
-                p.held[i - 1].buffered -= 1;
-                let prev = p.held[i - 1];
-                link.drain(prev.node, prev.dir, 1);
+                held[i - 1].buffered -= 1;
+                link.drain(held[i - 1].link, 1);
             }
             if eject {
                 p.ejected += 1;
             } else {
-                p.held[i].buffered += 1;
-                link.deposit(lk.node, lk.dir, 1);
+                held[i].buffered += 1;
+                link.deposit(lk, 1);
             }
             moved = true;
         }
@@ -953,7 +980,7 @@ fn release_crossed(link: &mut LinkState, p: &mut FlightPacket) {
             break;
         }
         if !lk.vc_released {
-            link.release_vc(lk.node, lk.dir, lk.vc as usize);
+            link.release_vc(lk.link, lk.vc as usize);
             lk.vc_released = true;
         }
         upstream += lk.buffered;
@@ -981,14 +1008,13 @@ fn release_crossed(link: &mut LinkState, p: &mut FlightPacket) {
 fn retreat_worm(link: &mut LinkState, p: &mut FlightPacket) {
     if let Some(lk) = p.held.pop_back() {
         if !lk.vc_released {
-            link.release_vc(lk.node, lk.dir, lk.vc as usize);
+            link.release_vc(lk.link, lk.vc as usize);
         }
         if lk.buffered > 0 {
-            link.drain(lk.node, lk.dir, lk.buffered);
+            link.drain(lk.link, lk.buffered);
             if let Some(prev) = p.held.back_mut() {
                 prev.buffered += lk.buffered;
-                let (n, d) = (prev.node, prev.dir);
-                link.deposit(n, d, lk.buffered);
+                link.deposit(prev.link, lk.buffered);
             } else {
                 p.rear_flits += lk.buffered;
             }
@@ -1001,10 +1027,10 @@ fn retreat_worm(link: &mut LinkState, p: &mut FlightPacket) {
 fn teardown_worm(link: &mut LinkState, p: &mut FlightPacket) {
     while let Some(lk) = p.held.pop_back() {
         if !lk.vc_released {
-            link.release_vc(lk.node, lk.dir, lk.vc as usize);
+            link.release_vc(lk.link, lk.vc as usize);
         }
         if lk.buffered > 0 {
-            link.drain(lk.node, lk.dir, lk.buffered);
+            link.drain(lk.link, lk.buffered);
         }
     }
     p.rear_flits = 0;
@@ -1016,6 +1042,7 @@ fn teardown_worm(link: &mut LinkState, p: &mut FlightPacket) {
 /// worms are torn down with [`ProbeStatus::Deadlocked`] and counted in
 /// [`TrafficStats::deadlocked`].  Visit stamps make the whole invocation linear
 /// in the packet population; the stamp buffer is recycled across invocations.
+/// Returns true when it tore any worm down.
 fn detect_deadlocks(
     packets: &mut [FlightPacket],
     link: &mut LinkState,
@@ -1023,7 +1050,8 @@ fn detect_deadlocks(
     dl_stamp: &mut Vec<u64>,
     dl_walk: &mut u64,
     threshold: u64,
-) {
+) -> bool {
+    let mut torn_down = false;
     dl_stamp.clear();
     dl_stamp.resize(packets.len(), 0);
     for start in 0..packets.len() {
@@ -1070,6 +1098,7 @@ fn detect_deadlocks(
                     k = nk;
                 }
                 stats.record_deadlocked(killed);
+                torn_down |= killed > 0;
                 break;
             }
             if dl_stamp[j] != 0 {
@@ -1079,6 +1108,7 @@ fn detect_deadlocks(
             i = j;
         }
     }
+    torn_down
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 //!   flags a hop for a destination outside the block's cross-section;
 //! * the per-block boundary builder reproduces the whole-map construction it
 //!   replaced, merging boundaries included;
-//! * the hop kernel (carried coordinates, one-pass direction classification) makes
-//!   the decisions of a literal per-direction transcription of Algorithm 3 on
-//!   random 2-D–4-D contexts and random probe walks.
+//! * the hop kernel (carried coordinates, mask-based direction classification)
+//!   makes the decisions of a literal per-direction transcription of Algorithm 3
+//!   on random 2-D–4-D contexts and random probe walks, and on every 2-D context
+//!   of an exhaustive decision table.
 //!
 //! The cases are drawn by a seeded [`DetRng`] rather than proptest (the build
 //! environment is offline), so every run explores the same deterministic sample of
@@ -788,4 +789,145 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
             "the set itself rejects the index, not an arithmetic overflow: {msg:?}"
         );
     }
+}
+
+/// An entry aimed across dimension `g`, whose gap from `current` to `dest` is 3:
+/// a one-layer block in the middle of the gap, whose cross-section is the box
+/// spanned by the two nodes, guarded on the destination's side.  Every preferred
+/// hop out of `current` then enters its shadow.
+fn entry_across(g: usize, current: &Coord, dest: &Coord) -> BoundaryEntry {
+    let gap = dest[g] - current[g];
+    assert_eq!(gap.abs(), 3, "the table aims entries across gaps of 3");
+    let layer = current[g] + 2 * gap.signum();
+    let n = current.ndim();
+    let lo = (0..n)
+        .map(|d| {
+            if d == g {
+                layer
+            } else {
+                current[d].min(dest[d])
+            }
+        })
+        .collect();
+    let hi = (0..n)
+        .map(|d| {
+            if d == g {
+                layer
+            } else {
+                current[d].max(dest[d])
+            }
+        })
+        .collect();
+    BoundaryEntry {
+        block_id: 0,
+        block: Region::new(lo, hi),
+        guard: Direction::new(g, gap > 0),
+        arrival_offset: 0,
+    }
+}
+
+#[test]
+fn hop_kernel_matches_algorithm_3_on_every_2d_context() {
+    // Every neighbor slot drawn from {enabled, disabled, faulty, off-mesh} (clean
+    // neighbors classify like enabled ones and stay with the random test), every
+    // used-direction set, every incoming direction and none, destination offsets
+    // with every sign pattern, zero, equal and unequal offsets, and no entry or
+    // one entry aimed across each dimension whose gap is 3.
+    const SLOTS: [Option<NodeStatus>; 4] = [
+        Some(NodeStatus::Enabled),
+        Some(NodeStatus::Disabled),
+        Some(NodeStatus::Faulty),
+        None,
+    ];
+    const OFFSETS: [i32; 5] = [-3, -1, 0, 1, 3];
+    let mesh = Mesh::cubic(8, 2);
+    let current = coord![4, 4];
+    let dirs: Vec<Direction> = Direction::iter_all(2).collect();
+    let incomings: Vec<Option<Direction>> = std::iter::once(None)
+        .chain(dirs.iter().copied().map(Some))
+        .collect();
+    let routers = [LgfiRouter::new(), LgfiRouter::default()];
+    let mut classes_seen = std::collections::BTreeSet::new();
+    let (mut contexts, mut tie_broken) = (0usize, 0usize);
+    for dx in OFFSETS {
+        for dy in OFFSETS {
+            let dest = coord![(4 + dx) as usize, (4 + dy) as usize];
+            let infos: Vec<Vec<BoundaryEntry>> = std::iter::once(Vec::new())
+                .chain(
+                    (0..2)
+                        .filter(|&g| (dest[g] - current[g]).abs() == 3)
+                        .map(|g| vec![entry_across(g, &current, &dest)]),
+                )
+                .collect();
+            for code in 0..SLOTS.len().pow(4) {
+                let slots: Vec<NeighborSlot> = (0..4)
+                    .map(|i| {
+                        SLOTS[code / SLOTS.len().pow(i) % SLOTS.len()].map(|s| (i as usize, s))
+                    })
+                    .collect();
+                for used_bits in 0..16u16 {
+                    let used: DirectionSet = dirs
+                        .iter()
+                        .copied()
+                        .filter(|d| used_bits & (1 << d.index()) != 0)
+                        .collect();
+                    for &incoming in &incomings {
+                        for info in &infos {
+                            let ctx = RouteCtx {
+                                mesh: &mesh,
+                                current: &current,
+                                dest: &dest,
+                                current_status: NodeStatus::Enabled,
+                                neighbors: &slots,
+                                boundary_info: info,
+                                global_blocks: &[],
+                                used,
+                                incoming,
+                            };
+                            for router in &routers {
+                                contexts += 1;
+                                let classes: [Option<DirectionClass>; 4] =
+                                    std::array::from_fn(|i| {
+                                        reference_classify(router, &ctx, dirs[i])
+                                    });
+                                for (&dir, &want) in dirs.iter().zip(&classes) {
+                                    assert_eq!(
+                                        router.classify(&ctx, dir),
+                                        want,
+                                        "{dir} for {dest} with {slots:?}, used {used:?}, \
+                                         incoming {incoming:?}, {} entries, {router:?}",
+                                        info.len()
+                                    );
+                                    classes_seen.extend(want);
+                                }
+                                let want = reference_decide(router, &ctx);
+                                assert_eq!(
+                                    router.decide(&ctx),
+                                    want,
+                                    "decision for {dest} with {slots:?}, used {used:?}, \
+                                     incoming {incoming:?}, {} entries, {router:?}",
+                                    info.len()
+                                );
+                                if let RoutingDecision::Forward(dir) = want {
+                                    let class = classes[dir.index()];
+                                    tie_broken += usize::from(
+                                        classes.iter().filter(|&&c| c == class).count() > 1,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        classes_seen.len(),
+        5,
+        "every direction class occurs: {classes_seen:?}"
+    );
+    assert!(
+        tie_broken > 10_000,
+        "only {tie_broken} of {contexts} decisions needed a tie-break"
+    );
 }
