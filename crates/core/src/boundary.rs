@@ -38,6 +38,7 @@
 use lgfi_topology::{Coord, Direction, FrameLevel, Mesh, NodeId, Region};
 
 use crate::block::{BlockId, BlockSet};
+use crate::routing::CsrBoundary;
 
 /// One piece of limited-global information stored at a node: "block `block` exists;
 /// this node is on the boundary that guards its surface in direction `guard`".
@@ -111,17 +112,25 @@ impl BoundaryEntry {
     }
 }
 
-/// The boundary information of every node of a mesh for a given block set.
+/// The boundary information of every node of a mesh, as one CSR arena: node `i`'s
+/// entries are `data[off[i]..off[i + 1]]`.
+///
+/// [`BoundaryMap::construct`] fills it from a block set; an
+/// [`EpochSnapshot`](crate::route_service::EpochSnapshot) refills one with the
+/// entries visible in the live network.  Routing reads it through
+/// [`BoundaryMap::view`].
 #[derive(Debug, Clone, Default)]
 pub struct BoundaryMap {
-    entries: Vec<Vec<BoundaryEntry>>,
+    data: Vec<BoundaryEntry>,
+    off: Vec<usize>,
 }
 
 impl BoundaryMap {
     /// An empty map (no blocks, no information anywhere).
     pub fn empty(mesh: &Mesh) -> Self {
         BoundaryMap {
-            entries: vec![Vec::new(); mesh.node_count()],
+            data: Vec::new(),
+            off: vec![0; mesh.node_count() + 1],
         }
     }
 
@@ -129,28 +138,74 @@ impl BoundaryMap {
     /// run over each block in id order, so every node lists its entries by block,
     /// then by guard in [`Direction::all`] order.
     pub fn construct(mesh: &Mesh, blocks: &BlockSet) -> Self {
-        let mut map = BoundaryMap::empty(mesh);
         let mut builder = BoundaryBuilder::default();
         builder.prepare(mesh, blocks);
+        let mut all = Vec::new();
         let mut out = Vec::new();
         for block in blocks.blocks() {
             builder.block_entries(mesh, blocks, block.id, &mut out);
-            for &(node, entry) in &out {
-                map.entries[node].push(entry);
-            }
+            all.extend_from_slice(&out);
         }
-        map
+        // A stable counting sort by node keeps each node's entries in the order
+        // the blocks listed them.
+        let nodes = mesh.node_count();
+        let mut off = vec![0; nodes + 1];
+        for &(node, _) in &all {
+            off[node + 1] += 1;
+        }
+        for i in 0..nodes {
+            off[i + 1] += off[i];
+        }
+        let mut next = off[..nodes].to_vec();
+        let mut data = all
+            .first()
+            .map_or_else(Vec::new, |&(_, e)| vec![e; all.len()]);
+        for &(node, entry) in &all {
+            data[next[node]] = entry;
+            next[node] += 1;
+        }
+        BoundaryMap { data, off }
+    }
+
+    /// The map as the borrowed view routing reads.
+    ///
+    /// # Panics
+    /// Panics on a default-constructed map, which covers no nodes.
+    pub fn view(&self) -> CsrBoundary<'_> {
+        CsrBoundary::new(&self.data, &self.off)
+    }
+
+    /// Refills the map with the entries of `from`, keeping its buffers.  Both are
+    /// sized exactly, as one bulk copy would be: a refilled map carries no slack.
+    pub(crate) fn refill(&mut self, from: CsrBoundary<'_>) {
+        let nodes = from.node_count();
+        let total = (0..nodes).map(|node| from.entries(node).len()).sum();
+        self.data.clear();
+        self.data.reserve_exact(total);
+        self.off.clear();
+        self.off.reserve_exact(nodes + 1);
+        self.off.push(0);
+        for node in 0..nodes {
+            self.data.extend_from_slice(from.entries(node));
+            self.off.push(self.data.len());
+        }
+    }
+
+    /// Heap bytes of the arena's buffers (capacities × element sizes).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<BoundaryEntry>()
+            + self.off.capacity() * std::mem::size_of::<usize>()
     }
 
     /// The boundary entries stored at a node.
     pub fn entries(&self, id: NodeId) -> &[BoundaryEntry] {
-        &self.entries[id]
+        &self.data[self.off[id]..self.off[id + 1]]
     }
 
     /// The boundary entries stored at a node that have already arrived after `rounds`
     /// rounds of boundary construction.
     pub fn entries_at_round(&self, id: NodeId, rounds: u64) -> Vec<&BoundaryEntry> {
-        self.entries[id]
+        self.entries(id)
             .iter()
             .filter(|e| e.arrival_offset <= rounds)
             .collect()
@@ -158,29 +213,29 @@ impl BoundaryMap {
 
     /// Number of nodes storing at least one boundary entry.
     pub fn nodes_with_info(&self) -> usize {
-        self.entries.iter().filter(|e| !e.is_empty()).count()
+        self.off.windows(2).filter(|w| w[0] < w[1]).count()
     }
 
     /// Total number of stored entries across all nodes.
     pub fn total_entries(&self) -> usize {
-        self.entries.iter().map(|e| e.len()).sum()
+        self.data.len()
     }
 
     /// The number of rounds for the boundary construction to complete (the paper's
     /// `c_i`): the maximum arrival offset over all entries, 0 if there are none.
     pub fn construction_rounds(&self) -> u64 {
-        self.entries
+        self.data
             .iter()
-            .flat_map(|e| e.iter().map(|x| x.arrival_offset))
+            .map(|e| e.arrival_offset)
             .max()
             .unwrap_or(0)
     }
 
     /// All node ids that guard the given block for the given surface direction.
     pub fn boundary_nodes(&self, block_id: BlockId, guard: Direction) -> Vec<NodeId> {
-        (0..self.entries.len())
+        (0..self.off.len().saturating_sub(1))
             .filter(|&id| {
-                self.entries[id]
+                self.entries(id)
                     .iter()
                     .any(|e| e.block_id == block_id && e.guard == guard)
             })

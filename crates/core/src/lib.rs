@@ -74,10 +74,10 @@ pub use linkstate::LinkState;
 pub use network::{LgfiNetwork, NetworkConfig, ProbeReport};
 pub use route_service::{EpochSnapshot, RouteReader, RouteService, RouteServiceStats, RoutedQuery};
 pub use routing::{
-    BoundarySource, CsrBoundary, DirectionClass, LgfiRouter, Probe, ProbeEngine, ProbeOutcome,
-    ProbeStatus, RouteCtx, Router, RoutingDecision,
+    CsrBoundary, DirectionClass, LgfiRouter, Probe, ProbeEngine, ProbeOutcome, ProbeStatus,
+    RouteCtx, RouteEnv, Router, RoutingDecision,
 };
 pub use safety::is_safe_source;
 pub use slo::SloObserver;
 pub use status::NodeStatus;
-pub use traffic_engine::{CycleEnv, PacketRecord, StaticTrafficEnv, TrafficEngine, TrafficSpec};
+pub use traffic_engine::{PacketRecord, TrafficEngine, TrafficSpec};

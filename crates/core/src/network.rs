@@ -26,14 +26,14 @@ use std::collections::BTreeMap;
 use lgfi_sim::{FaultEvent, FaultEventKind, FaultPlan, FaultPlanCursor, StepConfig};
 use lgfi_topology::{Mesh, NodeId, Region};
 
-use crate::block::{BlockId, BlockSet, FaultyBlock};
+use crate::block::{BlockId, BlockSet};
 use crate::boundary::{BoundaryBuilder, BoundaryEntry};
 use crate::bounds::{DetourBound, IntervalParams};
 use crate::identification::IdentificationProcess;
 use crate::labeling::LabelingEngine;
 use crate::route_service::{RoutePublisher, RouteService};
 use crate::routing::{
-    CsrBoundary, Probe, ProbeEngine, ProbeOutcome, ProbeStatus, Router, RoutingDecision,
+    CsrBoundary, Probe, ProbeEngine, ProbeOutcome, ProbeStatus, RouteEnv, Router,
 };
 use crate::status::NodeStatus;
 
@@ -389,31 +389,31 @@ impl LgfiNetwork {
         // finished scan below runs serially in launch order either way, keeping
         // parallel execution bit-identical to serial.
         if !self.probes.is_empty() {
-            let mesh = &self.mesh;
-            let statuses = self.labeling.statuses();
-            let blocks = self.blocks.blocks();
-            let boundary = self.arena.boundary();
-            let max_probe_steps = self.config.max_probe_steps;
-            let probes = &mut self.probes;
+            // The probes and their pool leave `self` for the phase, so the
+            // decisions can borrow the step's environment from it.
+            let mut probes = std::mem::take(&mut self.probes);
+            let mut pool = std::mem::take(&mut self.probe_pool);
+            let (mesh, env, max_steps) = (&self.mesh, self.env(), self.config.max_probe_steps);
+            let advance = |state: &mut ProbeState| {
+                let exhausted = state.probe.steps >= max_steps;
+                state
+                    .probe
+                    .advance(mesh, &env, state.router.as_ref(), exhausted);
+            };
             let workers = self.probe_threads.min(probes.len());
             if workers > 1 {
                 // Each pool chunk is a contiguous launch-order run of probes; the
                 // chunk count tracks the in-flight population while the pool keeps
                 // its `probe_threads` width (no re-spawn as probes come and go).
-                self.probe_pool.get(self.probe_threads).run_chunked(
-                    probes.as_mut_slice(),
-                    workers,
-                    |_, chunk| {
-                        for state in chunk {
-                            advance_probe(mesh, statuses, blocks, boundary, max_probe_steps, state);
-                        }
-                    },
-                );
+                pool.get(self.probe_threads)
+                    .run_chunked(&mut probes, workers, |_, chunk| {
+                        chunk.iter_mut().for_each(&advance);
+                    });
             } else {
-                for state in probes.iter_mut() {
-                    advance_probe(mesh, statuses, blocks, boundary, max_probe_steps, state);
-                }
+                probes.iter_mut().for_each(&advance);
             }
+            self.probes = probes;
+            self.probe_pool = pool;
         }
         // Retire finished probes.  Removals walk the finished indices in reverse, so
         // the in-flight list keeps its launch order, and the reports of probes that
@@ -527,17 +527,19 @@ impl LgfiNetwork {
     ) {
         self.begin_step_with(external);
         self.sync_query_plane();
-        traffic.run_cycle(&crate::traffic_engine::CycleEnv {
-            statuses: self.labeling.statuses(),
-            blocks: self.blocks.blocks(),
-            boundary: self.visible_boundary(),
-        });
+        traffic.run_cycle(&self.env());
         self.step += 1;
     }
 
-    /// The boundary entries visible at each node this round.
-    fn visible_boundary(&self) -> CsrBoundary<'_> {
-        self.arena.boundary()
+    /// The environment every hop loop of the network reads this round: the
+    /// statuses, the blocks as of the last rebuild and the boundary entries
+    /// visible at each node.
+    fn env(&self) -> RouteEnv<'_> {
+        RouteEnv {
+            statuses: self.labeling.statuses(),
+            blocks: self.blocks.blocks(),
+            boundary: self.arena.boundary(),
+        }
     }
 
     /// Brings the visible arena up to the current round, once per step: drains
@@ -573,14 +575,7 @@ impl LgfiNetwork {
         };
         if self.vis_gen != publisher.published_gen() || self.events_pending {
             self.info_changes += 1;
-            publisher.publish(
-                &self.mesh,
-                self.step,
-                self.round,
-                self.labeling.statuses(),
-                self.blocks.blocks(),
-                self.visible_boundary(),
-            );
+            publisher.publish(&self.mesh, self.step, self.round, &self.env());
             publisher.set_published_gen(self.vis_gen);
         }
         self.events_pending = false;
@@ -597,14 +592,7 @@ impl LgfiNetwork {
             return publisher.handle();
         }
         self.events_pending = false;
-        let mut publisher = RoutePublisher::attach(
-            &self.mesh,
-            self.step,
-            self.round,
-            self.labeling.statuses(),
-            self.blocks.blocks(),
-            self.visible_boundary(),
-        );
+        let mut publisher = RoutePublisher::attach(&self.mesh, self.step, self.round, &self.env());
         publisher.set_published_gen(self.vis_gen);
         let handle = publisher.handle();
         self.publisher = Some(publisher);
@@ -621,7 +609,7 @@ impl LgfiNetwork {
     /// Resolves one source→dest route against the live network *frozen at the
     /// current round*: the same statuses, blocks and visible-boundary arena a
     /// snapshot published right now would copy, driven through the same
-    /// [`ProbeEngine::route_view`] hop loop.  The bit-equality of this and a
+    /// [`ProbeEngine::route`] hop loop.  The bit-equality of this and a
     /// snapshot-resolved route at the same epoch is the query plane's correctness
     /// contract (`tests/route_service_equivalence.rs`).
     pub fn resolve_live(
@@ -632,16 +620,7 @@ impl LgfiNetwork {
         max_steps: u64,
         engine: &mut ProbeEngine,
     ) -> ProbeOutcome {
-        engine.route_view(
-            &self.mesh,
-            self.labeling.statuses(),
-            self.blocks.blocks(),
-            self.visible_boundary(),
-            router,
-            source,
-            dest,
-            max_steps,
-        )
+        engine.route(&self.mesh, &self.env(), router, source, dest, max_steps)
     }
 
     /// Runs steps until all probes have finished and all scheduled fault events have
@@ -822,48 +801,6 @@ impl LgfiNetwork {
             e_max,
         }
     }
-}
-
-/// Advances one in-flight probe by a single step-model decision against the frozen
-/// step state: the forced backtrack off a freshly faulty node, the unreachable check
-/// for a faulty destination, and otherwise one Algorithm-3 decision over the visible
-/// boundary information.  Pure function of the shared step state and the probe's own
-/// mutable state, so probe workers can run it concurrently with bit-identical
-/// results.
-fn advance_probe(
-    mesh: &Mesh,
-    statuses: &[NodeStatus],
-    blocks: &[FaultyBlock],
-    boundary: CsrBoundary<'_>,
-    max_probe_steps: u64,
-    state: &mut ProbeState,
-) {
-    if state.probe.status != ProbeStatus::InFlight {
-        return;
-    }
-    if state.probe.steps >= max_probe_steps {
-        state.probe.status = ProbeStatus::Exhausted;
-        return;
-    }
-    let current = state.probe.current;
-    // A probe sitting on a node that just became faulty is forced back onto the
-    // previous node of its reserved path.
-    if statuses[current] == NodeStatus::Faulty {
-        state.probe.apply(mesh, RoutingDecision::Backtrack);
-        return;
-    }
-    if statuses[state.probe.dest] == NodeStatus::Faulty {
-        state.probe.status = ProbeStatus::Unreachable;
-        return;
-    }
-    let decision = state.probe.decide(
-        mesh,
-        statuses,
-        blocks,
-        boundary.entries(current),
-        state.router.as_ref(),
-    );
-    state.probe.apply(mesh, decision);
 }
 
 /// Buffers [`LgfiNetwork::rebuild_information`] keeps between rebuilds, so a warm
@@ -1158,7 +1095,8 @@ impl RoundCalendar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::LgfiRouter;
+    use crate::boundary::BoundaryMap;
+    use crate::routing::{route_static, LgfiRouter};
     use lgfi_sim::FaultEvent;
     use lgfi_topology::coord;
     use std::cmp::Reverse;
@@ -1171,32 +1109,70 @@ mod tests {
     #[test]
     fn static_plan_routes_like_the_static_engine() {
         let mesh = mesh10();
-        let plan = FaultPlan::static_faults(&[
-            mesh.id_of(&coord![4, 4]),
-            mesh.id_of(&coord![5, 5]),
-            mesh.id_of(&coord![4, 5]),
-            mesh.id_of(&coord![5, 4]),
-        ]);
-        let mut net = LgfiNetwork::new(mesh.clone(), plan, NetworkConfig::default());
+        let faults = [coord![4, 4], coord![5, 5], coord![4, 5], coord![5, 4]];
+        let ids: Vec<NodeId> = faults.iter().map(|c| mesh.id_of(c)).collect();
+        let mut net = LgfiNetwork::new(
+            mesh.clone(),
+            FaultPlan::static_faults(&ids),
+            NetworkConfig::default(),
+        );
         // Let the information stabilise before launching the probe.
         for _ in 0..60 {
             net.run_step();
         }
         assert_eq!(net.blocks().len(), 1);
         assert!(net.nodes_with_visible_info() > 0);
-        net.launch_probe(
-            mesh.id_of(&coord![0, 0]),
-            mesh.id_of(&coord![9, 9]),
-            Box::new(LgfiRouter::new()),
-        );
+        let (source, dest) = (mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![9, 9]));
+        net.launch_probe(source, dest, Box::new(LgfiRouter::new()));
         net.run_to_completion(1_000);
         assert_eq!(net.reports().len(), 1);
         let report = &net.reports()[0];
         assert!(report.outcome.delivered());
         assert_eq!(report.router, "lgfi");
-        // The block does intersect the bounding box, but a detour of at most the block
-        // perimeter suffices.
-        assert!(report.outcome.detours().unwrap() <= 8);
+        // The block intersects the bounding box; once the information has
+        // converged, the probe takes the static engine's route on the same layout.
+        let mut labeling = LabelingEngine::new(mesh.clone());
+        labeling.apply_faults(&faults);
+        let blocks = BlockSet::extract(&mesh, labeling.statuses());
+        let boundary = BoundaryMap::construct(&mesh, &blocks);
+        let fixed = route_static(
+            &mesh,
+            labeling.statuses(),
+            blocks.blocks(),
+            &boundary,
+            &LgfiRouter::new(),
+            source,
+            dest,
+            NetworkConfig::default().max_probe_steps,
+        );
+        assert_eq!(report.outcome, fixed);
+    }
+
+    #[test]
+    fn self_pairs_are_delivered_at_launch() {
+        let mesh = Mesh::cubic(8, 2);
+        let faulty = mesh.id_of(&coord![5, 5]);
+        let mut net = LgfiNetwork::new(
+            mesh.clone(),
+            FaultPlan::static_faults(&[faulty]),
+            NetworkConfig::default(),
+        );
+        net.run_step();
+        let nodes = [coord![3, 3], coord![0, 0], coord![7, 0], coord![5, 5]];
+        for c in &nodes {
+            let node = mesh.id_of(c);
+            net.launch_probe(node, node, Box::new(LgfiRouter::new()));
+        }
+        net.run_step();
+        assert_eq!(net.probes_in_flight(), 0);
+        assert_eq!(net.reports().len(), nodes.len());
+        for r in net.reports() {
+            assert_eq!(r.source, r.dest);
+            assert_eq!(r.finished_at, r.launched_at, "{r:?}");
+            assert_eq!(r.outcome.status, ProbeStatus::Delivered, "{r:?}");
+            assert_eq!((r.outcome.steps, r.outcome.path_length), (0, 0), "{r:?}");
+        }
+        assert!(net.reports().iter().any(|r| r.source == faulty));
     }
 
     #[test]

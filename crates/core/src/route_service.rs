@@ -58,8 +58,8 @@ use lgfi_sim::EpochCell;
 use lgfi_topology::{Mesh, NodeId};
 
 use crate::block::FaultyBlock;
-use crate::boundary::BoundaryEntry;
-use crate::routing::{CsrBoundary, ProbeEngine, ProbeOutcome, Router};
+use crate::boundary::BoundaryMap;
+use crate::routing::{CsrBoundary, ProbeEngine, ProbeOutcome, RouteEnv, Router};
 use crate::status::NodeStatus;
 
 #[cfg(doc)]
@@ -79,10 +79,8 @@ pub struct EpochSnapshot {
     mesh: Mesh,
     statuses: Vec<NodeStatus>,
     blocks: Vec<FaultyBlock>,
-    /// Visible boundary entries, compact CSR: node `i`'s slice is
-    /// `vis_data[vis_off[i]..vis_off[i + 1]]`.
-    vis_data: Vec<BoundaryEntry>,
-    vis_off: Vec<usize>,
+    /// The boundary entries visible at each node.
+    boundary: BoundaryMap,
 }
 
 impl EpochSnapshot {
@@ -95,42 +93,23 @@ impl EpochSnapshot {
             mesh: mesh.clone(),
             statuses: Vec::new(),
             blocks: Vec::new(),
-            vis_data: Vec::new(),
-            vis_off: Vec::new(),
+            boundary: BoundaryMap::default(),
         }
     }
 
-    /// Refills this snapshot's buffers from the live network state, keeping their
-    /// capacity (the recycled warm path of republication).  The live arena's
-    /// visible entries are packed into the snapshot's compact CSR.
-    fn fill(
-        &mut self,
-        epoch: u64,
-        step: u64,
-        round: u64,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: CsrBoundary<'_>,
-    ) {
+    /// Refills this snapshot's buffers from the live network's environment,
+    /// keeping their capacity (the recycled warm path of republication).  The
+    /// live arena's visible entries are packed into the snapshot's
+    /// [`BoundaryMap`].
+    fn fill(&mut self, epoch: u64, step: u64, round: u64, env: &RouteEnv<'_>) {
         self.epoch = epoch;
         self.step = step;
         self.round = round;
         self.statuses.clear();
-        self.statuses.extend_from_slice(statuses);
+        self.statuses.extend_from_slice(env.statuses);
         self.blocks.clear();
-        self.blocks.extend_from_slice(blocks);
-        // Sized exactly, as one bulk copy would be: a snapshot carries no slack.
-        let nodes = boundary.node_count();
-        let visible = (0..nodes).map(|node| boundary.entries(node).len()).sum();
-        self.vis_data.clear();
-        self.vis_data.reserve_exact(visible);
-        self.vis_off.clear();
-        self.vis_off.reserve_exact(nodes + 1);
-        self.vis_off.push(0);
-        for node in 0..nodes {
-            self.vis_data.extend_from_slice(boundary.entries(node));
-            self.vis_off.push(self.vis_data.len());
-        }
+        self.blocks.extend_from_slice(env.blocks);
+        self.boundary.refill(env.boundary);
     }
 
     /// The epoch number this snapshot was published at (0 = the snapshot taken when
@@ -166,12 +145,21 @@ impl EpochSnapshot {
 
     /// The visible-boundary arena as a borrowed CSR view.
     pub fn boundary(&self) -> CsrBoundary<'_> {
-        CsrBoundary::new(&self.vis_data, &self.vis_off)
+        self.boundary.view()
+    }
+
+    /// The snapshot as the environment a route query reads.
+    pub fn env(&self) -> RouteEnv<'_> {
+        RouteEnv {
+            statuses: &self.statuses,
+            blocks: &self.blocks,
+            boundary: self.boundary.view(),
+        }
     }
 
     /// Total boundary entries visible across all nodes at this epoch.
     pub fn visible_entries(&self) -> usize {
-        self.vis_data.len()
+        self.boundary.total_entries()
     }
 
     /// Approximate heap footprint of the snapshot's buffers in bytes (capacities ×
@@ -179,9 +167,7 @@ impl EpochSnapshot {
     pub fn heap_bytes(&self) -> u64 {
         let statuses = self.statuses.capacity() * std::mem::size_of::<NodeStatus>();
         let blocks = self.blocks.capacity() * std::mem::size_of::<FaultyBlock>();
-        let data = self.vis_data.capacity() * std::mem::size_of::<BoundaryEntry>();
-        let off = self.vis_off.capacity() * std::mem::size_of::<usize>();
-        (statuses + blocks + data + off) as u64
+        (statuses + blocks + self.boundary.heap_bytes()) as u64
     }
 
     /// [`EpochSnapshot::heap_bytes`] per mesh node — the memory-accounting figure of
@@ -339,16 +325,9 @@ impl RouteReader {
         max_steps: u64,
     ) -> RoutedQuery {
         let snap = &*self.snapshot;
-        let outcome = self.engine.route_view(
-            &snap.mesh,
-            &snap.statuses,
-            &snap.blocks,
-            CsrBoundary::new(&snap.vis_data, &snap.vis_off),
-            router,
-            source,
-            dest,
-            max_steps,
-        );
+        let outcome = self
+            .engine
+            .route(&snap.mesh, &snap.env(), router, source, dest, max_steps);
         RoutedQuery {
             epoch: snap.epoch,
             outcome,
@@ -381,16 +360,9 @@ pub(crate) struct RoutePublisher {
 impl RoutePublisher {
     /// Builds the initial epoch-0 snapshot from the live state and the shared cell
     /// around it.
-    pub(crate) fn attach(
-        mesh: &Mesh,
-        step: u64,
-        round: u64,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: CsrBoundary<'_>,
-    ) -> Self {
+    pub(crate) fn attach(mesh: &Mesh, step: u64, round: u64, env: &RouteEnv<'_>) -> Self {
         let mut snapshot = EpochSnapshot::empty(mesh);
-        snapshot.fill(0, step, round, statuses, blocks, boundary);
+        snapshot.fill(0, step, round, env);
         let heap_bytes = snapshot.heap_bytes();
         let shared = Arc::new(Shared {
             cell: EpochCell::new(Arc::new(snapshot)),
@@ -426,15 +398,7 @@ impl RoutePublisher {
     /// Publishes a new epoch from the live network state.  Cold path by contract:
     /// runs once per information change, never per query, and reuses a retired
     /// snapshot's buffers when the readers have released one.
-    pub(crate) fn publish(
-        &mut self,
-        mesh: &Mesh,
-        step: u64,
-        round: u64,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: CsrBoundary<'_>,
-    ) {
+    pub(crate) fn publish(&mut self, mesh: &Mesh, step: u64, round: u64, env: &RouteEnv<'_>) {
         let free = self.retired.iter().position(|s| Arc::strong_count(s) == 1);
         let mut snapshot = match free.map(|i| Arc::try_unwrap(self.retired.remove(i))) {
             Some(Ok(retired)) => {
@@ -445,7 +409,7 @@ impl RoutePublisher {
             // republish): build fresh buffers.
             _ => EpochSnapshot::empty(mesh),
         };
-        snapshot.fill(self.next_epoch, step, round, statuses, blocks, boundary);
+        snapshot.fill(self.next_epoch, step, round, env);
         self.shared
             .snapshot_heap_bytes
             .store(snapshot.heap_bytes(), Ordering::Relaxed);

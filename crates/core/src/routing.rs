@@ -67,32 +67,11 @@ fn fill_neighbor_slots(
     }
 }
 
-/// A per-node source of boundary information for the probe engine.
-///
-/// The hop loop of [`ProbeEngine`] only ever asks "what boundary entries are stored
-/// at the node currently holding the probe?".  Abstracting that lookup lets the same
-/// loop route against a live [`BoundaryMap`] (the static experiments) or against the
-/// flattened [`CsrBoundary`] arena of an
-/// [`EpochSnapshot`](crate::route_service::EpochSnapshot) — which is what makes
-/// snapshot-resolved routes bit-identical to routes resolved against the live
-/// network frozen at the same epoch.
-pub trait BoundarySource {
-    /// The boundary entries stored at (and visible to) `node`.
-    fn entries_for(&self, node: NodeId) -> &[BoundaryEntry];
-}
-
-impl BoundarySource for BoundaryMap {
-    #[inline]
-    fn entries_for(&self, node: NodeId) -> &[BoundaryEntry] {
-        self.entries(node)
-    }
-}
-
 /// A borrowed view over a flattened boundary arena: node `i`'s entries are
 /// `data[start[i]..end[i]]`.
 ///
-/// Two layouts share the view.  A compact CSR arena (epoch snapshots, static
-/// environments) packs the nodes back to back, so `end` is `start` shifted by one.
+/// Two layouts share the view.  A [`BoundaryMap`] (static layouts, epoch
+/// snapshots) packs the nodes back to back, so `end` is `start` shifted by one.
 /// The slot arena of [`LgfiNetwork`](crate::network::LgfiNetwork) gives each node
 /// its own range of slots, starting at `start[i]`, of which the first
 /// `end[i] - start[i]` hold its visible entries.  The ranges are disjoint but
@@ -162,11 +141,24 @@ impl<'a> CsrBoundary<'a> {
     }
 }
 
-impl BoundarySource for CsrBoundary<'_> {
-    #[inline]
-    fn entries_for(&self, node: NodeId) -> &[BoundaryEntry] {
-        self.entries(node)
-    }
+/// Everything a hop loop reads besides the mesh and the probe itself: node
+/// statuses, the blocks (for the global-information baselines) and the boundary
+/// entries visible at each node.
+///
+/// Every hop loop of the library routes against one: a static layout
+/// ([`route_static`], over [`BoundaryMap::view`]), an
+/// [`EpochSnapshot`](crate::route_service::EpochSnapshot), and the round's
+/// state of an [`LgfiNetwork`](crate::network::LgfiNetwork), which its probe
+/// plane, its traffic cycles, its snapshots and
+/// [`resolve_live`](crate::network::LgfiNetwork::resolve_live) all read.
+#[derive(Debug, Clone, Copy)]
+pub struct RouteEnv<'a> {
+    /// Detected status of every node.
+    pub statuses: &'a [NodeStatus],
+    /// Global block view — only consulted by the global-information baselines.
+    pub blocks: &'a [FaultyBlock],
+    /// The currently-visible boundary entries of every node.
+    pub boundary: CsrBoundary<'a>,
 }
 
 /// Everything a node is allowed to look at when making a routing decision.
@@ -604,8 +596,19 @@ pub struct Probe {
     target: Coord,
 }
 
+/// The status a probe starts with: a probe whose source is its destination is
+/// delivered before its first step, in every hop loop.
+fn launch_status(source: NodeId, dest: NodeId) -> ProbeStatus {
+    if source == dest {
+        ProbeStatus::Delivered
+    } else {
+        ProbeStatus::InFlight
+    }
+}
+
 impl Probe {
-    /// A new probe at its source.
+    /// A new probe at its source (already delivered if the source is the
+    /// destination).
     pub fn new(mesh: &Mesh, source: NodeId, dest: NodeId) -> Self {
         let (at, target) = (mesh.coord_of(source), mesh.coord_of(dest));
         Probe {
@@ -617,7 +620,7 @@ impl Probe {
             incoming: None,
             steps: 0,
             backtracks: 0,
-            status: ProbeStatus::InFlight,
+            status: launch_status(source, dest),
             initial_distance: at.manhattan(&target),
             at,
             target,
@@ -625,7 +628,8 @@ impl Probe {
     }
 
     /// Rewinds the probe to a fresh launch from `source` to `dest`, recycling the
-    /// path and used-direction buffers (no allocation once they are warm).
+    /// path and used-direction buffers (no allocation once they are warm).  Like
+    /// [`Probe::new`], a self-pair starts delivered.
     ///
     /// # Panics
     /// Panics if the probe was sized for a different mesh.
@@ -644,7 +648,7 @@ impl Probe {
         self.incoming = None;
         self.steps = 0;
         self.backtracks = 0;
-        self.status = ProbeStatus::InFlight;
+        self.status = launch_status(source, dest);
         self.at = mesh.coord_of(source);
         self.target = mesh.coord_of(dest);
         self.initial_distance = self.at.manhattan(&self.target);
@@ -729,26 +733,21 @@ impl Probe {
     /// The hop kernel: one Algorithm-3 decision of `router` at the node holding
     /// the probe.
     ///
-    /// Builds the node's [`RouteCtx`] — the direction-indexed neighbor table in a
-    /// stack array filled from the carried coordinate and the mesh strides,
-    /// `boundary_info` (the entries stored at, and visible to, the current node),
-    /// the live `blocks` for the global-information baselines, and the probe's
-    /// used directions and incoming direction — and asks the router.  Every hop
-    /// loop of the library (static sweeps and route queries, the dynamic network,
-    /// the traffic engine) runs its own pre-checks and then calls this.
-    pub fn decide(
-        &self,
-        mesh: &Mesh,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary_info: &[BoundaryEntry],
-        router: &dyn Router,
-    ) -> RoutingDecision {
+    /// Builds the node's [`RouteCtx`] from `env` — the direction-indexed neighbor
+    /// table in a stack array filled from the carried coordinate and the mesh
+    /// strides, the boundary entries stored at (and visible to) the current node,
+    /// the blocks for the global-information baselines — plus the probe's used
+    /// directions and incoming direction, and asks the router.  Every hop loop of
+    /// the library calls this: the static loop of [`ProbeEngine::route`] after its
+    /// entry checks, the network's probe plane and the traffic engine through the
+    /// dynamic step's checks.
+    pub fn decide(&self, mesh: &Mesh, env: &RouteEnv<'_>, router: &dyn Router) -> RoutingDecision {
         debug_assert_eq!(
             (self.at, self.target),
             (mesh.coord_of(self.current), mesh.coord_of(self.dest)),
             "the carried coordinates left the probe's nodes"
         );
+        let statuses = env.statuses;
         let degree = 2 * mesh.ndim();
         let mut slots: [NeighborSlot; 2 * MAX_DIMS] = [None; 2 * MAX_DIMS];
         fill_neighbor_slots(mesh, statuses, self.current, &self.at, &mut slots[..degree]);
@@ -758,12 +757,77 @@ impl Probe {
             dest: &self.target,
             current_status: statuses[self.current],
             neighbors: &slots[..degree],
-            boundary_info,
-            global_blocks: blocks,
+            boundary_info: env.boundary.entries(self.current),
+            global_blocks: env.blocks,
             used: self.used_here(),
             incoming: self.incoming,
         };
         router.decide(&ctx)
+    }
+
+    /// The dynamic hop step, shared by the network's probe plane and the traffic
+    /// engine, where faults may appear while the probe travels: a finished probe
+    /// holds; a spent budget (`exhausted`) finishes it as
+    /// [`ProbeStatus::Exhausted`]; a probe on a node that became faulty is forced
+    /// back along its reserved path; a faulty destination finishes it as
+    /// [`ProbeStatus::Unreachable`]; otherwise the router decides
+    /// ([`Probe::decide`]).  The loops count the budget differently (probe steps,
+    /// cycles since injection), so the caller passes the verdict.
+    #[inline]
+    pub(crate) fn next_move(
+        &self,
+        mesh: &Mesh,
+        env: &RouteEnv<'_>,
+        router: &dyn Router,
+        exhausted: bool,
+    ) -> ProbeMove {
+        if self.status != ProbeStatus::InFlight {
+            return ProbeMove::Hold;
+        }
+        if exhausted {
+            return ProbeMove::Finish(ProbeStatus::Exhausted);
+        }
+        if env.statuses[self.current] == NodeStatus::Faulty {
+            return ProbeMove::Backtrack;
+        }
+        if env.statuses[self.dest] == NodeStatus::Faulty {
+            return ProbeMove::Finish(ProbeStatus::Unreachable);
+        }
+        match self.decide(mesh, env, router) {
+            RoutingDecision::Forward(dir) => ProbeMove::Hop(dir),
+            RoutingDecision::Backtrack => ProbeMove::Backtrack,
+            RoutingDecision::Fail => ProbeMove::Finish(ProbeStatus::Failed),
+        }
+    }
+
+    /// Ends the probe with `status`.  A router's `Fail` goes through
+    /// [`Probe::apply`], which counts it as a step; a spent budget and a faulty
+    /// destination are set without one.
+    #[inline]
+    pub(crate) fn finish(&mut self, mesh: &Mesh, status: ProbeStatus) {
+        if status == ProbeStatus::Failed {
+            self.apply(mesh, RoutingDecision::Fail);
+        } else {
+            self.status = status;
+        }
+    }
+
+    /// One step of the network's probe plane: the [`Probe::next_move`] of this
+    /// step, applied at once (a probe claims no link, so nothing arbitrates).
+    #[inline]
+    pub(crate) fn advance(
+        &mut self,
+        mesh: &Mesh,
+        env: &RouteEnv<'_>,
+        router: &dyn Router,
+        exhausted: bool,
+    ) {
+        match self.next_move(mesh, env, router, exhausted) {
+            ProbeMove::Hold => {}
+            ProbeMove::Hop(dir) => self.apply(mesh, RoutingDecision::Forward(dir)),
+            ProbeMove::Backtrack => self.apply(mesh, RoutingDecision::Backtrack),
+            ProbeMove::Finish(status) => self.finish(mesh, status),
+        }
     }
 
     /// Summarises the finished probe.
@@ -776,6 +840,21 @@ impl Probe {
             initial_distance: self.initial_distance,
         }
     }
+}
+
+/// What the dynamic hop step ([`Probe::next_move`]) wants a probe to do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ProbeMove {
+    /// Nothing: the probe has finished (a delivered worm may still be draining
+    /// its tail), or a freshly injected packet waits for its first decision.
+    Hold,
+    /// Forward one hop in the given direction — in the traffic engine, subject to
+    /// VC, credit and bandwidth arbitration.
+    Hop(Direction),
+    /// Backtrack one hop along the reserved path, which never contends.
+    Backtrack,
+    /// Terminate with the given status ([`Probe::finish`]).
+    Finish(ProbeStatus),
 }
 
 /// Summary of a finished (or abandoned) probe.
@@ -838,59 +917,17 @@ impl ProbeEngine {
         ProbeEngine::default()
     }
 
-    /// Routes a probe in a *static* environment (no dynamic faults during the
-    /// routing): statuses, blocks and boundary information are fixed, every node's
-    /// boundary information has fully arrived.  Returns the probe outcome.
-    ///
-    /// This is the workhorse for the static experiments and the baselines; the
-    /// dynamic Figure-7 loop lives in [`crate::network::LgfiNetwork`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_static(
+    /// Routes a probe from `source` to `dest` through `env`, which stays fixed
+    /// while the probe travels, and returns its outcome: the one entry into the
+    /// static hop loop, for static layouts ([`route_static`], [`sweep_static`]),
+    /// epoch snapshots ([`RouteReader`](crate::route_service::RouteReader)) and
+    /// the live network frozen at a round
+    /// ([`LgfiNetwork::resolve_live`](crate::network::LgfiNetwork::resolve_live)).
+    /// The dynamic Figure-7 loop lives in [`crate::network::LgfiNetwork`].
+    pub fn route(
         &mut self,
         mesh: &Mesh,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: &BoundaryMap,
-        router: &dyn Router,
-        source: NodeId,
-        dest: NodeId,
-        max_steps: u64,
-    ) -> ProbeOutcome {
-        self.route_with(
-            mesh, statuses, blocks, boundary, router, source, dest, max_steps,
-        )
-    }
-
-    /// Routes a probe against a flattened CSR boundary arena — the entry point used
-    /// by the epoch-snapshot route-query plane
-    /// ([`crate::route_service`]).  Same hop loop as
-    /// [`ProbeEngine::route_static`], so for identical statuses/blocks/arena the
-    /// outcomes are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_view(
-        &mut self,
-        mesh: &Mesh,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: CsrBoundary<'_>,
-        router: &dyn Router,
-        source: NodeId,
-        dest: NodeId,
-        max_steps: u64,
-    ) -> ProbeOutcome {
-        self.route_with(
-            mesh, statuses, blocks, &boundary, router, source, dest, max_steps,
-        )
-    }
-
-    /// Shared take-reset-drive-put-back cycle over any boundary source.
-    #[allow(clippy::too_many_arguments)]
-    fn route_with(
-        &mut self,
-        mesh: &Mesh,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: &dyn BoundarySource,
+        env: &RouteEnv<'_>,
         router: &dyn Router,
         source: NodeId,
         dest: NodeId,
@@ -903,55 +940,41 @@ impl ProbeEngine {
             }
             _ => Probe::new(mesh, source, dest),
         };
-        let outcome = Self::drive(
-            mesh, statuses, blocks, boundary, router, &mut probe, max_steps,
-        );
+        let outcome = Self::drive(mesh, env, router, &mut probe, max_steps);
         self.probe = Some(probe);
         outcome
     }
 
-    /// The routing loop body, operating on a prepared in-flight probe.
-    #[allow(clippy::too_many_arguments)]
+    /// The static hop loop over a freshly launched probe.  No fault appears while
+    /// it runs, so a faulty source or destination is checked once, up front.
     fn drive(
         mesh: &Mesh,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: &dyn BoundarySource,
+        env: &RouteEnv<'_>,
         router: &dyn Router,
         probe: &mut Probe,
         max_steps: u64,
     ) -> ProbeOutcome {
-        if probe.source == probe.dest {
-            probe.status = ProbeStatus::Delivered;
-            return probe.outcome();
-        }
-        if statuses[probe.source] == NodeStatus::Faulty
-            || statuses[probe.dest] == NodeStatus::Faulty
-        {
+        let faulty = |node: NodeId| env.statuses[node] == NodeStatus::Faulty;
+        if probe.status == ProbeStatus::InFlight && (faulty(probe.source) || faulty(probe.dest)) {
             probe.status = ProbeStatus::Unreachable;
-            return probe.outcome();
         }
         while probe.status == ProbeStatus::InFlight {
             if probe.steps >= max_steps {
                 probe.status = ProbeStatus::Exhausted;
                 break;
             }
-            let decision = probe.decide(
-                mesh,
-                statuses,
-                blocks,
-                boundary.entries_for(probe.current),
-                router,
-            );
+            let decision = probe.decide(mesh, env, router);
             probe.apply(mesh, decision);
         }
         probe.outcome()
     }
 }
 
-/// Routes a single probe through a one-shot [`ProbeEngine`]; see
-/// [`ProbeEngine::route_static`].  Callers routing many probes should hold an engine
-/// (or use [`sweep_static`]) so the buffers are recycled.
+/// Routes a single probe through a one-shot [`ProbeEngine`] in a *static*
+/// layout: statuses, blocks and boundary information are fixed, and every node's
+/// boundary information has fully arrived.  This is the workhorse of the static
+/// experiments and the baselines.  Callers routing many probes should hold an
+/// engine (or use [`sweep_static`]) so the buffers are recycled.
 #[allow(clippy::too_many_arguments)]
 pub fn route_static(
     mesh: &Mesh,
@@ -963,9 +986,12 @@ pub fn route_static(
     dest: NodeId,
     max_steps: u64,
 ) -> ProbeOutcome {
-    ProbeEngine::new().route_static(
-        mesh, statuses, blocks, boundary, router, source, dest, max_steps,
-    )
+    let env = RouteEnv {
+        statuses,
+        blocks,
+        boundary: boundary.view(),
+    };
+    ProbeEngine::new().route(mesh, &env, router, source, dest, max_steps)
 }
 
 /// Routes a whole batch of source/destination pairs through the static environment,
@@ -991,23 +1017,17 @@ pub fn sweep_static(
     threads: usize,
 ) -> Vec<ProbeOutcome> {
     let threads = lgfi_sim::resolve_threads(threads).min(pairs.len().max(1));
+    let env = RouteEnv {
+        statuses,
+        blocks,
+        boundary: boundary.view(),
+    };
     let route_chunk = |chunk: &[(NodeId, NodeId)]| -> Vec<ProbeOutcome> {
         let router = make_router();
         let mut engine = ProbeEngine::new();
         chunk
             .iter()
-            .map(|&(s, d)| {
-                engine.route_static(
-                    mesh,
-                    statuses,
-                    blocks,
-                    boundary,
-                    router.as_ref(),
-                    s,
-                    d,
-                    max_steps,
-                )
-            })
+            .map(|&(s, d)| engine.route(mesh, &env, router.as_ref(), s, d, max_steps))
             .collect()
     };
     if threads <= 1 || pairs.len() <= 1 {

@@ -56,18 +56,18 @@
 //! cycle are visible to higher-id worms in the same cycle — a deterministic
 //! simplification of hardware credit round-trips.
 //!
-//! The engine is driven one cycle at a time against a [`CycleEnv`] — either the
+//! The engine is driven one cycle at a time against a [`RouteEnv`] — either the
 //! frozen view of a [`LgfiNetwork`](crate::network::LgfiNetwork) step (dynamic
 //! faults, partially distributed information) via
 //! [`LgfiNetwork::run_traffic_step`](crate::network::LgfiNetwork::run_traffic_step),
-//! or a [`StaticTrafficEnv`] for stabilised fault patterns.  Fault dynamics gate
-//! *head* decisions (a head on a node that turns faulty backtracks), matching the
-//! packet-granularity fault model of the PR-5 engine.
+//! or a static layout over a [`BoundaryMap`](crate::boundary::BoundaryMap) for
+//! stabilised fault patterns.  Fault dynamics gate *head* decisions (a head on a
+//! node that turns faulty backtracks), through the dynamic hop step the network's
+//! probe plane runs too, matching the packet-granularity fault model of the PR-5
+//! engine.
 
-use crate::block::FaultyBlock;
-use crate::boundary::{BoundaryEntry, BoundaryMap};
 use crate::linkstate::{LinkState, NO_OWNER};
-use crate::routing::{CsrBoundary, Probe, ProbeStatus, Router, RoutingDecision};
+use crate::routing::{Probe, ProbeMove, ProbeStatus, RouteEnv, Router, RoutingDecision};
 use crate::status::NodeStatus;
 use lgfi_sim::TrafficStats;
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
@@ -261,65 +261,6 @@ impl TrafficSpec {
     }
 }
 
-/// The frozen per-cycle environment a packet decision is allowed to look at: node
-/// statuses, the global block view (for the idealised baselines) and the arena of
-/// the boundary information *visible at each node this cycle*.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleEnv<'a> {
-    /// Detected status of every node.
-    pub statuses: &'a [NodeStatus],
-    /// Global block view — only consulted by the global-information baselines.
-    pub blocks: &'a [FaultyBlock],
-    /// The currently-visible boundary entries of every node.
-    pub boundary: CsrBoundary<'a>,
-}
-
-/// An owned, fully-stabilised [`CycleEnv`]: every node holds its complete boundary
-/// information and nothing changes between cycles.  This is the traffic analogue of
-/// [`crate::routing::route_static`]'s environment, used by the static benches and
-/// tests; dynamic runs get their per-step env from the network instead.
-#[derive(Debug, Clone)]
-pub struct StaticTrafficEnv {
-    statuses: Vec<NodeStatus>,
-    blocks: Vec<FaultyBlock>,
-    vis_data: Vec<BoundaryEntry>,
-    vis_off: Vec<usize>,
-}
-
-impl StaticTrafficEnv {
-    /// Flattens a stabilised environment (statuses, blocks, boundary map) into the
-    /// CSR layout packet decisions borrow per cycle.
-    pub fn new(
-        mesh: &Mesh,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        boundary: &BoundaryMap,
-    ) -> Self {
-        let mut vis_data = Vec::new();
-        let mut vis_off = Vec::with_capacity(mesh.node_count() + 1);
-        vis_off.push(0);
-        for node in 0..mesh.node_count() {
-            vis_data.extend_from_slice(boundary.entries(node));
-            vis_off.push(vis_data.len());
-        }
-        StaticTrafficEnv {
-            statuses: statuses.to_vec(),
-            blocks: blocks.to_vec(),
-            vis_data,
-            vis_off,
-        }
-    }
-
-    /// The borrowed per-cycle view.
-    pub fn env(&self) -> CycleEnv<'_> {
-        CycleEnv {
-            statuses: &self.statuses,
-            blocks: &self.blocks,
-            boundary: CsrBoundary::new(&self.vis_data, &self.vis_off),
-        }
-    }
-}
-
 /// The record of one finished packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketRecord {
@@ -359,22 +300,6 @@ impl PacketRecord {
     }
 }
 
-/// What a packet wants to do this cycle, computed in the (parallel) decision phase
-/// and consumed by the serial arbitration phase.
-#[derive(Debug, Clone, Copy)]
-enum CycleRequest {
-    /// Do nothing (freshly injected packets and delivered worms still draining
-    /// their tails).
-    Hold,
-    /// Extend the worm one link in the given direction — subject to VC, credit and
-    /// bandwidth arbitration.
-    Hop(Direction),
-    /// Backtrack along the packet's own reserved channel — never contends.
-    Backtrack,
-    /// Terminate with the given status.
-    Finish(ProbeStatus),
-}
-
 /// One link a worm currently occupies: `link` is its [`LinkState`] index
 /// (computed once, when the head crosses), `vc` the held channel, `buffered` this
 /// worm's flits sitting in the downstream buffer.  `vc_released` is set once the
@@ -396,7 +321,9 @@ struct FlightPacket {
     probe: Probe,
     injected_at: u64,
     stalls: u64,
-    request: CycleRequest,
+    /// What the worm's head wants this cycle, computed in the (parallel)
+    /// decision phase and consumed by the serial arbitration phase.
+    request: ProbeMove,
     /// Worm length in flits.
     flits: u32,
     /// Flits still waiting at the worm's rear node (the source until the tail
@@ -602,7 +529,7 @@ impl TrafficEngine {
             probe,
             injected_at: self.cycle,
             stalls: 0,
-            request: CycleRequest::Hold,
+            request: ProbeMove::Hold,
             flits: self.spec.flits_per_packet,
             rear_flits: self.spec.flits_per_packet,
             ejected: 0,
@@ -616,16 +543,23 @@ impl TrafficEngine {
     /// Executes one cycle against the frozen environment `env`: parallel decisions,
     /// serial launch-order arbitration and flit movement, deadlock detection,
     /// retirement.
-    pub fn run_cycle(&mut self, env: &CycleEnv<'_>) {
+    pub fn run_cycle(&mut self, env: &RouteEnv<'_>) {
         debug_assert_eq!(
             env.boundary.node_count(),
             self.mesh.node_count(),
             "cycle env boundary arena must cover the mesh"
         );
         // --- Decision phase (shardable: pure per-packet functions of `env`). ------
+        // A delivered worm has no head decisions left (its tail drains in the
+        // arbitration phase); an in-flight one spends its budget in cycles since
+        // injection.
         let mesh = &self.mesh;
         let spec = self.spec;
         let cycle = self.cycle;
+        let decide = |p: &mut FlightPacket, router: &dyn Router| {
+            let exhausted = cycle.saturating_sub(p.injected_at) >= spec.max_packet_cycles;
+            p.request = p.probe.next_move(mesh, env, router, exhausted);
+        };
         let live = self.packets.len();
         if live > 0 {
             let shard_count = self.workers.len().min(live);
@@ -635,14 +569,14 @@ impl TrafficEngine {
                     &mut self.workers[..shard_count],
                     |_, chunk, router| {
                         for p in chunk {
-                            p.request = decide_packet(mesh, env, &spec, cycle, router.as_ref(), p);
+                            decide(p, router.as_ref());
                         }
                     },
                 );
             } else {
                 let router = self.workers[0].as_ref();
                 for p in self.packets.iter_mut() {
-                    p.request = decide_packet(mesh, env, &spec, cycle, router, p);
+                    decide(p, router);
                 }
             }
         }
@@ -658,22 +592,15 @@ impl TrafficEngine {
             let mut moved = false;
             p.blocked_on = NO_OWNER;
             match p.request {
-                CycleRequest::Hold => {}
-                // A router giving up counts as a step in the probe plane
-                // (`Probe::apply` on `Fail` increments `steps`), so it must here
-                // too — `latency == hops + stalls` then holds for failed
-                // single-flit packets as well.  The other terminal statuses
-                // (unreachable destination, exhausted budget) are set without a
-                // step, exactly as the probe engines set them.
-                CycleRequest::Finish(ProbeStatus::Failed) => {
-                    p.probe.apply(mesh, RoutingDecision::Fail);
+                ProbeMove::Hold => {}
+                // A router giving up counts as a step, as in the probe plane, so
+                // `latency == hops + stalls` holds for failed single-flit packets
+                // as well.
+                ProbeMove::Finish(status) => {
+                    p.probe.finish(mesh, status);
                     teardown_worm(link, p);
                 }
-                CycleRequest::Finish(status) => {
-                    p.probe.status = status;
-                    teardown_worm(link, p);
-                }
-                CycleRequest::Backtrack => {
+                ProbeMove::Backtrack => {
                     p.probe.apply(mesh, RoutingDecision::Backtrack);
                     retreat_worm(link, p);
                     if p.probe.status != ProbeStatus::InFlight {
@@ -681,7 +608,7 @@ impl TrafficEngine {
                     }
                     moved = true;
                 }
-                CycleRequest::Hop(dir) => match advance_head(mesh, env, link, p, dir) {
+                ProbeMove::Hop(dir) => match advance_head(mesh, env, link, p, dir) {
                     HeadMove::Advanced => moved = true,
                     HeadMove::Blocked(witness) => {
                         p.stalls += 1;
@@ -702,7 +629,7 @@ impl TrafficEngine {
                     suspicious = true;
                 }
             }
-            p.request = CycleRequest::Hold;
+            p.request = ProbeMove::Hold;
             finished |= !p.is_live();
         }
         if suspicious {
@@ -771,65 +698,21 @@ impl TrafficEngine {
     }
 
     /// Runs `cycles` cycles against a fixed static environment.
-    pub fn run_static_cycles(&mut self, env: &StaticTrafficEnv, cycles: u64) {
-        let env = env.env();
+    pub fn run_static_cycles(&mut self, env: &RouteEnv<'_>, cycles: u64) {
         for _ in 0..cycles {
-            self.run_cycle(&env);
+            self.run_cycle(env);
         }
     }
 
     /// Runs static cycles until every in-flight packet has finished, up to
     /// `max_cycles`.  Returns the number of cycles executed.
-    pub fn drain_static(&mut self, env: &StaticTrafficEnv, max_cycles: u64) -> u64 {
-        let env = env.env();
+    pub fn drain_static(&mut self, env: &RouteEnv<'_>, max_cycles: u64) -> u64 {
         let mut executed = 0u64;
         while !self.packets.is_empty() && executed < max_cycles {
-            self.run_cycle(&env);
+            self.run_cycle(env);
             executed += 1;
         }
         executed
-    }
-}
-
-/// Computes one packet's request for this cycle: the forced backtrack off a node
-/// that became faulty under the packet, the unreachable check for a faulty
-/// destination, the cycle-budget check, and otherwise one Algorithm-3 decision over
-/// the boundary information visible at the packet's node.  Pure function of the
-/// frozen cycle state and the packet's own state — the decision phase shards it.
-fn decide_packet(
-    mesh: &Mesh,
-    env: &CycleEnv<'_>,
-    spec: &TrafficSpec,
-    cycle: u64,
-    router: &dyn Router,
-    p: &mut FlightPacket,
-) -> CycleRequest {
-    if p.probe.status != ProbeStatus::InFlight {
-        // A delivered worm has no head decisions left; its tail drains in the
-        // arbitration phase.
-        return CycleRequest::Hold;
-    }
-    if cycle.saturating_sub(p.injected_at) >= spec.max_packet_cycles {
-        return CycleRequest::Finish(ProbeStatus::Exhausted);
-    }
-    let current = p.probe.current;
-    if env.statuses[current] == NodeStatus::Faulty {
-        return CycleRequest::Backtrack;
-    }
-    if env.statuses[p.probe.dest] == NodeStatus::Faulty {
-        return CycleRequest::Finish(ProbeStatus::Unreachable);
-    }
-    let decision = p.probe.decide(
-        mesh,
-        env.statuses,
-        env.blocks,
-        env.boundary.entries(current),
-        router,
-    );
-    match decision {
-        RoutingDecision::Forward(dir) => CycleRequest::Hop(dir),
-        RoutingDecision::Backtrack => CycleRequest::Backtrack,
-        RoutingDecision::Fail => CycleRequest::Finish(ProbeStatus::Failed),
     }
 }
 
@@ -850,7 +733,7 @@ fn dor_direction(current: &Coord, dest: &Coord) -> Option<Direction> {
 /// code: grants are consumed in packet-launch order.
 fn advance_head(
     mesh: &Mesh,
-    env: &CycleEnv<'_>,
+    env: &RouteEnv<'_>,
     link: &mut LinkState,
     p: &mut FlightPacket,
     dir: Direction,
@@ -1115,16 +998,38 @@ fn detect_deadlocks(
 mod tests {
     use super::*;
     use crate::block::BlockSet;
+    use crate::boundary::BoundaryMap;
     use crate::labeling::LabelingEngine;
     use crate::routing::{route_static, LgfiRouter};
     use lgfi_topology::coord;
 
-    fn static_env(mesh: &Mesh, faults: &[lgfi_topology::Coord]) -> StaticTrafficEnv {
+    /// A stabilised fault layout, whose environment every static cycle reads.
+    struct Layout {
+        statuses: Vec<NodeStatus>,
+        blocks: BlockSet,
+        boundary: BoundaryMap,
+    }
+
+    impl Layout {
+        fn env(&self) -> RouteEnv<'_> {
+            RouteEnv {
+                statuses: &self.statuses,
+                blocks: self.blocks.blocks(),
+                boundary: self.boundary.view(),
+            }
+        }
+    }
+
+    fn static_layout(mesh: &Mesh, faults: &[lgfi_topology::Coord]) -> Layout {
         let mut eng = LabelingEngine::new(mesh.clone());
         eng.apply_faults(faults);
         let blocks = BlockSet::extract(mesh, eng.statuses());
         let boundary = BoundaryMap::construct(mesh, &blocks);
-        StaticTrafficEnv::new(mesh, eng.statuses(), blocks.blocks(), &boundary)
+        Layout {
+            statuses: eng.statuses().to_vec(),
+            blocks,
+            boundary,
+        }
     }
 
     fn lgfi_engine(mesh: &Mesh, spec: TrafficSpec) -> TrafficEngine {
@@ -1136,11 +1041,11 @@ mod tests {
         // A 1xN line mesh: two packets injected at the same end must share the same
         // outgoing links; the younger id stalls exactly once behind the older one.
         let mesh = Mesh::new(&[1, 8]);
-        let env = static_env(&mesh, &[]);
+        let layout = static_layout(&mesh, &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let a = eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
         let b = eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
-        eng.drain_static(&env, 1_000);
+        eng.drain_static(&layout.env(), 1_000);
         assert_eq!(eng.in_flight(), 0);
         let records = eng.records();
         assert_eq!(records.len(), 2);
@@ -1157,11 +1062,11 @@ mod tests {
     #[test]
     fn higher_link_capacity_removes_the_stall() {
         let mesh = Mesh::new(&[1, 8]);
-        let env = static_env(&mesh, &[]);
+        let layout = static_layout(&mesh, &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new().link_capacity(2));
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
-        eng.drain_static(&env, 1_000);
+        eng.drain_static(&layout.env(), 1_000);
         assert!(eng.records().iter().all(|r| r.delivered() && r.stalls == 0));
     }
 
@@ -1172,7 +1077,7 @@ mod tests {
         // the one-probe-at-a-time engine takes for the same pair.
         let mesh = Mesh::cubic(12, 2);
         let faults = [coord![5, 5], coord![6, 6], coord![5, 6], coord![6, 5]];
-        let env = static_env(&mesh, &faults);
+        let layout = static_layout(&mesh, &faults);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let pairs = [
             (coord![0, 0], coord![11, 11]),
@@ -1183,15 +1088,14 @@ mod tests {
         for (s, d) in &pairs {
             eng.inject(mesh.id_of(s), mesh.id_of(d));
         }
-        eng.drain_static(&env, 10_000);
-        let cycle_env = env.env();
+        eng.drain_static(&layout.env(), 10_000);
         for rec in eng.records() {
             assert!(rec.delivered(), "{rec:?}");
             let solo = route_static(
                 &mesh,
-                cycle_env.statuses,
-                cycle_env.blocks,
-                &BoundaryMap::construct(&mesh, &BlockSet::extract(&mesh, cycle_env.statuses)),
+                &layout.statuses,
+                layout.blocks.blocks(),
+                &layout.boundary,
                 &LgfiRouter::new(),
                 rec.source,
                 rec.dest,
@@ -1217,10 +1121,10 @@ mod tests {
     #[test]
     fn cycle_budget_exhaustion_is_reported() {
         let mesh = Mesh::cubic(10, 2);
-        let env = static_env(&mesh, &[]);
+        let layout = static_layout(&mesh, &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new().max_packet_cycles(3));
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![9, 9]));
-        eng.drain_static(&env, 100);
+        eng.drain_static(&layout.env(), 100);
         assert_eq!(eng.records()[0].status, ProbeStatus::Exhausted);
     }
 
@@ -1228,10 +1132,10 @@ mod tests {
     fn faulty_destination_is_unreachable() {
         let mesh = Mesh::cubic(8, 2);
         let faults = [coord![4, 4]];
-        let env = static_env(&mesh, &faults);
+        let layout = static_layout(&mesh, &faults);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![4, 4]));
-        eng.drain_static(&env, 100);
+        eng.drain_static(&layout.env(), 100);
         assert_eq!(eng.records()[0].status, ProbeStatus::Unreachable);
     }
 
@@ -1239,7 +1143,7 @@ mod tests {
     fn recycled_buffers_route_identically() {
         let mesh = Mesh::cubic(10, 2);
         let faults = [coord![4, 4], coord![5, 5], coord![4, 5], coord![5, 4]];
-        let env = static_env(&mesh, &faults);
+        let layout = static_layout(&mesh, &faults);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let pairs = [
             (coord![0, 0], coord![9, 9]),
@@ -1250,7 +1154,7 @@ mod tests {
             for (s, d) in &pairs {
                 eng.inject(mesh.id_of(s), mesh.id_of(d));
             }
-            eng.drain_static(&env, 10_000)
+            eng.drain_static(&layout.env(), 10_000)
         };
         run(&mut eng);
         let first: Vec<(u64, u64, bool)> = eng
@@ -1272,7 +1176,7 @@ mod tests {
         // accepted throughput must saturate below the offered load and queueing
         // delay must show up in the latency.
         let mesh = Mesh::cubic(8, 2);
-        let env = static_env(&mesh, &[]);
+        let layout = static_layout(&mesh, &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let hot = mesh.id_of(&coord![4, 4]);
         let mut sources: Vec<NodeId> = (0..mesh.node_count()).filter(|&n| n != hot).collect();
@@ -1281,10 +1185,10 @@ mod tests {
             for &s in &sources {
                 eng.inject(s, hot);
             }
-            eng.run_static_cycles(&env, 1);
+            eng.run_static_cycles(&layout.env(), 1);
             let _ = cycle;
         }
-        eng.drain_static(&env, 10_000);
+        eng.drain_static(&layout.env(), 10_000);
         let stats = eng.stats();
         assert_eq!(stats.delivered() + stats.failed(), stats.injected());
         assert!(
@@ -1371,11 +1275,11 @@ mod tests {
         // single-flit packet (same hops, no stalls) and the tail takes F - 1 more
         // cycles to drain at capacity 1, so latency = hops + F - 1.
         let mesh = Mesh::new(&[1, 8]);
-        let env = static_env(&mesh, &[]);
+        let layout = static_layout(&mesh, &[]);
         for flits in [1u32, 2, 4, 8] {
             let mut eng = lgfi_engine(&mesh, TrafficSpec::new().flits_per_packet(flits));
             eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
-            eng.drain_static(&env, 1_000);
+            eng.drain_static(&layout.env(), 1_000);
             let rec = eng.records()[0];
             assert!(rec.delivered(), "{rec:?}");
             assert_eq!(rec.hops, 7, "flits must not change the route");
@@ -1394,10 +1298,10 @@ mod tests {
         // ejection link.  Its remaining flits must still stream across, one per
         // cycle at capacity 1: latency = 1 + F - 1 = F.
         let mesh = Mesh::new(&[1, 4]);
-        let env = static_env(&mesh, &[]);
+        let layout = static_layout(&mesh, &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new().flits_per_packet(8));
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 1]));
-        eng.drain_static(&env, 100);
+        eng.drain_static(&layout.env(), 100);
         assert_eq!(eng.in_flight(), 0, "the tail must fully eject");
         let rec = eng.records()[0];
         assert!(rec.delivered(), "{rec:?}");
@@ -1411,7 +1315,7 @@ mod tests {
         // only adaptive VC the first worm's tail still holds, so long worms
         // produce more blocking than single-flit packets on the same traffic.
         let mesh = Mesh::new(&[1, 10]);
-        let env = static_env(&mesh, &[]);
+        let layout = static_layout(&mesh, &[]);
         let spec = TrafficSpec::new()
             .flits_per_packet(6)
             .vc_count(1)
@@ -1420,7 +1324,7 @@ mod tests {
         let mut eng = lgfi_engine(&mesh, spec);
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 9]));
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 9]));
-        eng.drain_static(&env, 10_000);
+        eng.drain_static(&layout.env(), 10_000);
         let records = eng.records();
         assert!(records.iter().all(|r| r.delivered()), "{records:?}");
         let rb = records.iter().find(|r| r.id == 1).unwrap();
@@ -1433,7 +1337,7 @@ mod tests {
     /// The adversarial ring-cluster pattern: a central faulty block forces four
     /// long worms around its ring of healthy nodes, each turning one corner, each
     /// blocked by the previous worm's tail — a textbook cyclic credit wait.
-    fn ring_cluster() -> (Mesh, StaticTrafficEnv, Vec<(NodeId, NodeId)>) {
+    fn ring_cluster() -> (Mesh, Layout, Vec<(NodeId, NodeId)>) {
         let mesh = Mesh::cubic(8, 2);
         let mut faults = Vec::new();
         for x in 2..=5i32 {
@@ -1441,19 +1345,19 @@ mod tests {
                 faults.push(coord![x as usize, y as usize]);
             }
         }
-        let env = static_env(&mesh, &faults);
+        let layout = static_layout(&mesh, &faults);
         let pairs = vec![
             (mesh.id_of(&coord![1, 1]), mesh.id_of(&coord![6, 4])),
             (mesh.id_of(&coord![6, 1]), mesh.id_of(&coord![3, 6])),
             (mesh.id_of(&coord![6, 6]), mesh.id_of(&coord![1, 3])),
             (mesh.id_of(&coord![1, 6]), mesh.id_of(&coord![4, 1])),
         ];
-        (mesh, env, pairs)
+        (mesh, layout, pairs)
     }
 
     #[test]
     fn deadlock_detector_flags_the_ring_cluster_without_escape_vcs() {
-        let (mesh, env, pairs) = ring_cluster();
+        let (mesh, layout, pairs) = ring_cluster();
         let spec = TrafficSpec::new()
             .flits_per_packet(8)
             .vc_count(1)
@@ -1464,7 +1368,7 @@ mod tests {
         for &(s, d) in &pairs {
             eng.inject(s, d);
         }
-        eng.drain_static(&env, 5_000);
+        eng.drain_static(&layout.env(), 5_000);
         assert_eq!(eng.in_flight(), 0);
         assert!(
             eng.stats().deadlocked() >= 2,
@@ -1479,7 +1383,7 @@ mod tests {
 
     #[test]
     fn escape_vcs_break_the_ring_cluster_deadlock() {
-        let (mesh, env, pairs) = ring_cluster();
+        let (mesh, layout, pairs) = ring_cluster();
         let spec = TrafficSpec::new()
             .flits_per_packet(8)
             .vc_count(2)
@@ -1490,7 +1394,7 @@ mod tests {
         for &(s, d) in &pairs {
             eng.inject(s, d);
         }
-        eng.drain_static(&env, 5_000);
+        eng.drain_static(&layout.env(), 5_000);
         assert_eq!(eng.in_flight(), 0);
         assert_eq!(eng.stats().deadlocked(), 0, "{:?}", eng.records());
         assert!(

@@ -72,14 +72,13 @@ fn main() {
         let mut probe =
             lgfi::core::routing::Probe::new(&mesh, mesh.id_of(&source), mesh.id_of(&dest));
         let router = LgfiRouter::new();
+        let env = RouteEnv {
+            statuses: labeling.statuses(),
+            blocks: blocks.blocks(),
+            boundary: boundary.view(),
+        };
         while probe.status == ProbeStatus::InFlight && probe.steps < 10_000 {
-            let decision = probe.decide(
-                &mesh,
-                labeling.statuses(),
-                blocks.blocks(),
-                boundary.entries(probe.current),
-                &router,
-            );
+            let decision = probe.decide(&mesh, &env, &router);
             probe.apply(&mesh, decision);
         }
         probe.path.clone()

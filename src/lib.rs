@@ -12,7 +12,9 @@
 //!   construction, the information store, fault-information-based PCS routing, the
 //!   safe-source test and the detour bounds, plus the dynamic [`core::network::LgfiNetwork`]
 //!   and the cycle-driven concurrent-traffic engine ([`core::traffic_engine`]) with its
-//!   finite-capacity link-state layer ([`core::linkstate`]),
+//!   finite-capacity link-state layer ([`core::linkstate`]); every hop loop reads one
+//!   [`core::routing::RouteEnv`] (statuses, blocks and the boundary entries each node
+//!   holds),
 //! * [`baselines`] — comparison routers (dimension-order, local-only, global
 //!   information, Wu-style minimal block routing),
 //! * [`workloads`] — fault schedules, traffic patterns, scenarios and sweeps,
@@ -70,14 +72,12 @@ pub mod prelude {
         EpochSnapshot, RouteReader, RouteService, RouteServiceStats, RoutedQuery,
     };
     pub use lgfi_core::routing::{
-        route_static, sweep_static, LgfiRouter, ProbeEngine, ProbeOutcome, ProbeStatus, Router,
-        RoutingDecision,
+        route_static, sweep_static, LgfiRouter, ProbeEngine, ProbeOutcome, ProbeStatus, RouteEnv,
+        Router, RoutingDecision,
     };
     pub use lgfi_core::safety::{is_safe_source, is_safe_source_in};
     pub use lgfi_core::status::NodeStatus;
-    pub use lgfi_core::traffic_engine::{
-        CycleEnv, PacketRecord, StaticTrafficEnv, TrafficEngine, TrafficSpec,
-    };
+    pub use lgfi_core::traffic_engine::{PacketRecord, TrafficEngine, TrafficSpec};
     pub use lgfi_sim::{DetRng, FaultEvent, FaultPlan, InjectionProcess, StepConfig, TrafficStats};
     pub use lgfi_topology::{coord, Coord, Direction, Mesh, NodeId, Region};
     pub use lgfi_workloads::{

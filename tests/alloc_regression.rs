@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use lgfi_core::block::BlockSet;
 use lgfi_core::boundary::BoundaryMap;
 use lgfi_core::labeling::{LabelingEngine, LabelingProtocol};
-use lgfi_core::routing::{LgfiRouter, ProbeEngine, ProbeOutcome, Router};
+use lgfi_core::routing::{LgfiRouter, ProbeEngine, ProbeOutcome, RouteEnv, Router};
 use lgfi_sim::{NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_topology::{coord, Mesh, NodeId};
 
@@ -214,6 +214,11 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
     let blocks = BlockSet::extract(&mesh, labeling.statuses());
     let boundary = BoundaryMap::construct(&mesh, &blocks);
     let statuses = labeling.statuses().to_vec();
+    let env = RouteEnv {
+        statuses: &statuses,
+        blocks: blocks.blocks(),
+        boundary: boundary.view(),
+    };
     // Pairs crossing the blocks' shadows (forcing detours and backtracking) plus
     // plain corner-to-corner traffic.
     let pairs: Vec<(NodeId, NodeId)> = vec![
@@ -228,16 +233,7 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         let mut steps = 0u64;
         let mut delivered = 0usize;
         for &(s, d) in &pairs {
-            let out: ProbeOutcome = engine.route_static(
-                &mesh,
-                &statuses,
-                blocks.blocks(),
-                &boundary,
-                router,
-                s,
-                d,
-                100_000,
-            );
+            let out: ProbeOutcome = engine.route(&mesh, &env, router, s, d, 100_000);
             steps += out.steps;
             delivered += usize::from(out.delivered());
         }
@@ -388,15 +384,14 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
     }
 
     // --- Traffic data plane: warm TrafficEngine, concurrent packets, contention. --
-    // The same faulty 32x32 environment, flattened into a static cycle env.  A
+    // The same faulty 32x32 environment, read as a static cycle env.  A
     // cohort of packets (several sharing source corners, so links genuinely
     // contend and stalls occur) is injected and drained twice to warm the engine:
     // the second run fixes the recycled-buffer assignment, so the measured third
     // run — injection, every cycle's decision/arbitration/retirement, and record
     // keeping — must not touch the heap at all: zero steady-state allocations per
     // cycle.
-    use lgfi_core::traffic_engine::{StaticTrafficEnv, TrafficEngine, TrafficSpec};
-    let env = StaticTrafficEnv::new(&mesh, &statuses, blocks.blocks(), &boundary);
+    use lgfi_core::traffic_engine::{TrafficEngine, TrafficSpec};
     let mut traffic = TrafficEngine::new(mesh.clone(), TrafficSpec::new(), &|| {
         Box::new(LgfiRouter::new())
     });

@@ -25,7 +25,7 @@
 //! checks the same golden list.
 
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
-use lgfi_core::routing::{BoundarySource, LgfiRouter};
+use lgfi_core::routing::LgfiRouter;
 use lgfi_core::status::NodeStatus;
 use lgfi_core::traffic_engine::{TrafficEngine, TrafficSpec};
 use lgfi_sim::{FaultEvent, FaultPlan, FaultPlanCursor, InjectionProcess};
@@ -190,7 +190,7 @@ fn campaign(
         let boundary = snapshot.boundary();
         for node in 0..mesh.node_count() {
             assert_eq!(
-                boundary.entries_for(node),
+                boundary.entries(node),
                 net.visible_info(node).as_slice(),
                 "{label}: node {node} at step {step} differs from the full recompute"
             );

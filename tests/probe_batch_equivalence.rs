@@ -8,7 +8,7 @@
 //! **bit-identical** outcomes and [`ProbeReport`]s to the serial one-probe-at-a-time
 //! seed path.
 
-use lgfi::core::routing::{sweep_static, ProbeEngine, ProbeOutcome, Router};
+use lgfi::core::routing::{sweep_static, ProbeEngine, ProbeOutcome, RouteEnv, Router};
 use lgfi::prelude::*;
 use lgfi::workloads::DynamicFaultConfig;
 use lgfi_sim::FaultEvent;
@@ -97,21 +97,15 @@ fn recycled_probe_engine_matches_one_shot_engines() {
             let router = router_by_name(name);
             let fresh = seed_outcomes(&world, router.as_ref());
             let mut engine = ProbeEngine::new();
+            let env = RouteEnv {
+                statuses: &world.statuses,
+                blocks: world.blocks.blocks(),
+                boundary: world.boundary.view(),
+            };
             let recycled: Vec<ProbeOutcome> = world
                 .pairs
                 .iter()
-                .map(|&(s, d)| {
-                    engine.route_static(
-                        &world.mesh,
-                        &world.statuses,
-                        world.blocks.blocks(),
-                        &world.boundary,
-                        router.as_ref(),
-                        s,
-                        d,
-                        100_000,
-                    )
-                })
+                .map(|&(s, d)| engine.route(&world.mesh, &env, router.as_ref(), s, d, 100_000))
                 .collect();
             assert_eq!(fresh, recycled, "router {name} dims {dims:?}");
         }

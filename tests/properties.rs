@@ -690,12 +690,19 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
         // kernel's decision equals the transcription over a context built the
         // old way (coordinates and neighbors derived from the node ids).
         let statuses = labeling.statuses();
+        let env = RouteEnv {
+            statuses,
+            blocks: blocks.blocks(),
+            boundary: boundary.view(),
+        };
         let pick_pair =
             |rng: &mut DetRng| (rng.below(mesh.node_count()), rng.below(mesh.node_count()));
         let (s, d) = pick_pair(&mut rng);
         let mut probe = Probe::new(&mesh, s, d);
         for hop in 0..400 {
-            if probe.status != ProbeStatus::InFlight {
+            // A self-pair starts delivered: draw until the walk has a probe in
+            // flight.
+            while probe.status != ProbeStatus::InFlight {
                 let (s, d) = pick_pair(&mut rng);
                 probe.reset(&mesh, s, d);
             }
@@ -719,13 +726,7 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
                 used: probe.used_here(),
                 incoming: probe.incoming,
             };
-            let kernel = probe.decide(
-                &mesh,
-                statuses,
-                blocks.blocks(),
-                boundary.entries(probe.current),
-                router,
-            );
+            let kernel = probe.decide(&mesh, &env, router);
             assert_eq!(
                 kernel,
                 reference_decide(router, &old_ctx),

@@ -204,11 +204,9 @@ fn concurrent_queries_match_serial_reresolution_on_their_epoch() {
             let snap = by_epoch
                 .get(&q.epoch)
                 .unwrap_or_else(|| panic!("reader used epoch {} missing from history", q.epoch));
-            let serial = engine.route_view(
+            let serial = engine.route(
                 snap.mesh(),
-                snap.statuses(),
-                snap.blocks(),
-                snap.boundary(),
+                &snap.env(),
                 &router,
                 q.source,
                 q.dest,

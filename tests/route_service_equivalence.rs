@@ -3,18 +3,26 @@
 //! The correctness contract of `lgfi_core::route_service`: a route resolved
 //! against a published [`EpochSnapshot`] is **bit-identical** to a route resolved
 //! against the live network frozen at the same epoch
-//! ([`LgfiNetwork::resolve_live`] drives the same `ProbeEngine::route_view` hop
-//! loop over the live arena).  Verified across all five routers, at a fully
-//! converged epoch, mid-convergence (information partially distributed — the
-//! snapshot must faithfully copy the *partial* view, not an idealised one), and
-//! after recovery churn.  Also covered here: reader-count independence (the same
+//! ([`LgfiNetwork::resolve_live`] drives the same `ProbeEngine::route` hop loop
+//! over the live arena).  Verified across all five routers, at a fully converged
+//! epoch, mid-convergence (information partially distributed — the snapshot must
+//! faithfully copy the *partial* view, not an idealised one), and after recovery
+//! churn.  At the converged epoch, two more owners of the same environment must
+//! agree as well: `route_static` over `BoundaryMap::construct` of the same static
+//! faults, and probes launched on the network's own probe plane.  Also covered
+//! here: reader-count independence (the same
 //! batch resolved through 1 or 4 reader objects is identical), epoch
 //! monotonicity, and the recycled-buffer memory contract (steady-state
 //! republish reuses retired buffers, also beside a lagging reader, and snapshot
 //! size stays flat).
 
+use std::collections::BTreeMap;
+
+use lgfi_core::block::BlockSet;
+use lgfi_core::boundary::BoundaryMap;
+use lgfi_core::labeling::LabelingEngine;
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
-use lgfi_core::routing::ProbeEngine;
+use lgfi_core::routing::{route_static, ProbeEngine};
 use lgfi_core::status::NodeStatus;
 use lgfi_sim::{FaultEvent, FaultPlan};
 use lgfi_topology::{Mesh, NodeId};
@@ -50,6 +58,65 @@ fn pairs(mesh: &Mesh, statuses: &[NodeStatus], count: usize, seed: u64) -> Vec<(
         .into_iter()
         .map(|r| (r.source, r.dest))
         .collect()
+}
+
+/// Asserts that a fully converged network routes `batch` like the static layout
+/// of its faults, for every router: `route_static` over `BoundaryMap::construct`,
+/// and probes launched on the network's probe plane, both equal
+/// `resolve_live` (which [`assert_snapshot_matches_live`] ties to the snapshot).
+fn assert_static_and_probes_match_live(
+    net: &mut LgfiNetwork,
+    faults: &[NodeId],
+    batch: &[(NodeId, NodeId)],
+) {
+    let mesh = net.mesh().clone();
+    let mut labeling = LabelingEngine::new(mesh.clone());
+    let coords: Vec<_> = faults.iter().map(|&id| mesh.coord_of(id)).collect();
+    labeling.apply_faults(&coords);
+    assert_eq!(labeling.statuses(), net.statuses(), "converged statuses");
+    let blocks = BlockSet::extract(&mesh, labeling.statuses());
+    let boundary = BoundaryMap::construct(&mesh, &blocks);
+    for router_name in ROUTERS {
+        let router = router_by_name(router_name);
+        let mut live_engine = ProbeEngine::new();
+        let mut live = BTreeMap::new();
+        for &(s, d) in batch {
+            let outcome = net.resolve_live(&*router, s, d, 100_000, &mut live_engine);
+            let fixed = route_static(
+                &mesh,
+                labeling.statuses(),
+                blocks.blocks(),
+                &boundary,
+                &*router,
+                s,
+                d,
+                100_000,
+            );
+            assert_eq!(
+                fixed, outcome,
+                "router {router_name}: static route {s}->{d} diverged from the live network"
+            );
+            live.insert((s, d), outcome);
+        }
+        let before = net.reports().len();
+        for &(s, d) in batch {
+            net.launch_probe(s, d, router_by_name(router_name));
+        }
+        while net.probes_in_flight() > 0 {
+            net.run_step();
+        }
+        let reports = &net.reports()[before..];
+        assert_eq!(reports.len(), batch.len());
+        for r in reports {
+            assert_eq!(
+                r.outcome,
+                live[&(r.source, r.dest)],
+                "router {router_name}: network probe {}->{} diverged from the live network",
+                r.source,
+                r.dest
+            );
+        }
+    }
 }
 
 /// Asserts the snapshot/live fingerprint equality for every router over `pairs`.
@@ -102,6 +169,7 @@ fn snapshot_routes_equal_live_routes_for_all_routers() {
     }
     let batch = pairs(&mesh, net.statuses(), 128, 19);
     assert_snapshot_matches_live(&mut net, &batch);
+    assert_static_and_probes_match_live(&mut net, &faults, &batch);
 
     // After recovery churn: fail and recover more nodes, then re-check.
     for node in [lgfi_topology::coord![2, 12], lgfi_topology::coord![12, 2]] {

@@ -317,12 +317,11 @@ fn network_probe_reports_under_churn_match_the_golden_routes() {
 fn wormhole_packet_records_match_the_golden_routes() {
     const CYCLES: u64 = 1_500;
     let layout = clustered_layout(&[64, 64], 160, 20);
-    let env = StaticTrafficEnv::new(
-        &layout.mesh,
-        &layout.statuses,
-        layout.blocks.blocks(),
-        &layout.boundary,
-    );
+    let env = RouteEnv {
+        statuses: &layout.statuses,
+        blocks: layout.blocks.blocks(),
+        boundary: layout.boundary.view(),
+    };
     let spec = TrafficSpec::new()
         .flits_per_packet(4)
         .vc_count(2)

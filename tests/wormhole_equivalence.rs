@@ -25,7 +25,7 @@ use lgfi::workloads::DynamicFaultConfig;
 use lgfi_core::block::BlockSet;
 use lgfi_core::boundary::BoundaryMap;
 use lgfi_core::labeling::LabelingEngine;
-use lgfi_core::traffic_engine::{StaticTrafficEnv, TrafficEngine, TrafficSpec};
+use lgfi_core::traffic_engine::{TrafficEngine, TrafficSpec};
 use lgfi_sim::TrafficStats;
 use lgfi_topology::coord;
 
@@ -195,7 +195,7 @@ fn env_configured_wormhole_is_bit_identical_to_serial() {
 /// The adversarial ring-cluster pattern: a central faulty block forces four long
 /// worms around its ring of healthy nodes, each turning one corner, each blocked
 /// by the previous worm's tail — a textbook cyclic credit wait.
-fn ring_cluster() -> (Mesh, StaticTrafficEnv, Vec<(NodeId, NodeId)>) {
+fn ring_cluster() -> (Mesh, LabelingEngine, Vec<(NodeId, NodeId)>) {
     let mesh = Mesh::cubic(8, 2);
     let mut labeling = LabelingEngine::new(mesh.clone());
     let mut faults = Vec::new();
@@ -205,20 +205,24 @@ fn ring_cluster() -> (Mesh, StaticTrafficEnv, Vec<(NodeId, NodeId)>) {
         }
     }
     labeling.apply_faults(&faults);
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    let env = StaticTrafficEnv::new(&mesh, labeling.statuses(), blocks.blocks(), &boundary);
     let pairs = vec![
         (mesh.id_of(&coord![1, 1]), mesh.id_of(&coord![6, 4])),
         (mesh.id_of(&coord![6, 1]), mesh.id_of(&coord![3, 6])),
         (mesh.id_of(&coord![6, 6]), mesh.id_of(&coord![1, 3])),
         (mesh.id_of(&coord![1, 6]), mesh.id_of(&coord![4, 1])),
     ];
-    (mesh, env, pairs)
+    (mesh, labeling, pairs)
 }
 
 fn run_ring_cluster(router: &str, escape: bool) -> (u64, u64, usize) {
-    let (mesh, env, pairs) = ring_cluster();
+    let (mesh, labeling, pairs) = ring_cluster();
+    let blocks = BlockSet::extract(&mesh, labeling.statuses());
+    let boundary = BoundaryMap::construct(&mesh, &blocks);
+    let env = RouteEnv {
+        statuses: labeling.statuses(),
+        blocks: blocks.blocks(),
+        boundary: boundary.view(),
+    };
     let spec = TrafficSpec::new()
         .flits_per_packet(8)
         .vc_count(if escape { 2 } else { 1 })
