@@ -37,33 +37,55 @@ use crate::block::FaultyBlock;
 use crate::boundary::{BoundaryEntry, BoundaryMap};
 use crate::status::NodeStatus;
 
-/// One entry of the direction-indexed neighbor table of a [`RouteCtx`]: slot
-/// [`Direction::index`] holds `Some((neighbor id, detected status))` when the mesh
-/// has a neighbor in that direction, `None` on the mesh surface.
-///
-/// Indexing by direction makes [`RouteCtx::neighbor_status`] a constant-time slot
-/// load instead of a linear scan over the neighbor list.
-pub type NeighborSlot = Option<(NodeId, NodeStatus)>;
+/// The neighbor table of a [`RouteCtx`]: one `u16` mask per status class, bit
+/// [`Direction::index`] standing for the neighbor in that direction.  An in-mesh
+/// neighbor in none of the class masks is enabled.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NeighborMasks {
+    in_mesh: u16,
+    faulty: u16,
+    disabled: u16,
+    clean: u16,
+}
 
-/// Fills `slots[..2n]` with the direction-indexed neighbor table of `node`, whose
-/// coordinate is `at` (slot [`Direction::index`] per direction).  The surface test
-/// reads `at` and the neighbor ids step `node` by [`Mesh::stride`], so the fill
-/// divides nothing — this is the per-hop neighbor scan of the routing data plane,
-/// run by [`Probe::decide`] into a stack array of `2 * MAX_DIMS` slots.
-#[inline]
-fn fill_neighbor_slots(
-    mesh: &Mesh,
-    statuses: &[NodeStatus],
-    node: NodeId,
-    at: &Coord,
-    slots: &mut [NeighborSlot],
-) {
-    for d in 0..mesh.ndim() {
-        let stride = mesh.stride(d);
-        let x = at[d];
-        slots[2 * d] = (x > 0).then(|| (node - stride, statuses[node - stride]));
-        slots[2 * d + 1] =
-            (x + 1 < mesh.radix(d)).then(|| (node + stride, statuses[node + stride]));
+impl NeighborMasks {
+    /// The table holding `slots[i]` (`None` off the mesh) for direction index `i`.
+    ///
+    /// # Panics
+    /// Panics on more than `2 * MAX_DIMS` slots.
+    pub fn from_slots(slots: &[Option<NodeStatus>]) -> Self {
+        assert!(slots.len() <= 2 * MAX_DIMS, "more than 2 * MAX_DIMS slots");
+        let mut masks = NeighborMasks::default();
+        for (i, &slot) in slots.iter().enumerate() {
+            masks.set(i, slot);
+        }
+        masks
+    }
+
+    /// The table of `node`, whose coordinate is `at`, in one pass over the
+    /// dimensions: the per-hop neighbor scan of [`Probe::decide`].  The surface
+    /// test reads `at` and the neighbor ids step `node` by [`Mesh::stride`].
+    #[inline(always)]
+    fn fill(mesh: &Mesh, statuses: &[NodeStatus], node: NodeId, at: &Coord) -> Self {
+        let mut masks = NeighborMasks::default();
+        for (d, &x) in at.as_slice().iter().enumerate() {
+            let (stride, below, above) = (mesh.stride(d), x > 0, x + 1 < mesh.radix(d));
+            masks.set(2 * d, below.then(|| statuses[node - stride]));
+            masks.set(2 * d + 1, above.then(|| statuses[node + stride]));
+        }
+        masks
+    }
+
+    fn set(&mut self, i: usize, slot: Option<NodeStatus>) {
+        let bit = 1 << i;
+        match slot {
+            Some(NodeStatus::Faulty) => self.faulty |= bit,
+            Some(NodeStatus::Disabled) => self.disabled |= bit,
+            Some(NodeStatus::Clean) => self.clean |= bit,
+            Some(NodeStatus::Enabled) => {}
+            None => return,
+        }
+        self.in_mesh |= bit;
     }
 }
 
@@ -185,11 +207,11 @@ pub struct RouteCtx<'a> {
     /// The current node's own status (it may have become disabled under dynamic
     /// faults while holding the probe).
     pub current_status: NodeStatus,
-    /// The detected status of every in-mesh neighbor, indexed by
+    /// The detected status of every in-mesh neighbor, as masks over
     /// [`Direction::index`] (fault detection happens at the beginning of every step,
-    /// so this is current information).  Holds exactly `2n` slots; [`Probe::decide`]
-    /// fills them from the probe's carried coordinate.
-    pub neighbors: &'a [NeighborSlot],
+    /// so this is current information).  [`Probe::decide`] fills it from the
+    /// probe's carried coordinate.
+    pub neighbors: NeighborMasks,
     /// The boundary/block information stored at the current node and visible at this
     /// round (limited global information).
     pub boundary_info: &'a [BoundaryEntry],
@@ -215,11 +237,18 @@ impl RouteCtx<'_> {
         (dir.positive && delta > 0) || (!dir.positive && delta < 0)
     }
 
-    /// The detected status of the neighbor in `dir`, if it exists — a constant-time
-    /// slot load on the direction-indexed neighbor table.
+    /// The detected status of the neighbor in `dir`: a few bit tests on the
+    /// neighbor masks, `None` off the mesh and past its `2n` directions.
     #[inline]
     pub fn neighbor_status(&self, dir: Direction) -> Option<NodeStatus> {
-        self.neighbors[dir.index()].map(|(_, s)| s)
+        let m = &self.neighbors;
+        let bit = 1u16.checked_shl(dir.index() as u32).unwrap_or(0);
+        let class = |mask: u16, status| (mask & bit != 0).then_some(status);
+        // The class masks lie inside `in_mesh`, which answers last.
+        class(m.faulty, NodeStatus::Faulty)
+            .or(class(m.disabled, NodeStatus::Disabled))
+            .or(class(m.clean, NodeStatus::Clean))
+            .or(class(m.in_mesh, NodeStatus::Enabled))
     }
 }
 
@@ -287,11 +316,7 @@ impl LgfiRouter {
     /// node).  The same rule as [`Router::decide`], answered from the same
     /// per-decision masks.
     pub fn classify(&self, ctx: &RouteCtx<'_>, dir: Direction) -> Option<DirectionClass> {
-        let i = dir.index();
-        if i >= ctx.neighbors.len() {
-            return None;
-        }
-        DecisionMasks::for_decision(self, ctx).class_at(i)
+        DecisionMasks::for_decision(self, ctx).class_at(dir.index())
     }
 }
 
@@ -316,36 +341,18 @@ struct DecisionMasks {
 }
 
 impl DecisionMasks {
-    #[inline]
+    #[inline(always)]
     fn for_decision(router: &LgfiRouter, ctx: &RouteCtx<'_>) -> Self {
+        let (here, there) = (ctx.current.as_slice(), ctx.dest.as_slice());
         let mut preferred = 0u16;
-        for d in 0..ctx.mesh.ndim() {
-            let delta = ctx.dest[d] - ctx.current[d];
-            if delta > 0 {
-                preferred |= 1 << (2 * d + 1);
-            } else if delta < 0 {
-                preferred |= 1 << (2 * d);
-            }
+        for (d, (&x, &t)) in here.iter().zip(there).enumerate() {
+            preferred |= u16::from(t < x) << (2 * d) | u16::from(t > x) << (2 * d + 1);
         }
-        let mut open = 0u16;
-        let mut in_block = 0u16;
-        for (i, slot) in ctx.neighbors.iter().enumerate() {
-            let Some((_, status)) = *slot else {
-                continue;
-            };
-            let bit = 1u16 << i;
-            match status {
-                NodeStatus::Faulty => in_block |= bit,
-                NodeStatus::Disabled => {
-                    in_block |= bit;
-                    if !router.avoid_known_blocked {
-                        open |= bit;
-                    }
-                }
-                NodeStatus::Clean | NodeStatus::Enabled => open |= bit,
-            }
+        let nb = ctx.neighbors;
+        let mut open = nb.in_mesh & !nb.faulty & !ctx.used.bits();
+        if router.avoid_known_blocked {
+            open &= !nb.disabled;
         }
-        open &= !ctx.used.bits();
         let back = ctx.incoming.map_or(0, |d| 1u16 << d.opposite().index());
         let cand = open & !back;
         // Critical routing: only the candidate preferred directions can win, so
@@ -377,14 +384,13 @@ impl DecisionMasks {
             open,
             cand,
             critical,
-            along_block: preferred & in_block != 0,
+            along_block: preferred & (nb.faulty | nb.disabled) != 0,
         }
     }
 
     /// The class of the direction with index `i` under these masks.
-    #[inline]
     fn class_at(&self, i: usize) -> Option<DirectionClass> {
-        let bit = 1u16 << i;
+        let bit = 1u16.checked_shl(i as u32).unwrap_or(0);
         if self.open & bit == 0 {
             return None;
         }
@@ -406,7 +412,7 @@ impl DecisionMasks {
     /// The index of the best candidate: the first non-empty class mask in the
     /// order preferred, spare along block, preferred but detour, spare, then the
     /// tie-break inside it.  `None` when only the way back (or nothing) is left.
-    #[inline]
+    #[inline(always)]
     fn pick(&self, ctx: &RouteCtx<'_>) -> Option<usize> {
         let toward = self.cand & self.preferred;
         let spare = self.cand & !self.preferred;
@@ -429,17 +435,21 @@ impl DecisionMasks {
 /// largest remaining offset (classic adaptive heuristic); spare moves take the
 /// dimension with the *smallest* remaining offset, so that a detour slides around
 /// the block instead of retreating along the main travel axis.  Remaining ties go
-/// to the lowest direction index.  `mask` must not be empty.
-#[inline]
+/// to the lowest direction index.  `mask` is not empty; one bit reads no offset.
+#[inline(always)]
 fn tie_break(ctx: &RouteCtx<'_>, mask: u16, largest: bool) -> usize {
-    let mut rest = mask;
-    let mut best = rest.trailing_zeros() as usize;
-    let mut best_offset = (ctx.dest[best / 2] - ctx.current[best / 2]).abs();
-    rest &= rest - 1;
+    let mut best = mask.trailing_zeros() as usize;
+    let mut rest = mask & (mask - 1);
+    if rest == 0 {
+        return best;
+    }
+    let (here, there) = (ctx.current.as_slice(), ctx.dest.as_slice());
+    let offset_of = |i: usize| (there[i / 2] - here[i / 2]).abs();
+    let mut best_offset = offset_of(best);
     while rest != 0 {
         let i = rest.trailing_zeros() as usize;
         rest &= rest - 1;
-        let offset = (ctx.dest[i / 2] - ctx.current[i / 2]).abs();
+        let offset = offset_of(i);
         if (largest && offset > best_offset) || (!largest && offset < best_offset) {
             best = i;
             best_offset = offset;
@@ -685,6 +695,7 @@ impl Probe {
     ///
     /// # Panics
     /// Panics if a forward hop leaves the mesh (a router bug).
+    #[inline(always)]
     pub fn apply(&mut self, mesh: &Mesh, decision: RoutingDecision) {
         debug_assert_eq!(self.status, ProbeStatus::InFlight);
         self.steps += 1;
@@ -733,30 +744,26 @@ impl Probe {
     /// The hop kernel: one Algorithm-3 decision of `router` at the node holding
     /// the probe.
     ///
-    /// Builds the node's [`RouteCtx`] from `env` — the direction-indexed neighbor
-    /// table in a stack array filled from the carried coordinate and the mesh
-    /// strides, the boundary entries stored at (and visible to) the current node,
+    /// Builds the node's [`RouteCtx`] from `env` — the [`NeighborMasks`] filled
+    /// from the carried coordinate and the mesh strides, the boundary entries stored at (and visible to) the current node,
     /// the blocks for the global-information baselines — plus the probe's used
     /// directions and incoming direction, and asks the router.  Every hop loop of
     /// the library calls this: the static loop of [`ProbeEngine::route`] after its
     /// entry checks, the network's probe plane and the traffic engine through the
     /// dynamic step's checks.
+    #[inline(always)]
     pub fn decide(&self, mesh: &Mesh, env: &RouteEnv<'_>, router: &dyn Router) -> RoutingDecision {
         debug_assert_eq!(
             (self.at, self.target),
             (mesh.coord_of(self.current), mesh.coord_of(self.dest)),
             "the carried coordinates left the probe's nodes"
         );
-        let statuses = env.statuses;
-        let degree = 2 * mesh.ndim();
-        let mut slots: [NeighborSlot; 2 * MAX_DIMS] = [None; 2 * MAX_DIMS];
-        fill_neighbor_slots(mesh, statuses, self.current, &self.at, &mut slots[..degree]);
         let ctx = RouteCtx {
             mesh,
             current: &self.at,
             dest: &self.target,
-            current_status: statuses[self.current],
-            neighbors: &slots[..degree],
+            current_status: env.statuses[self.current],
+            neighbors: NeighborMasks::fill(mesh, env.statuses, self.current, &self.at),
             boundary_info: env.boundary.entries(self.current),
             global_blocks: env.blocks,
             used: self.used_here(),
@@ -1227,20 +1234,12 @@ mod tests {
         // +Y is preferred.
         let node = coord![4, 5];
         let dest = coord![8, 13];
-        let mut slots = [None; 4];
-        fill_neighbor_slots(
-            &env.mesh,
-            &env.statuses,
-            env.mesh.id_of(&node),
-            &node,
-            &mut slots,
-        );
         let ctx = RouteCtx {
             mesh: &env.mesh,
             current: &node,
             dest: &dest,
             current_status: NodeStatus::Enabled,
-            neighbors: &slots,
+            neighbors: NeighborMasks::fill(&env.mesh, &env.statuses, env.mesh.id_of(&node), &node),
             boundary_info: env.boundary.entries(env.mesh.id_of(&node)),
             global_blocks: &[],
             used: DirectionSet::empty(),

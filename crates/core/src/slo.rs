@@ -88,8 +88,11 @@ impl SloObserver {
         }
 
         // Newly stabilised disturbances: time-to-reconverge in steps, and the running
-        // Theorem-4 parameters.
+        // Theorem-4 parameters.  Blocks change only in a rebuild, which records one.
         let records = net.convergence_records();
+        if records.len() > self.seen_convergence {
+            self.e_max_seen = self.e_max_seen.max(net.blocks().e_max() as u64);
+        }
         for rec in &records[self.seen_convergence.min(records.len())..] {
             self.tracker
                 .record_reconverge(cycle.saturating_sub(rec.step));
@@ -97,7 +100,6 @@ impl SloObserver {
             self.a_steps_max = self.a_steps_max.max(a_steps);
         }
         self.seen_convergence = records.len();
-        self.e_max_seen = self.e_max_seen.max(net.blocks().e_max() as u64);
 
         // Newly finished packets.
         let records = traffic.records();

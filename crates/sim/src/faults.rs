@@ -97,9 +97,12 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The events taking effect exactly at `step`.
+    /// The events taking effect exactly at `step`, found by binary search in the
+    /// sorted plan.
     pub fn events_at(&self, step: u64) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| e.step == step)
+        let start = self.events.partition_point(|e| e.step < step);
+        let len = self.events[start..].partition_point(|e| e.step == step);
+        self.events[start..start + len].iter()
     }
 
     /// The events with `t_i <= step` (the paper's "first p faults have already
@@ -435,6 +438,13 @@ mod tests {
             let via_cursor: Vec<FaultEvent> = cursor.events_at(&plan, step).to_vec();
             let via_scan: Vec<FaultEvent> = plan.events_at(step).copied().collect();
             assert_eq!(via_cursor, via_scan, "step {step}");
+            let via_filter: Vec<FaultEvent> = plan
+                .events()
+                .iter()
+                .filter(|e| e.step == step)
+                .copied()
+                .collect();
+            assert_eq!(via_scan, via_filter, "step {step}");
         }
     }
 

@@ -14,7 +14,9 @@
 //! * the hop kernel (carried coordinates, mask-based direction classification)
 //!   makes the decisions of a literal per-direction transcription of Algorithm 3
 //!   on random 2-D–4-D contexts and random probe walks, and on every 2-D context
-//!   of an exhaustive decision table.
+//!   of an exhaustive decision table;
+//! * the neighbor masks the hop kernel fills answer `neighbor_status` like
+//!   `Mesh::neighbor_id` on random 1-D–4-D meshes, surface nodes included.
 //!
 //! The cases are drawn by a seeded [`DetRng`] rather than proptest (the build
 //! environment is offline), so every run explores the same deterministic sample of
@@ -25,8 +27,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use lgfi::prelude::*;
 use lgfi_core::block::BlockId;
-use lgfi_core::routing::{DirectionClass, NeighborSlot, Probe, RouteCtx};
+use lgfi_core::routing::{DirectionClass, NeighborMasks, Probe, RouteCtx};
 use lgfi_core::status::next_status;
+use lgfi_topology::coord::MAX_DIMS;
 use lgfi_topology::direction::DirectionSet;
 use lgfi_topology::FrameLevel;
 
@@ -624,10 +627,10 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
         for _ in 0..64 {
             let current = mesh.coord_of(rng.below(mesh.node_count()));
             let dest = mesh.coord_of(rng.below(mesh.node_count()));
-            let slots: Vec<NeighborSlot> = (0..2 * n)
-                .map(|i| {
+            let slots: Vec<Option<NodeStatus>> = (0..2 * n)
+                .map(|_| {
                     let pick = rng.below(5);
-                    (pick < 4).then(|| (i, STATUSES[pick]))
+                    (pick < 4).then(|| STATUSES[pick])
                 })
                 .collect();
             let used: DirectionSet = Direction::iter_all(n)
@@ -657,7 +660,7 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
                 } else {
                     NodeStatus::Enabled
                 },
-                neighbors: &slots,
+                neighbors: NeighborMasks::from_slots(&slots),
                 boundary_info: &info,
                 global_blocks: blocks.blocks(),
                 used,
@@ -709,18 +712,15 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
             let router = &routers[hop % 2];
             let here = mesh.coord_of(probe.current);
             let there = mesh.coord_of(probe.dest);
-            let old_slots: Vec<NeighborSlot> = Direction::iter_all(n)
-                .map(|dir| {
-                    mesh.neighbor_id(probe.current, dir)
-                        .map(|id| (id, statuses[id]))
-                })
+            let old_slots: Vec<Option<NodeStatus>> = Direction::iter_all(n)
+                .map(|dir| mesh.neighbor_id(probe.current, dir).map(|id| statuses[id]))
                 .collect();
             let old_ctx = RouteCtx {
                 mesh: &mesh,
                 current: &here,
                 dest: &there,
                 current_status: statuses[probe.current],
-                neighbors: &old_slots,
+                neighbors: NeighborMasks::from_slots(&old_slots),
                 boundary_info: boundary.entries(probe.current),
                 global_blocks: blocks.blocks(),
                 used: probe.used_here(),
@@ -861,11 +861,10 @@ fn hop_kernel_matches_algorithm_3_on_every_2d_context() {
                 )
                 .collect();
             for code in 0..SLOTS.len().pow(4) {
-                let slots: Vec<NeighborSlot> = (0..4)
-                    .map(|i| {
-                        SLOTS[code / SLOTS.len().pow(i) % SLOTS.len()].map(|s| (i as usize, s))
-                    })
+                let slots: Vec<Option<NodeStatus>> = (0..4)
+                    .map(|i| SLOTS[code / SLOTS.len().pow(i) % SLOTS.len()])
                     .collect();
+                let neighbors = NeighborMasks::from_slots(&slots);
                 for used_bits in 0..16u16 {
                     let used: DirectionSet = dirs
                         .iter()
@@ -879,7 +878,7 @@ fn hop_kernel_matches_algorithm_3_on_every_2d_context() {
                                 current: &current,
                                 dest: &dest,
                                 current_status: NodeStatus::Enabled,
-                                neighbors: &slots,
+                                neighbors,
                                 boundary_info: info,
                                 global_blocks: &[],
                                 used,
@@ -930,5 +929,112 @@ fn hop_kernel_matches_algorithm_3_on_every_2d_context() {
     assert!(
         tie_broken > 10_000,
         "only {tie_broken} of {contexts} decisions needed a tie-break"
+    );
+}
+
+/// A router that records how the context it is asked about answers
+/// [`RouteCtx::neighbor_status`] for every direction index up to `2 * MAX_DIMS`,
+/// then backtracks.
+#[derive(Default)]
+struct NeighborRecorder(std::cell::RefCell<Vec<Option<NodeStatus>>>);
+
+impl Router for NeighborRecorder {
+    fn name(&self) -> &'static str {
+        "neighbor-recorder"
+    }
+
+    fn decide(&self, ctx: &RouteCtx<'_>) -> RoutingDecision {
+        *self.0.borrow_mut() = (0..=2 * MAX_DIMS)
+            .map(|i| ctx.neighbor_status(Direction::from_index(i)))
+            .collect();
+        RoutingDecision::Backtrack
+    }
+}
+
+#[test]
+fn neighbor_masks_answer_like_the_mesh_neighbors() {
+    // Random 1-D to 4-D meshes (radix 1 included) whose nodes take random
+    // statuses, surface nodes included: at every node, as launched and as reached
+    // by a random walk of forward and backtrack hops, the table `Probe::decide`
+    // fills from the carried coordinate must answer `neighbor_status` exactly as
+    // the statuses read through `Mesh::neighbor_id`, and `None` past `2n`.
+    const STATUSES: [NodeStatus; 4] = [
+        NodeStatus::Enabled,
+        NodeStatus::Clean,
+        NodeStatus::Disabled,
+        NodeStatus::Faulty,
+    ];
+    let recorder = NeighborRecorder::default();
+    let mut surface_seen = BTreeMap::new();
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(0x4D41_534B).derive(case);
+        let n = 1 + rng.below(4);
+        let dims: Vec<i32> = (0..n).map(|_| rng.range_i32(1, 9 - n as i32)).collect();
+        let mesh = Mesh::new(&dims);
+        let statuses: Vec<NodeStatus> = (0..mesh.node_count())
+            .map(|_| *rng.choose(&STATUSES))
+            .collect();
+        let boundary = BoundaryMap::empty(&mesh);
+        let env = RouteEnv {
+            statuses: &statuses,
+            blocks: &[],
+            boundary: boundary.view(),
+        };
+        let mut check = |probe: &Probe, tag: &str| {
+            probe.decide(&mesh, &env, &recorder);
+            let want: Vec<Option<NodeStatus>> = (0..=2 * MAX_DIMS)
+                .map(|i| {
+                    let dir = Direction::from_index(i);
+                    (dir.dim < n)
+                        .then(|| mesh.neighbor_id(probe.current, dir))
+                        .flatten()
+                        .map(|id| statuses[id])
+                })
+                .collect();
+            assert_eq!(
+                *recorder.0.borrow(),
+                want,
+                "case {case} {dims:?}: {tag} at node {}",
+                probe.current
+            );
+            for id in mesh
+                .neighbor_ids(probe.current)
+                .into_iter()
+                .map(|(_, id)| id)
+            {
+                if mesh.on_outermost_surface(&mesh.coord_of(id)) {
+                    *surface_seen.entry(statuses[id]).or_insert(0usize) += 1;
+                }
+            }
+        };
+        let last = mesh.node_count() - 1;
+        for node in mesh.node_ids() {
+            check(&Probe::new(&mesh, node, last - node), "launch");
+        }
+        if mesh.node_count() < 2 {
+            continue;
+        }
+        let mut probe = Probe::new(&mesh, 0, last);
+        for _ in 0..200 {
+            while probe.status != ProbeStatus::InFlight {
+                let (s, d) = (rng.below(mesh.node_count()), rng.below(mesh.node_count()));
+                probe.reset(&mesh, s, d);
+            }
+            let in_mesh: Vec<Direction> = Direction::iter_all(n)
+                .filter(|&dir| mesh.neighbor_id(probe.current, dir).is_some())
+                .collect();
+            let decision = if in_mesh.is_empty() || rng.chance(0.3) {
+                RoutingDecision::Backtrack
+            } else {
+                RoutingDecision::Forward(*rng.choose(&in_mesh))
+            };
+            probe.apply(&mesh, decision);
+            check(&probe, "walk");
+        }
+    }
+    assert_eq!(
+        surface_seen.len(),
+        4,
+        "surface neighbors of every status occur: {surface_seen:?}"
     );
 }
