@@ -49,10 +49,8 @@ impl Router for DimensionOrderRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lgfi_core::block::BlockSet;
-    use lgfi_core::boundary::BoundaryMap;
-    use lgfi_core::labeling::LabelingEngine;
-    use lgfi_core::routing::{route_static, ProbeStatus};
+    use lgfi_core::routing::ProbeStatus;
+    use lgfi_core::StaticLayout;
     use lgfi_topology::{coord, Coord, Mesh};
 
     fn run(
@@ -61,15 +59,7 @@ mod tests {
         s: &Coord,
         d: &Coord,
     ) -> lgfi_core::routing::ProbeOutcome {
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(faults);
-        let blocks = BlockSet::extract(mesh, eng.statuses());
-        let boundary = BoundaryMap::construct(mesh, &blocks);
-        route_static(
-            mesh,
-            eng.statuses(),
-            blocks.blocks(),
-            &boundary,
+        StaticLayout::new(mesh.clone(), faults).route(
             &DimensionOrderRouter::new(),
             mesh.id_of(s),
             mesh.id_of(d),

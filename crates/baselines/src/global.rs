@@ -82,10 +82,7 @@ impl Router for GlobalInfoRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lgfi_core::block::BlockSet;
-    use lgfi_core::boundary::BoundaryMap;
-    use lgfi_core::labeling::LabelingEngine;
-    use lgfi_core::routing::route_static;
+    use lgfi_core::StaticLayout;
     use lgfi_topology::{coord, Coord, Mesh};
 
     fn outcome_with(
@@ -95,20 +92,7 @@ mod tests {
         s: &Coord,
         d: &Coord,
     ) -> lgfi_core::routing::ProbeOutcome {
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(faults);
-        let blocks = BlockSet::extract(mesh, eng.statuses());
-        let boundary = BoundaryMap::construct(mesh, &blocks);
-        route_static(
-            mesh,
-            eng.statuses(),
-            blocks.blocks(),
-            &boundary,
-            router,
-            mesh.id_of(s),
-            mesh.id_of(d),
-            50_000,
-        )
+        StaticLayout::new(mesh.clone(), faults).route(router, mesh.id_of(s), mesh.id_of(d), 50_000)
     }
 
     #[test]

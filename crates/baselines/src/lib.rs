@@ -15,7 +15,7 @@
 //!   with no fault tolerance at all).
 //!
 //! All four implement the [`Router`] trait from `lgfi-core`, so they can be driven by
-//! the same static probe engine ([`lgfi_core::routing::route_static`]) and by the
+//! the same static probe engine ([`lgfi_core::StaticLayout::route`]) and by the
 //! dynamic [`LgfiNetwork`](lgfi_core::network::LgfiNetwork) step loop, which is how the
 //! routing-comparison experiments are produced.
 

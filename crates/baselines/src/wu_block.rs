@@ -11,9 +11,10 @@
 //! machinery (spare-along-block directions, backtracking, boundary warnings) when
 //! sources are unsafe or faults are dynamic.
 
+use lgfi_core::boundary::BoundaryEntry;
 use lgfi_core::routing::{RouteCtx, Router, RoutingDecision};
 use lgfi_core::status::NodeStatus;
-use lgfi_topology::{Direction, Region};
+use lgfi_topology::Direction;
 
 /// Minimal adaptive routing over a global snapshot of the faulty blocks.
 #[derive(Debug, Clone, Default)]
@@ -23,36 +24,6 @@ impl StaticBlockRouter {
     /// Creates the router.
     pub fn new() -> Self {
         StaticBlockRouter
-    }
-
-    /// True if stepping from the current node in `dir` enters a region from which the
-    /// destination is cut off minimally by `block` (the Section-2.2 dangerous-area
-    /// test applied with global knowledge).
-    fn hop_is_dangerous(ctx: &RouteCtx<'_>, dir: Direction, block: &Region) -> bool {
-        let next = ctx.current.step(dir);
-        for guard in Direction::iter_all(ctx.mesh.ndim()) {
-            let dim = guard.dim;
-            let dest_beyond = if guard.positive {
-                ctx.dest[dim] > block.hi()[dim]
-            } else {
-                ctx.dest[dim] < block.lo()[dim]
-            };
-            let next_in_shadow = if guard.positive {
-                next[dim] < block.lo()[dim]
-            } else {
-                next[dim] > block.hi()[dim]
-            };
-            let cross = (0..block.ndim()).filter(|&d| d != dim).all(|d| {
-                next[d] >= block.lo()[d]
-                    && next[d] <= block.hi()[d]
-                    && ctx.dest[d] >= block.lo()[d]
-                    && ctx.dest[d] <= block.hi()[d]
-            });
-            if dest_beyond && next_in_shadow && cross {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -65,8 +36,9 @@ impl Router for StaticBlockRouter {
         if ctx.current_status == NodeStatus::Disabled {
             return RoutingDecision::Fail;
         }
+        let n = ctx.mesh.ndim();
         let mut best: Option<(Direction, i64)> = None;
-        for dir in Direction::iter_all(ctx.mesh.ndim()) {
+        for dir in Direction::iter_all(n) {
             if !ctx.is_preferred(dir) || ctx.used.contains(dir) {
                 continue;
             }
@@ -74,11 +46,22 @@ impl Router for StaticBlockRouter {
                 Some(NodeStatus::Enabled) | Some(NodeStatus::Clean) => {}
                 _ => continue,
             }
-            if ctx
-                .global_blocks
-                .iter()
-                .any(|b| Self::hop_is_dangerous(ctx, dir, &b.region))
-            {
+            // The Section-2.2 dangerous-area test with global knowledge: the
+            // criticality test of a boundary entry synthesised for every block
+            // and guard.
+            let next = ctx.current.step(dir);
+            let dangerous = ctx.global_blocks.iter().any(|block| {
+                Direction::iter_all(n).any(|guard| {
+                    BoundaryEntry {
+                        block_id: block.id,
+                        block: block.region,
+                        guard,
+                        arrival_offset: 0,
+                    }
+                    .is_critical_hop(&next, ctx.dest)
+                })
+            });
+            if dangerous {
                 continue;
             }
             let offset = (ctx.dest[dir.dim] - ctx.current[dir.dim]).abs() as i64;
@@ -97,10 +80,8 @@ impl Router for StaticBlockRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lgfi_core::block::BlockSet;
-    use lgfi_core::boundary::BoundaryMap;
-    use lgfi_core::labeling::LabelingEngine;
-    use lgfi_core::routing::{route_static, ProbeStatus};
+    use lgfi_core::routing::ProbeStatus;
+    use lgfi_core::StaticLayout;
     use lgfi_topology::{coord, Coord, Mesh};
 
     fn run(
@@ -109,15 +90,7 @@ mod tests {
         s: &Coord,
         d: &Coord,
     ) -> lgfi_core::routing::ProbeOutcome {
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(faults);
-        let blocks = BlockSet::extract(mesh, eng.statuses());
-        let boundary = BoundaryMap::construct(mesh, &blocks);
-        route_static(
-            mesh,
-            eng.statuses(),
-            blocks.blocks(),
-            &boundary,
+        StaticLayout::new(mesh.clone(), faults).route(
             &StaticBlockRouter::new(),
             mesh.id_of(s),
             mesh.id_of(d),
@@ -153,22 +126,12 @@ mod tests {
         let faults = [coord![5, 5], coord![6, 6], coord![5, 6], coord![6, 5]];
         let out = run(&mesh, &faults, &coord![5, 2], &coord![6, 9]);
         assert_eq!(out.status, ProbeStatus::Failed);
-        let lgfi = {
-            let mut eng = LabelingEngine::new(mesh.clone());
-            eng.apply_faults(&faults);
-            let blocks = BlockSet::extract(&mesh, eng.statuses());
-            let boundary = BoundaryMap::construct(&mesh, &blocks);
-            route_static(
-                &mesh,
-                eng.statuses(),
-                blocks.blocks(),
-                &boundary,
-                &lgfi_core::routing::LgfiRouter::new(),
-                mesh.id_of(&coord![5, 2]),
-                mesh.id_of(&coord![6, 9]),
-                10_000,
-            )
-        };
+        let lgfi = StaticLayout::new(mesh.clone(), &faults).route(
+            &lgfi_core::routing::LgfiRouter::new(),
+            mesh.id_of(&coord![5, 2]),
+            mesh.id_of(&coord![6, 9]),
+            10_000,
+        );
         assert!(
             lgfi.delivered(),
             "the LGFI router detours and still delivers"

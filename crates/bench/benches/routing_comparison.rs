@@ -4,49 +4,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lgfi_baselines::{GlobalInfoRouter, LocalInfoRouter, StaticBlockRouter};
-use lgfi_core::block::BlockSet;
-use lgfi_core::boundary::BoundaryMap;
-use lgfi_core::labeling::LabelingEngine;
-use lgfi_core::routing::{route_static, LgfiRouter, Router};
+use lgfi_core::layout::StaticLayout;
+use lgfi_core::routing::{LgfiRouter, Router};
 use lgfi_core::status::NodeStatus;
 use lgfi_topology::Mesh;
 use lgfi_workloads::{FaultGenerator, FaultPlacement, TrafficGenerator, TrafficPattern};
 
-struct Env {
-    mesh: Mesh,
-    statuses: Vec<NodeStatus>,
-    blocks: BlockSet,
-    boundary: BoundaryMap,
-    pairs: Vec<(usize, usize)>,
-}
-
-fn build_env() -> Env {
+fn bench_routing(c: &mut Criterion) {
     let mesh = Mesh::cubic(24, 2);
-    let mut generator = FaultGenerator::new(mesh.clone(), 11);
-    let faults = generator.place(20, FaultPlacement::UniformInterior);
-    let mut eng = LabelingEngine::new(mesh.clone());
-    eng.apply_faults(&faults);
-    let blocks = BlockSet::extract(&mesh, eng.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    let statuses = eng.statuses().to_vec();
-    let usable = statuses.clone();
+    let faults = FaultGenerator::new(mesh.clone(), 11).place(20, FaultPlacement::UniformInterior);
     let mut traffic = TrafficGenerator::new(mesh.clone(), TrafficPattern::UniformRandom, 7);
-    let pairs = traffic
-        .requests(50, |id| usable[id] == NodeStatus::Enabled)
+    let layout = StaticLayout::new(mesh, &faults);
+    let statuses = layout.statuses();
+    let pairs: Vec<(usize, usize)> = traffic
+        .requests(50, |id| statuses[id] == NodeStatus::Enabled)
         .into_iter()
         .map(|r| (r.source, r.dest))
         .collect();
-    Env {
-        mesh,
-        statuses,
-        blocks,
-        boundary,
-        pairs,
-    }
-}
-
-fn bench_routing(c: &mut Criterion) {
-    let env = build_env();
     let routers: Vec<Box<dyn Router>> = vec![
         Box::new(LgfiRouter::new()),
         Box::new(GlobalInfoRouter::new()),
@@ -63,17 +37,8 @@ fn bench_routing(c: &mut Criterion) {
                 b.iter(|| {
                     let mut delivered = 0usize;
                     let mut steps = 0u64;
-                    for &(s, d) in &env.pairs {
-                        let out = route_static(
-                            &env.mesh,
-                            &env.statuses,
-                            env.blocks.blocks(),
-                            &env.boundary,
-                            router.as_ref(),
-                            s,
-                            d,
-                            100_000,
-                        );
+                    for &(s, d) in &pairs {
+                        let out = layout.route(router.as_ref(), s, d, 100_000);
                         steps += out.steps;
                         delivered += usize::from(out.delivered());
                     }
@@ -86,12 +51,11 @@ fn bench_routing(c: &mut Criterion) {
 }
 
 /// Serial-vs-parallel batched probe sweeps on the standard 32×32 faulty-mesh
-/// workload: the whole 256-pair batch is routed through `sweep_static` at 1/2/4
+/// workload: the whole 256-pair batch is routed through `StaticLayout::sweep` at 1/2/4
 /// probe workers.  Thread counts are part of the benchmark id; outcomes themselves
 /// are bit-identical across counts (`tests/probe_batch_equivalence.rs`).
 fn bench_probe_sweep_threads(c: &mut Criterion) {
     use lgfi_bench::perf::RoutingWorkload;
-    use lgfi_core::routing::sweep_static;
     let w = RoutingWorkload::standard();
     let mut group = c.benchmark_group("probe_sweep_threads");
     group.sample_size(10);
@@ -101,16 +65,9 @@ fn bench_probe_sweep_threads(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    let outcomes = sweep_static(
-                        &w.mesh,
-                        &w.statuses,
-                        w.blocks.blocks(),
-                        &w.boundary,
-                        &|| Box::new(LgfiRouter::new()),
-                        &w.pairs,
-                        100_000,
-                        threads,
-                    );
+                    let outcomes =
+                        w.layout
+                            .sweep(&|| Box::new(LgfiRouter::new()), &w.pairs, 100_000, threads);
                     std::hint::black_box(outcomes.iter().map(|o| o.steps).sum::<u64>())
                 });
             },

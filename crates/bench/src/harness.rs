@@ -9,13 +9,13 @@ use lgfi_analysis::table::{f2, pct};
 use lgfi_analysis::{check_theorem3, check_theorem4, Summary, Table};
 use lgfi_baselines::{DimensionOrderRouter, GlobalInfoRouter, LocalInfoRouter, StaticBlockRouter};
 use lgfi_core::block::BlockSet;
-use lgfi_core::boundary::BoundaryMap;
 use lgfi_core::frame::BlockFrame;
 use lgfi_core::identification::IdentificationProcess;
 use lgfi_core::infostore::InfoStore;
 use lgfi_core::labeling::LabelingEngine;
+use lgfi_core::layout::StaticLayout;
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
-use lgfi_core::routing::{route_static, LgfiRouter, Router};
+use lgfi_core::routing::{LgfiRouter, Router};
 use lgfi_core::safety::is_safe_source_in;
 use lgfi_core::status::NodeStatus;
 use lgfi_core::traffic_engine::TrafficSpec;
@@ -227,12 +227,8 @@ pub fn figure1_faults() -> Vec<Coord> {
     ]
 }
 
-fn figure1_setup() -> (Mesh, LabelingEngine, BlockSet) {
-    let mesh = Mesh::cubic(10, 3);
-    let mut eng = LabelingEngine::new(mesh.clone());
-    eng.apply_faults(&figure1_faults());
-    let blocks = BlockSet::extract(&mesh, eng.statuses());
-    (mesh, eng, blocks)
+fn figure1_layout() -> StaticLayout {
+    StaticLayout::new(Mesh::cubic(10, 3), &figure1_faults())
 }
 
 // ---------------------------------------------------------------------------------
@@ -284,8 +280,9 @@ pub fn exp_fig1_block() -> String {
 /// Experiment F2: reproduce Figure 2 — the 3-level corner (6,4,5), its edge neighbors,
 /// and the population of every frame level.
 pub fn exp_fig2_corners() -> String {
-    let (mesh, _eng, blocks) = figure1_setup();
-    let frame = BlockFrame::of_block(&mesh, &blocks.blocks()[0]);
+    let layout = figure1_layout();
+    let mesh = layout.mesh();
+    let frame = BlockFrame::of_block(mesh, &layout.blocks().blocks()[0]);
     let mut table = Table::new(
         "F2  Figure 2: frame of block [3:5, 5:6, 3:4]",
         &["level", "meaning", "count", "example"],
@@ -338,8 +335,8 @@ pub fn exp_fig2_corners() -> String {
 /// Experiment F3: reproduce Figure 3 — the boundary of the Figure-1 block for every
 /// adjacent surface, and the merge of a boundary into a second block.
 pub fn exp_fig3_boundaries() -> String {
-    let (mesh, _eng, blocks) = figure1_setup();
-    let map = BoundaryMap::construct(&mesh, &blocks);
+    let layout = figure1_layout();
+    let map = layout.boundary();
     let mut table = Table::new(
         "F3  Figure 3: boundaries of block [3:5, 5:6, 3:4] in a 10^3 mesh",
         &[
@@ -370,29 +367,31 @@ pub fn exp_fig3_boundaries() -> String {
     }
 
     // The two-block merge of Figure 3 (d), in 2-D for readability.
-    let mesh2 = Mesh::cubic(14, 2);
-    let mut eng2 = LabelingEngine::new(mesh2.clone());
-    eng2.apply_faults(&[
-        coord![5, 9],
-        coord![6, 10],
-        coord![5, 10],
-        coord![6, 9],
-        coord![4, 4],
-        coord![5, 5],
-        coord![4, 5],
-        coord![5, 4],
-    ]);
-    let blocks2 = BlockSet::extract(&mesh2, eng2.statuses());
-    let map2 = BoundaryMap::construct(&mesh2, &blocks2);
-    let upper = blocks2
+    let merged = StaticLayout::new(
+        Mesh::cubic(14, 2),
+        &[
+            coord![5, 9],
+            coord![6, 10],
+            coord![5, 10],
+            coord![6, 9],
+            coord![4, 4],
+            coord![5, 5],
+            coord![4, 5],
+            coord![5, 4],
+        ],
+    );
+    let upper = merged
+        .blocks()
         .blocks()
         .iter()
         .find(|b| b.region.lo()[1] == 9)
         .expect("upper block");
-    let nodes = map2.boundary_nodes(upper.id, Direction::pos(1));
+    let nodes = merged
+        .boundary()
+        .boundary_nodes(upper.id, Direction::pos(1));
     let below_second_block = nodes
         .iter()
-        .map(|&id| mesh2.coord_of(id))
+        .map(|&id| merged.mesh().coord_of(id))
         .filter(|c| c[1] < 4)
         .count();
     let mut merge = Table::new(
@@ -406,7 +405,7 @@ pub fn exp_fig3_boundaries() -> String {
     ]);
     merge.row(&[
         "c (boundary construction rounds)".into(),
-        map2.construction_rounds().to_string(),
+        merged.boundary().construction_rounds().to_string(),
     ]);
     format!("{table}\n{merge}")
 }
@@ -471,12 +470,12 @@ pub fn exp_fig4_recovery() -> String {
 /// corner (6,4,5) and the back-propagation of the identified information, plus how the
 /// round counts scale with the block size and dimension.
 pub fn exp_fig5_identification() -> String {
-    let (mesh, eng, blocks) = figure1_setup();
+    let layout = figure1_layout();
     let ident = IdentificationProcess::default();
     let outcome = ident.run(
-        &mesh,
-        &blocks.blocks()[0].region,
-        eng.statuses(),
+        layout.mesh(),
+        &layout.blocks().blocks()[0].region,
+        layout.statuses(),
         &coord![6, 4, 5],
     );
     let mut table = Table::new(
@@ -612,31 +611,19 @@ pub fn exp_thm2_safety() -> String {
         for seed in 0..10u64 {
             let mut generator = FaultGenerator::new(mesh.clone(), seed);
             let faults = generator.place(fault_count, FaultPlacement::UniformInterior);
-            let mut eng = LabelingEngine::new(mesh.clone());
-            eng.apply_faults(&faults);
-            let blocks = BlockSet::extract(&mesh, eng.statuses());
-            let boundary = BoundaryMap::construct(&mesh, &blocks);
+            let layout = StaticLayout::new(mesh.clone(), &faults);
             let mut traffic =
                 TrafficGenerator::new(mesh.clone(), TrafficPattern::UniformRandom, seed);
-            let statuses = eng.statuses().to_vec();
+            let statuses = layout.statuses();
             for req in traffic.requests(30, |id| statuses[id] == NodeStatus::Enabled) {
                 pairs += 1;
                 let s = mesh.coord_of(req.source);
                 let d = mesh.coord_of(req.dest);
-                if !is_safe_source_in(&s, &d, &blocks) {
+                if !is_safe_source_in(&s, &d, layout.blocks()) {
                     continue;
                 }
                 safe_pairs += 1;
-                let out = route_static(
-                    &mesh,
-                    eng.statuses(),
-                    blocks.blocks(),
-                    &boundary,
-                    &LgfiRouter::new(),
-                    req.source,
-                    req.dest,
-                    100_000,
-                );
+                let out = layout.route(&LgfiRouter::new(), req.source, req.dest, 100_000);
                 if out.delivered() && out.detours() == Some(0) {
                     minimal += 1;
                 } else {
@@ -891,39 +878,19 @@ pub fn exp_thm1_recovery() -> String {
     ];
     let mut eng = LabelingEngine::new(mesh.clone());
     eng.apply_faults(&faults);
-    let blocks_before = BlockSet::extract(&mesh, eng.statuses());
-    let boundary_before = BoundaryMap::construct(&mesh, &blocks_before);
-    let statuses_before = eng.statuses().to_vec();
+    let with_full_block = StaticLayout::from_statuses(mesh.clone(), eng.statuses());
     // Recover two faults: the block shrinks.
     eng.apply_recoveries(&[coord![7, 5], coord![7, 6]]);
-    let blocks_after = BlockSet::extract(&mesh, eng.statuses());
-    let boundary_after = BoundaryMap::construct(&mesh, &blocks_after);
+    let after_recovery = StaticLayout::from_statuses(mesh.clone(), eng.statuses());
     for (s, d) in [
         (coord![5, 1], coord![6, 10]),
         (coord![1, 5], coord![10, 6]),
         (coord![0, 0], coord![11, 11]),
         (coord![6, 0], coord![6, 11]),
     ] {
-        let before = route_static(
-            &mesh,
-            &statuses_before,
-            blocks_before.blocks(),
-            &boundary_before,
-            &LgfiRouter::new(),
-            mesh.id_of(&s),
-            mesh.id_of(&d),
-            10_000,
-        );
-        let after = route_static(
-            &mesh,
-            eng.statuses(),
-            blocks_after.blocks(),
-            &boundary_after,
-            &LgfiRouter::new(),
-            mesh.id_of(&s),
-            mesh.id_of(&d),
-            10_000,
-        );
+        let (source, dest) = (mesh.id_of(&s), mesh.id_of(&d));
+        let before = with_full_block.route(&LgfiRouter::new(), source, dest, 10_000);
+        let after = after_recovery.route(&LgfiRouter::new(), source, dest, 10_000);
         table.row(&[
             format!("{s} -> {d}"),
             before.steps.to_string(),
@@ -983,21 +950,21 @@ pub fn exp_convergence_with(threads: usize) -> String {
                 .with_threads(threads)
                 .with_frontier(configured_frontier());
             let a = eng.apply_faults(&faults);
-            let blocks = BlockSet::extract(&mesh, eng.statuses());
+            let layout = StaticLayout::from_statuses(mesh.clone(), eng.statuses());
             let ident = IdentificationProcess::default();
-            let b = blocks
+            let b = layout
+                .blocks()
                 .blocks()
                 .iter()
                 .filter_map(|blk| {
                     ident
-                        .run_from_default_corner(&mesh, &blk.region, eng.statuses())
+                        .run_from_default_corner(&mesh, &blk.region, layout.statuses())
                         .filter(|o| o.stable)
                         .map(|o| o.completed_round)
                 })
                 .max()
                 .unwrap_or(0);
-            let boundary = BoundaryMap::construct(&mesh, &blocks);
-            let c = boundary.construction_rounds();
+            let c = layout.boundary().construction_rounds();
             (a as f64, b as f64, c as f64)
         });
         let a = Summary::of(&points.iter().map(|p| p.output.0).collect::<Vec<_>>());
@@ -1140,12 +1107,9 @@ pub fn exp_memory_overhead() -> String {
             let mesh = Mesh::new(&dims_clone);
             let mut generator = FaultGenerator::new(mesh.clone(), seed);
             let fs = generator.place(faults, FaultPlacement::UniformInterior);
-            let mut eng = LabelingEngine::new(mesh.clone());
-            eng.apply_faults(&fs);
-            let blocks = BlockSet::extract(&mesh, eng.statuses());
-            let boundary = BoundaryMap::construct(&mesh, &blocks);
-            let store = InfoStore::build(&mesh, &blocks, &boundary);
-            let fp = store.footprint(&mesh, &blocks);
+            let layout = StaticLayout::new(mesh.clone(), &fs);
+            let store = InfoStore::build(&mesh, layout.blocks(), layout.boundary());
+            let fp = store.footprint(&mesh, layout.blocks());
             (
                 fp.nodes_with_info as f64,
                 fp.coverage(),

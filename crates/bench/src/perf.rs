@@ -12,9 +12,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use lgfi_core::block::BlockSet;
-use lgfi_core::boundary::BoundaryMap;
 use lgfi_core::labeling::LabelingEngine;
+use lgfi_core::layout::StaticLayout;
 use lgfi_core::status::NodeStatus;
 use lgfi_sim::{NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_topology::{Mesh, NodeId};
@@ -611,14 +610,8 @@ pub fn emit_wormhole_records() {
 /// Deterministic (fixed seeds), so every variant and thread count routes the exact
 /// same probes.
 pub struct RoutingWorkload {
-    /// The mesh.
-    pub mesh: Mesh,
-    /// Stabilised statuses.
-    pub statuses: Vec<NodeStatus>,
-    /// Extracted blocks.
-    pub blocks: BlockSet,
-    /// Constructed boundary map.
-    pub boundary: BoundaryMap,
+    /// The stabilised fault layout.
+    pub layout: StaticLayout,
     /// The source/destination pairs.
     pub pairs: Vec<(NodeId, NodeId)>,
 }
@@ -629,40 +622,26 @@ impl RoutingWorkload {
         let mesh = Mesh::cubic(32, 2);
         let mut generator = FaultGenerator::new(mesh.clone(), 13);
         let faults = generator.place(40, FaultPlacement::Clustered { clusters: 5 });
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(&faults);
-        let blocks = BlockSet::extract(&mesh, eng.statuses());
-        let boundary = BoundaryMap::construct(&mesh, &blocks);
-        let statuses = eng.statuses().to_vec();
-        let usable = statuses.clone();
         let mut traffic = TrafficGenerator::new(mesh.clone(), TrafficPattern::UniformRandom, 17);
+        let layout = StaticLayout::new(mesh, &faults);
+        let statuses = layout.statuses();
         let pairs = traffic
-            .requests(256, |id| usable[id] == NodeStatus::Enabled)
+            .requests(256, |id| statuses[id] == NodeStatus::Enabled)
             .into_iter()
             .map(|r| (r.source, r.dest))
             .collect();
-        RoutingWorkload {
-            mesh,
-            statuses,
-            blocks,
-            boundary,
-            pairs,
-        }
+        RoutingWorkload { layout, pairs }
     }
 }
 
 /// Routes the whole workload once with `threads` sweep workers and returns
 /// `(total_steps, delivered)`.  Every thread count — including the serial `1` —
-/// goes through [`lgfi_core::routing::sweep_static`] with recycled per-worker
+/// goes through [`StaticLayout::sweep`] with recycled per-worker
 /// engines, so the recorded thread-scaling numbers compare the same data plane.
 fn route_workload(w: &RoutingWorkload, router_name: &str, threads: usize) -> (u64, usize) {
     let mut steps = 0u64;
     let mut delivered = 0usize;
-    let outcomes = lgfi_core::routing::sweep_static(
-        &w.mesh,
-        &w.statuses,
-        w.blocks.blocks(),
-        &w.boundary,
+    let outcomes = w.layout.sweep(
         &|| crate::harness::router_by_name(router_name),
         &w.pairs,
         100_000,

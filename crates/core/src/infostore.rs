@@ -145,22 +145,19 @@ impl MemoryFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labeling::LabelingEngine;
+    use crate::layout::StaticLayout;
     use lgfi_topology::{coord, Coord};
 
-    fn build(mesh: &Mesh, faults: &[Coord]) -> (BlockSet, BoundaryMap, InfoStore) {
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(faults);
-        let blocks = BlockSet::extract(mesh, eng.statuses());
-        let boundary = BoundaryMap::construct(mesh, &blocks);
-        let store = InfoStore::build(mesh, &blocks, &boundary);
-        (blocks, boundary, store)
+    fn build(mesh: &Mesh, faults: &[Coord]) -> (StaticLayout, InfoStore) {
+        let layout = StaticLayout::new(mesh.clone(), faults);
+        let store = InfoStore::build(mesh, layout.blocks(), layout.boundary());
+        (layout, store)
     }
 
     #[test]
     fn only_frame_and_boundary_nodes_store_information() {
         let mesh = Mesh::cubic(10, 3);
-        let (blocks, boundary, store) = build(
+        let (layout, store) = build(
             &mesh,
             &[
                 coord![3, 5, 4],
@@ -169,6 +166,7 @@ mod tests {
                 coord![3, 6, 3],
             ],
         );
+        let (blocks, boundary) = (layout.blocks(), layout.boundary());
         let frame = BlockFrame::of_block(&mesh, &blocks.blocks()[0]);
         for id in mesh.node_ids() {
             let stored = !store.at(id).is_empty();
@@ -180,7 +178,7 @@ mod tests {
     #[test]
     fn memory_footprint_is_far_below_the_global_model() {
         let mesh = Mesh::cubic(12, 3);
-        let (_blocks, _boundary, store) = build(
+        let (layout, store) = build(
             &mesh,
             &[
                 coord![3, 5, 4],
@@ -192,18 +190,7 @@ mod tests {
                 coord![8, 9, 9],
             ],
         );
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(&[
-            coord![3, 5, 4],
-            coord![4, 5, 4],
-            coord![5, 5, 3],
-            coord![3, 6, 3],
-            coord![9, 9, 9],
-            coord![9, 8, 9],
-            coord![8, 9, 9],
-        ]);
-        let blocks = BlockSet::extract(&mesh, eng.statuses());
-        let fp = store.footprint(&mesh, &blocks);
+        let fp = store.footprint(&mesh, layout.blocks());
         assert_eq!(fp.node_count, 12 * 12 * 12);
         assert_eq!(fp.block_count, 2);
         assert!(fp.nodes_with_info > 0);
@@ -224,10 +211,10 @@ mod tests {
     #[test]
     fn fault_free_store_is_empty() {
         let mesh = Mesh::cubic(8, 2);
-        let (blocks, _boundary, store) = build(&mesh, &[]);
+        let (layout, store) = build(&mesh, &[]);
         assert_eq!(store.nodes_with_info(), 0);
         assert_eq!(store.total_entries(), 0);
-        let fp = store.footprint(&mesh, &blocks);
+        let fp = store.footprint(&mesh, layout.blocks());
         assert_eq!(fp.coverage(), 0.0);
         assert_eq!(fp.record_ratio(), 0.0);
         assert_eq!(fp.global_records, 0);
@@ -238,7 +225,7 @@ mod tests {
         // A node can be both a frame node of a block and on its boundary start; it
         // still stores only one record for that block.
         let mesh = Mesh::cubic(10, 2);
-        let (_blocks, _boundary, store) = build(
+        let (_, store) = build(
             &mesh,
             &[coord![4, 4], coord![5, 5], coord![4, 5], coord![5, 4]],
         );

@@ -23,10 +23,10 @@
 //!    mesh surface; measured in rounds (`c_i`).
 //! 5. **Information store** ([`infostore`]): which node holds which piece of
 //!    information at which round, and the memory cost compared to a global model.
-//! 6. **Routing** ([`routing`]): the fault-information-based PCS routing of
-//!    Algorithm 3 (backtracking probe, per-node used-direction lists, priority order
-//!    *preferred* > *spare along block* > *preferred-but-detour* > other spare >
-//!    *incoming*).
+//! 6. **Routing** ([`routing`], [`layout`]): the fault-information-based PCS routing
+//!    of Algorithm 3 (backtracking probe, per-node used-direction lists, priority
+//!    order *preferred* > *spare along block* > *preferred-but-detour* > other spare >
+//!    *incoming*), and the stabilised [`StaticLayout`] every static route runs over.
 //! 7. **Analysis** ([`safety`], [`bounds`]): Theorem 2 (safe sources), Theorems 3–5
 //!    (progress and detour bounds under dynamic faults).
 //! 8. **The dynamic network** ([`network`]): the Figure-7 step loop that runs
@@ -54,6 +54,7 @@ pub mod frame;
 pub mod identification;
 pub mod infostore;
 pub mod labeling;
+pub mod layout;
 pub mod linkstate;
 pub mod network;
 pub mod route_service;
@@ -70,6 +71,7 @@ pub use frame::{BlockFrame, Role};
 pub use identification::{IdentificationOutcome, IdentificationProcess};
 pub use infostore::{InfoStore, MemoryFootprint};
 pub use labeling::{LabelingEngine, LabelingProtocol};
+pub use layout::StaticLayout;
 pub use linkstate::LinkState;
 pub use network::{LgfiNetwork, NetworkConfig, ProbeReport};
 pub use route_service::{EpochSnapshot, RouteReader, RouteService, RouteServiceStats, RoutedQuery};

@@ -3,8 +3,8 @@
 //!
 //! The routing model of the paper sets up one path at a time, so PR-era probe
 //! sweeps never contend for wires.  Real traffic does: every node of an n-D mesh
-//! has `2n` directed output links, each able to move a bounded number of *flits*
-//! per cycle, carrying `vc_count` virtual channels and a shared DAMQ flit-buffer
+//! has `2n` directed output links, each able to move one *flit* per cycle,
+//! carrying `vc_count` virtual channels and a shared DAMQ flit-buffer
 //! pool at its downstream end.  [`LinkState`] holds all three per directed link
 //! and gives the wormhole traffic engine ([`crate::traffic_engine`]) bandwidth
 //! (`try_flit`), channel allocation (`free_adaptive_vc` / `acquire_vc` /
@@ -24,6 +24,9 @@ use lgfi_topology::{Direction, Mesh, NodeId};
 
 /// Sentinel owner id of a free virtual channel.
 pub const NO_OWNER: u64 = u64::MAX;
+
+/// Flits one directed link moves per cycle.
+const LINK_CAPACITY: u32 = 1;
 
 /// The per-cycle grant count and the buffer occupancy of one directed link,
 /// kept side by side: a flit crossing reads and writes both.
@@ -62,8 +65,6 @@ pub struct LinkState {
     owners: Vec<u64>,
     /// Output links per node (`2n`).
     ports: usize,
-    /// Flits one link moves per cycle.
-    capacity: u32,
     vc_count: usize,
     /// Slots of one link's shared buffer pool.
     pool: u32,
@@ -73,31 +74,24 @@ pub struct LinkState {
 }
 
 impl LinkState {
-    /// Link state for `mesh`: every directed link moves at most `capacity` flits
-    /// per cycle, carries `vc_count` virtual channels with `vc_buffer_flits`
-    /// buffer slots each (pooled), and reserves VC 0 as the escape class when
-    /// `escape_vc` is set.
+    /// Link state for `mesh`: every directed link moves one flit per cycle,
+    /// carries `vc_count` virtual channels with `vc_buffer_flits` buffer slots
+    /// each (pooled), and reserves VC 0 as the escape class when `escape_vc` is
+    /// set.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity`, `vc_count` or `vc_buffer_flits` is zero, or if
-    /// `escape_vc` is set with fewer than two VCs (the escape class would starve
-    /// the adaptive one) — reject such configurations up front with
+    /// Panics if `vc_count` or `vc_buffer_flits` is zero, or if `escape_vc` is
+    /// set with fewer than two VCs (the escape class would starve the adaptive
+    /// one) — reject such configurations up front with
     /// [`TrafficSpec::validate`](crate::traffic_engine::TrafficSpec::validate).
     /// Also panics if the mesh has more directed links than a `u32` link index
     /// can name.
-    pub fn new(
-        mesh: &Mesh,
-        capacity: u32,
-        vc_count: u32,
-        vc_buffer_flits: u32,
-        escape_vc: bool,
-    ) -> Self {
+    pub fn new(mesh: &Mesh, vc_count: u32, vc_buffer_flits: u32, escape_vc: bool) -> Self {
         assert!(
             !escape_vc || vc_count >= 2,
             "an escape VC needs at least 2 virtual channels, got {vc_count}"
         );
-        assert!(capacity >= 1, "link capacity must be at least 1, got 0");
         assert!(
             vc_count >= 1,
             "virtual-channel count must be at least 1, got 0"
@@ -117,16 +111,10 @@ impl LinkState {
             touched: Vec::new(),
             owners: vec![NO_OWNER; links * vc_count as usize],
             ports,
-            capacity,
             vc_count: vc_count as usize,
             pool: vc_count * vc_buffer_flits,
             adaptive_base: usize::from(escape_vc),
         }
-    }
-
-    /// The per-cycle flit capacity of one directed link.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
     }
 
     /// Virtual channels per directed link.
@@ -158,12 +146,12 @@ impl LinkState {
     }
 
     /// Requests bandwidth for one flit on `link` this cycle.  Returns `false`
-    /// when the link has already moved `capacity` flits — the flit must wait a
+    /// when the link has already moved its one flit — the flit must wait a
     /// cycle.
     #[inline]
     pub fn try_flit(&mut self, link: u32) -> bool {
         let cell = &mut self.cells[link as usize];
-        if cell.grants >= self.capacity {
+        if cell.grants >= LINK_CAPACITY {
             return false;
         }
         if cell.grants == 0 {
@@ -241,14 +229,14 @@ impl LinkState {
 mod tests {
     use super::*;
 
-    fn single_vc(mesh: &Mesh, capacity: u32) -> LinkState {
-        LinkState::new(mesh, capacity, 1, 1, false)
+    fn single_vc(mesh: &Mesh) -> LinkState {
+        LinkState::new(mesh, 1, 1, false)
     }
 
     #[test]
     fn link_indices_are_node_major_and_distinct() {
         let mesh = Mesh::new(&[3, 5, 4]);
-        let links = single_vc(&mesh, 1);
+        let links = single_vc(&mesh);
         let mut seen = vec![false; mesh.node_count() * 6];
         for node in mesh.node_ids() {
             for dir in Direction::iter_all(3) {
@@ -264,8 +252,7 @@ mod tests {
     #[test]
     fn links_saturate_and_reset_per_cycle() {
         let mesh = Mesh::cubic(4, 2);
-        let mut links = single_vc(&mesh, 1);
-        assert_eq!(links.capacity(), 1);
+        let mut links = single_vc(&mesh);
         let dir = Direction::pos(0);
         let link = links.link(5, dir);
         assert!(links.try_flit(link));
@@ -281,22 +268,9 @@ mod tests {
     }
 
     #[test]
-    fn higher_capacity_admits_more_flits() {
-        let mesh = Mesh::cubic(3, 3);
-        let mut links = single_vc(&mesh, 2);
-        let link = links.link(0, Direction::pos(2));
-        assert!(links.try_flit(link));
-        assert!(links.try_flit(link));
-        assert!(!links.try_flit(link));
-        links.begin_cycle();
-        assert!(links.try_flit(link));
-        assert!(links.try_flit(link));
-    }
-
-    #[test]
     fn escape_class_partitions_the_vcs() {
         let mesh = Mesh::cubic(4, 2);
-        let mut links = LinkState::new(&mesh, 1, 3, 2, true);
+        let mut links = LinkState::new(&mesh, 3, 2, true);
         assert_eq!(links.vc_count(), 3);
         let dir = Direction::pos(1);
         let link = links.link(3, dir);
@@ -325,7 +299,7 @@ mod tests {
         assert_eq!(links.free_adaptive_vc(link), Some(1));
         assert_eq!(links.first_vc_owner(link), 43);
         // Without an escape class every VC is adaptive and none is escape.
-        let plain = LinkState::new(&mesh, 1, 2, 2, false);
+        let plain = LinkState::new(&mesh, 2, 2, false);
         assert!(!plain.has_escape_vc());
         let link = plain.link(3, dir);
         assert_eq!(plain.free_adaptive_vc(link), Some(0));
@@ -335,7 +309,7 @@ mod tests {
     #[test]
     fn credits_track_the_downstream_buffer() {
         let mesh = Mesh::cubic(4, 2);
-        let mut links = LinkState::new(&mesh, 1, 2, 1, false);
+        let mut links = LinkState::new(&mesh, 2, 1, false);
         let dir = Direction::neg(1);
         let link = links.link(9, dir);
         assert_eq!(links.credits(link), 2);
@@ -369,13 +343,12 @@ mod tests {
         // reset leaves buffered flits alone, and filling the buffer leaves the
         // bandwidth alone.
         let mesh = Mesh::cubic(4, 2);
-        let mut links = LinkState::new(&mesh, 2, 2, 1, false);
+        let mut links = LinkState::new(&mesh, 2, 1, false);
         let link = links.link(6, Direction::pos(0));
         assert!(links.try_flit(link));
         assert_eq!(links.credits(link), 2);
         links.deposit(link, 1);
-        assert!(links.try_flit(link));
-        assert!(!links.try_flit(link));
+        assert!(!links.try_flit(link), "a deposit returns no bandwidth");
         links.begin_cycle();
         assert_eq!(links.credits(link), 1, "the reset keeps buffered flits");
         links.deposit(link, 1);
@@ -385,19 +358,17 @@ mod tests {
 
     #[test]
     fn degenerate_links_are_rejected() {
-        let rejection = |capacity, vcs, depth, escape| {
-            let err = std::panic::catch_unwind(|| {
-                LinkState::new(&Mesh::cubic(3, 2), capacity, vcs, depth, escape)
-            })
-            .expect_err("the configuration must be rejected");
+        let rejection = |vcs, depth, escape| {
+            let err =
+                std::panic::catch_unwind(|| LinkState::new(&Mesh::cubic(3, 2), vcs, depth, escape))
+                    .expect_err("the configuration must be rejected");
             match err.downcast::<String>() {
                 Ok(msg) => *msg,
                 Err(err) => err.downcast::<&str>().map(|m| m.to_string()).unwrap(),
             }
         };
-        assert!(rejection(1, 1, 1, true).contains("escape VC needs at least 2"));
-        assert!(rejection(0, 1, 1, false).contains("link capacity must be at least 1"));
-        assert!(rejection(1, 0, 1, false).contains("virtual-channel count must be at least 1"));
-        assert!(rejection(1, 1, 0, false).contains("VC buffer depth must be at least 1"));
+        assert!(rejection(1, 1, true).contains("escape VC needs at least 2"));
+        assert!(rejection(0, 1, false).contains("virtual-channel count must be at least 1"));
+        assert!(rejection(1, 0, false).contains("VC buffer depth must be at least 1"));
     }
 }

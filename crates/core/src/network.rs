@@ -1095,8 +1095,8 @@ impl RoundCalendar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::BoundaryMap;
-    use crate::routing::{route_static, LgfiRouter};
+    use crate::layout::StaticLayout;
+    use crate::routing::LgfiRouter;
     use lgfi_sim::FaultEvent;
     use lgfi_topology::coord;
     use std::cmp::Reverse;
@@ -1131,15 +1131,7 @@ mod tests {
         assert_eq!(report.router, "lgfi");
         // The block intersects the bounding box; once the information has
         // converged, the probe takes the static engine's route on the same layout.
-        let mut labeling = LabelingEngine::new(mesh.clone());
-        labeling.apply_faults(&faults);
-        let blocks = BlockSet::extract(&mesh, labeling.statuses());
-        let boundary = BoundaryMap::construct(&mesh, &blocks);
-        let fixed = route_static(
-            &mesh,
-            labeling.statuses(),
-            blocks.blocks(),
-            &boundary,
+        let fixed = StaticLayout::new(mesh, &faults).route(
             &LgfiRouter::new(),
             source,
             dest,

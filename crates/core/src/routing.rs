@@ -34,7 +34,7 @@ use lgfi_topology::direction::DirectionSet;
 use lgfi_topology::{Coord, Direction, Mesh, NodeId};
 
 use crate::block::FaultyBlock;
-use crate::boundary::{BoundaryEntry, BoundaryMap};
+use crate::boundary::BoundaryEntry;
 use crate::status::NodeStatus;
 
 /// The neighbor table of a [`RouteCtx`]: one `u16` mask per status class, bit
@@ -92,8 +92,9 @@ impl NeighborMasks {
 /// A borrowed view over a flattened boundary arena: node `i`'s entries are
 /// `data[start[i]..end[i]]`.
 ///
-/// Two layouts share the view.  A [`BoundaryMap`] (static layouts, epoch
-/// snapshots) packs the nodes back to back, so `end` is `start` shifted by one.
+/// Two layouts share the view.  A [`BoundaryMap`](crate::boundary::BoundaryMap)
+/// (static layouts, epoch snapshots) packs the nodes back to back, so `end` is
+/// `start` shifted by one.
 /// The slot arena of [`LgfiNetwork`](crate::network::LgfiNetwork) gives each node
 /// its own range of slots, starting at `start[i]`, of which the first
 /// `end[i] - start[i]` hold its visible entries.  The ranges are disjoint but
@@ -167,8 +168,9 @@ impl<'a> CsrBoundary<'a> {
 /// statuses, the blocks (for the global-information baselines) and the boundary
 /// entries visible at each node.
 ///
-/// Every hop loop of the library routes against one: a static layout
-/// ([`route_static`], over [`BoundaryMap::view`]), an
+/// Every hop loop of the library routes against one: a
+/// [`StaticLayout`](crate::layout::StaticLayout) (over
+/// [`BoundaryMap::view`](crate::boundary::BoundaryMap::view)), an
 /// [`EpochSnapshot`](crate::route_service::EpochSnapshot), and the round's
 /// state of an [`LgfiNetwork`](crate::network::LgfiNetwork), which its probe
 /// plane, its traffic cycles, its snapshots and
@@ -551,11 +553,6 @@ impl UsedDirections {
         self.sets[node].insert(dir);
     }
 
-    /// Number of nodes holding a non-empty set.
-    pub fn touched_count(&self) -> usize {
-        self.touched.len()
-    }
-
     /// Resets every recorded set in `O(touched)` without shrinking the arena.
     pub fn clear(&mut self) {
         while let Some(node) = self.touched.pop() {
@@ -911,7 +908,7 @@ impl ProbeOutcome {
 /// global allocator).
 ///
 /// One engine routes one probe at a time; batched sweeps give each worker thread its
-/// own engine (see [`sweep_static`]).
+/// own engine (see [`StaticLayout::sweep`](crate::layout::StaticLayout::sweep)).
 #[derive(Debug, Default)]
 pub struct ProbeEngine {
     /// The recycled probe (path + used-direction arena), if one has been routed.
@@ -926,7 +923,8 @@ impl ProbeEngine {
 
     /// Routes a probe from `source` to `dest` through `env`, which stays fixed
     /// while the probe travels, and returns its outcome: the one entry into the
-    /// static hop loop, for static layouts ([`route_static`], [`sweep_static`]),
+    /// static hop loop, for static layouts
+    /// ([`StaticLayout`](crate::layout::StaticLayout)),
     /// epoch snapshots ([`RouteReader`](crate::route_service::RouteReader)) and
     /// the live network frozen at a round
     /// ([`LgfiNetwork::resolve_live`](crate::network::LgfiNetwork::resolve_live)).
@@ -977,126 +975,22 @@ impl ProbeEngine {
     }
 }
 
-/// Routes a single probe through a one-shot [`ProbeEngine`] in a *static*
-/// layout: statuses, blocks and boundary information are fixed, and every node's
-/// boundary information has fully arrived.  This is the workhorse of the static
-/// experiments and the baselines.  Callers routing many probes should hold an
-/// engine (or use [`sweep_static`]) so the buffers are recycled.
-#[allow(clippy::too_many_arguments)]
-pub fn route_static(
-    mesh: &Mesh,
-    statuses: &[NodeStatus],
-    blocks: &[FaultyBlock],
-    boundary: &BoundaryMap,
-    router: &dyn Router,
-    source: NodeId,
-    dest: NodeId,
-    max_steps: u64,
-) -> ProbeOutcome {
-    let env = RouteEnv {
-        statuses,
-        blocks,
-        boundary: boundary.view(),
-    };
-    ProbeEngine::new().route(mesh, &env, router, source, dest, max_steps)
-}
-
-/// Routes a whole batch of source/destination pairs through the static environment,
-/// sharding independent probes across `threads` worker threads (`1` = serial, `0` =
-/// one worker per available core).
-///
-/// Each worker owns a recycled [`ProbeEngine`] and its own router instance from
-/// `make_router`, and routes a contiguous chunk of the batch; the per-chunk results
-/// are concatenated in chunk (= launch) order.  Because every probe is an
-/// independent deterministic function of the shared static environment, the returned
-/// outcomes are **bit-identical** to the serial sweep for every thread count
-/// (`tests/probe_batch_equivalence.rs` asserts this across routers and fault
-/// patterns).
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_static(
-    mesh: &Mesh,
-    statuses: &[NodeStatus],
-    blocks: &[FaultyBlock],
-    boundary: &BoundaryMap,
-    make_router: &(dyn Fn() -> Box<dyn Router> + Sync),
-    pairs: &[(NodeId, NodeId)],
-    max_steps: u64,
-    threads: usize,
-) -> Vec<ProbeOutcome> {
-    let threads = lgfi_sim::resolve_threads(threads).min(pairs.len().max(1));
-    let env = RouteEnv {
-        statuses,
-        blocks,
-        boundary: boundary.view(),
-    };
-    let route_chunk = |chunk: &[(NodeId, NodeId)]| -> Vec<ProbeOutcome> {
-        let router = make_router();
-        let mut engine = ProbeEngine::new();
-        chunk
-            .iter()
-            .map(|&(s, d)| engine.route(mesh, &env, router.as_ref(), s, d, max_steps))
-            .collect()
-    };
-    if threads <= 1 || pairs.len() <= 1 {
-        return route_chunk(pairs);
-    }
-    let ranges = lgfi_sim::batch_ranges(pairs.len(), threads);
-    let mut slots: Vec<Vec<ProbeOutcome>> = (0..ranges.len()).map(|_| Vec::new()).collect();
-    lgfi_sim::WorkerPool::new(threads).run_chunked(&mut slots, threads, |i, slot| {
-        slot[0] = route_chunk(&pairs[ranges[i].clone()]);
-    });
-    let mut out = Vec::with_capacity(pairs.len());
-    for slot in &mut slots {
-        out.append(slot);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockSet;
     use crate::boundary::BoundaryMap;
-    use crate::labeling::LabelingEngine;
+    use crate::layout::StaticLayout;
     use lgfi_topology::coord;
 
-    struct Env {
-        mesh: Mesh,
-        statuses: Vec<NodeStatus>,
-        blocks: BlockSet,
-        boundary: BoundaryMap,
-    }
-
-    fn build_env(mesh: Mesh, faults: &[Coord]) -> Env {
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(faults);
-        let blocks = BlockSet::extract(&mesh, eng.statuses());
-        let boundary = BoundaryMap::construct(&mesh, &blocks);
-        Env {
-            statuses: eng.statuses().to_vec(),
-            blocks,
-            boundary,
-            mesh,
-        }
-    }
-
-    fn route(env: &Env, s: &Coord, d: &Coord) -> ProbeOutcome {
-        route_static(
-            &env.mesh,
-            &env.statuses,
-            env.blocks.blocks(),
-            &env.boundary,
-            &LgfiRouter::new(),
-            env.mesh.id_of(s),
-            env.mesh.id_of(d),
-            10_000,
-        )
+    fn route(layout: &StaticLayout, s: &Coord, d: &Coord) -> ProbeOutcome {
+        let mesh = layout.mesh();
+        layout.route(&LgfiRouter::new(), mesh.id_of(s), mesh.id_of(d), 10_000)
     }
 
     #[test]
     fn fault_free_routing_is_minimal() {
-        let env = build_env(Mesh::cubic(8, 3), &[]);
-        let out = route(&env, &coord![0, 0, 0], &coord![7, 7, 7]);
+        let layout = StaticLayout::new(Mesh::cubic(8, 3), &[]);
+        let out = route(&layout, &coord![0, 0, 0], &coord![7, 7, 7]);
         assert!(out.delivered());
         assert_eq!(out.steps, 21);
         assert_eq!(out.detours(), Some(0));
@@ -1107,16 +1001,16 @@ mod tests {
 
     #[test]
     fn routing_to_self_is_trivially_delivered() {
-        let env = build_env(Mesh::cubic(5, 2), &[]);
-        let out = route(&env, &coord![2, 2], &coord![2, 2]);
+        let layout = StaticLayout::new(Mesh::cubic(5, 2), &[]);
+        let out = route(&layout, &coord![2, 2], &coord![2, 2]);
         assert!(out.delivered());
         assert_eq!(out.steps, 0);
     }
 
     #[test]
     fn faulty_destination_is_unreachable() {
-        let env = build_env(Mesh::cubic(8, 2), &[coord![4, 4]]);
-        let out = route(&env, &coord![0, 0], &coord![4, 4]);
+        let layout = StaticLayout::new(Mesh::cubic(8, 2), &[coord![4, 4]]);
+        let out = route(&layout, &coord![0, 0], &coord![4, 4]);
         assert_eq!(out.status, ProbeStatus::Unreachable);
     }
 
@@ -1124,11 +1018,11 @@ mod tests {
     fn safe_source_route_around_block_stays_minimal() {
         // Block in the middle; source and destination positioned so that the block
         // does not intersect the bounding box: a minimal path must be found.
-        let env = build_env(
+        let layout = StaticLayout::new(
             Mesh::cubic(12, 2),
             &[coord![5, 5], coord![6, 6], coord![5, 6], coord![6, 5]],
         );
-        let out = route(&env, &coord![1, 1], &coord![3, 10]);
+        let out = route(&layout, &coord![1, 1], &coord![3, 10]);
         assert!(out.delivered());
         assert_eq!(
             out.detours(),
@@ -1143,7 +1037,7 @@ mod tests {
         // directly below it.  The LGFI router must be warned at the boundary and go
         // around; it must still deliver, and the number of extra hops is bounded by
         // the block perimeter.
-        let env = build_env(
+        let layout = StaticLayout::new(
             Mesh::cubic(16, 2),
             &[
                 coord![5, 7],
@@ -1157,12 +1051,12 @@ mod tests {
             ],
         );
         // One wide block [5:10, 7:8].
-        assert_eq!(env.blocks.len(), 1);
+        assert_eq!(layout.blocks().len(), 1);
         assert_eq!(
-            env.blocks.blocks()[0].region,
+            layout.blocks().blocks()[0].region,
             lgfi_topology::Region::new(vec![5, 7], vec![10, 8])
         );
-        let out = route(&env, &coord![8, 2], &coord![8, 13]);
+        let out = route(&layout, &coord![8, 2], &coord![8, 13]);
         assert!(out.delivered());
         // Minimal distance is 11; going around the block costs at most the block's
         // half-perimeter extra.
@@ -1178,7 +1072,7 @@ mod tests {
     fn without_boundary_info_the_probe_wastes_steps_in_the_dangerous_area() {
         // Same scenario as above but with the boundary map removed: the router only
         // discovers the block when it bumps into it, so it needs strictly more steps.
-        let env = build_env(
+        let layout = StaticLayout::new(
             Mesh::cubic(16, 2),
             &[
                 coord![5, 7],
@@ -1191,16 +1085,17 @@ mod tests {
                 coord![9, 8],
             ],
         );
-        let with_info = route(&env, &coord![8, 2], &coord![8, 13]);
-        let empty = BoundaryMap::empty(&env.mesh);
-        let without_info = route_static(
-            &env.mesh,
-            &env.statuses,
-            env.blocks.blocks(),
-            &empty,
+        let with_info = route(&layout, &coord![8, 2], &coord![8, 13]);
+        let mesh = layout.mesh();
+        let empty = BoundaryMap::empty(mesh);
+        let mut uninformed = layout.env();
+        uninformed.boundary = empty.view();
+        let without_info = ProbeEngine::new().route(
+            mesh,
+            &uninformed,
             &LgfiRouter::new(),
-            env.mesh.id_of(&coord![8, 2]),
-            env.mesh.id_of(&coord![8, 13]),
+            mesh.id_of(&coord![8, 2]),
+            mesh.id_of(&coord![8, 13]),
             10_000,
         );
         assert!(with_info.delivered());
@@ -1215,7 +1110,7 @@ mod tests {
 
     #[test]
     fn direction_classification_matches_algorithm_3() {
-        let env = build_env(
+        let layout = StaticLayout::new(
             Mesh::cubic(16, 2),
             &[
                 coord![5, 7],
@@ -1234,13 +1129,14 @@ mod tests {
         // +Y is preferred.
         let node = coord![4, 5];
         let dest = coord![8, 13];
+        let mesh = layout.mesh();
         let ctx = RouteCtx {
-            mesh: &env.mesh,
+            mesh,
             current: &node,
             dest: &dest,
             current_status: NodeStatus::Enabled,
-            neighbors: NeighborMasks::fill(&env.mesh, &env.statuses, env.mesh.id_of(&node), &node),
-            boundary_info: env.boundary.entries(env.mesh.id_of(&node)),
+            neighbors: NeighborMasks::fill(mesh, layout.statuses(), mesh.id_of(&node), &node),
+            boundary_info: layout.boundary().entries(mesh.id_of(&node)),
             global_blocks: &[],
             used: DirectionSet::empty(),
             incoming: Some(Direction::pos(1)),
@@ -1273,8 +1169,8 @@ mod tests {
 
     #[test]
     fn used_directions_are_never_retried() {
-        let env = build_env(Mesh::cubic(6, 2), &[]);
-        let mesh = &env.mesh;
+        let layout = StaticLayout::new(Mesh::cubic(6, 2), &[]);
+        let mesh = layout.mesh();
         let mut probe = Probe::new(mesh, mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![5, 5]));
         probe.apply(mesh, RoutingDecision::Forward(Direction::pos(0)));
         assert!(probe
@@ -1291,8 +1187,8 @@ mod tests {
 
     #[test]
     fn backtracking_past_the_source_reports_unreachable() {
-        let env = build_env(Mesh::cubic(6, 2), &[]);
-        let mesh = &env.mesh;
+        let layout = StaticLayout::new(Mesh::cubic(6, 2), &[]);
+        let mesh = layout.mesh();
         let mut probe = Probe::new(mesh, mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![5, 5]));
         probe.apply(mesh, RoutingDecision::Backtrack);
         assert_eq!(probe.status, ProbeStatus::Unreachable);
@@ -1302,13 +1198,13 @@ mod tests {
     fn completely_walled_in_destination_is_unreachable() {
         // A destination surrounded by faults on all four sides cannot be reached; the
         // probe must terminate with Unreachable rather than loop forever.
-        let env = build_env(
+        let layout = StaticLayout::new(
             Mesh::cubic(10, 2),
             &[coord![4, 5], coord![6, 5], coord![5, 4], coord![5, 6]],
         );
         // The destination itself is disabled by the labeling (it has faulty neighbors
         // in two dimensions), so the router refuses to enter it; the probe gives up.
-        let out = route(&env, &coord![0, 0], &coord![5, 5]);
+        let out = route(&layout, &coord![0, 0], &coord![5, 5]);
         assert_ne!(out.status, ProbeStatus::Delivered);
         assert_ne!(
             out.status,
@@ -1319,15 +1215,12 @@ mod tests {
 
     #[test]
     fn exhaustion_is_reported_when_step_budget_is_too_small() {
-        let env = build_env(Mesh::cubic(10, 3), &[]);
-        let out = route_static(
-            &env.mesh,
-            &env.statuses,
-            env.blocks.blocks(),
-            &env.boundary,
+        let layout = StaticLayout::new(Mesh::cubic(10, 3), &[]);
+        let mesh = layout.mesh();
+        let out = layout.route(
             &LgfiRouter::new(),
-            env.mesh.id_of(&coord![0, 0, 0]),
-            env.mesh.id_of(&coord![9, 9, 9]),
+            mesh.id_of(&coord![0, 0, 0]),
+            mesh.id_of(&coord![9, 9, 9]),
             5,
         );
         assert_eq!(out.status, ProbeStatus::Exhausted);
@@ -1344,8 +1237,8 @@ mod tests {
             let mut rng = DetRng::seed_from_u64(1000 + seed);
             let picks = rng.sample_indices(interior.len(), 30);
             let faults: Vec<Coord> = picks.iter().map(|&i| interior[i]).collect();
-            let env = build_env(mesh.clone(), &faults);
-            let out = route(&env, &coord![0, 0, 0], &coord![9, 9, 9]);
+            let layout = StaticLayout::new(mesh.clone(), &faults);
+            let out = route(&layout, &coord![0, 0, 0], &coord![9, 9, 9]);
             assert!(
                 out.delivered(),
                 "seed {seed}: corner-to-corner route failed: {out:?}"

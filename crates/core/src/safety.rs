@@ -118,8 +118,8 @@ mod tests {
 
     #[test]
     fn theorem_2_safe_sources_get_minimal_paths_under_static_faults() {
-        use crate::boundary::BoundaryMap;
-        use crate::routing::{route_static, LgfiRouter};
+        use crate::layout::StaticLayout;
+        use crate::routing::LgfiRouter;
         use lgfi_sim::DetRng;
 
         let mesh = Mesh::cubic(12, 2);
@@ -129,33 +129,19 @@ mod tests {
             let mut rng = DetRng::seed_from_u64(seed);
             let picks = rng.sample_indices(interior.len(), 10);
             let faults: Vec<Coord> = picks.iter().map(|&i| interior[i]).collect();
-            let mut eng = LabelingEngine::new(mesh.clone());
-            eng.apply_faults(&faults);
-            let blocks = BlockSet::extract(&mesh, eng.statuses());
-            let boundary = BoundaryMap::construct(&mesh, &blocks);
+            let layout = StaticLayout::new(mesh.clone(), &faults);
             // Try a handful of random pairs; whenever the source is safe, the route
             // must be minimal (Theorem 2).
             for _ in 0..20 {
                 let s = mesh.coord_of(rng.below(mesh.node_count()));
                 let d = mesh.coord_of(rng.below(mesh.node_count()));
-                if eng.status_at(&s) != crate::status::NodeStatus::Enabled
-                    || eng.status_at(&d) != crate::status::NodeStatus::Enabled
-                {
+                let enabled = |c: &Coord| {
+                    layout.statuses()[mesh.id_of(c)] == crate::status::NodeStatus::Enabled
+                };
+                if !enabled(&s) || !enabled(&d) || !is_safe_source_in(&s, &d, layout.blocks()) {
                     continue;
                 }
-                if !is_safe_source_in(&s, &d, &blocks) {
-                    continue;
-                }
-                let out = route_static(
-                    &mesh,
-                    eng.statuses(),
-                    blocks.blocks(),
-                    &boundary,
-                    &LgfiRouter::new(),
-                    mesh.id_of(&s),
-                    mesh.id_of(&d),
-                    10_000,
-                );
+                let out = layout.route(&LgfiRouter::new(), mesh.id_of(&s), mesh.id_of(&d), 10_000);
                 assert!(out.delivered(), "safe route {s:?}->{d:?} must deliver");
                 assert_eq!(
                     out.detours(),

@@ -2,7 +2,7 @@
 //! packets contending for virtual channels and flit buffers around fault blocks.
 //!
 //! Every experiment before this module routed probes *alone* on an idle mesh — even
-//! the batched sweeps of [`crate::routing::sweep_static`] only parallelise
+//! the batched sweeps of [`crate::layout::StaticLayout::sweep`] only parallelise
 //! independent probes.  Real traffic is different: packets occupy wires, and a
 //! packet that loses a link to another packet waits.  [`TrafficEngine`] models that
 //! regime in the flit-level wormhole discipline the NoC community evaluates
@@ -97,8 +97,6 @@ pub struct TrafficSpec {
     pub cycles: u64,
     /// Extra cycles allowed for in-flight packets to finish after injection stops.
     pub drain_cycles: u64,
-    /// Flits one directed link can move per cycle (at least 1).
-    pub link_capacity: u32,
     /// Cycles a packet may stay in flight (hops + stalls) before being declared
     /// exhausted.
     pub max_packet_cycles: u64,
@@ -129,7 +127,6 @@ impl Default for TrafficSpec {
             injection_rate: 1.0,
             cycles: 200,
             drain_cycles: 5_000,
-            link_capacity: 1,
             max_packet_cycles: 100_000,
             traffic_threads: 1,
             flits_per_packet: 1,
@@ -143,8 +140,7 @@ impl Default for TrafficSpec {
 
 impl TrafficSpec {
     /// The default spec: rate 1.0, 200 injection cycles, 5000 drain cycles,
-    /// capacity 1, single-flit packets on 2 VCs (escape class enabled, inert at
-    /// one flit).
+    /// single-flit packets on 2 VCs (escape class enabled, inert at one flit).
     pub fn new() -> Self {
         TrafficSpec::default()
     }
@@ -169,12 +165,6 @@ impl TrafficSpec {
     /// Sets the post-injection drain budget in cycles.
     pub fn drain_cycles(mut self, drain_cycles: u64) -> Self {
         self.drain_cycles = drain_cycles;
-        self
-    }
-
-    /// Sets the per-link flit bandwidth per cycle.
-    pub fn link_capacity(mut self, link_capacity: u32) -> Self {
-        self.link_capacity = link_capacity;
         self
     }
 
@@ -223,8 +213,8 @@ impl TrafficSpec {
 
     /// Checks the spec, returning one message per rejected field (empty = valid) —
     /// the [`lgfi_sim::FaultPlan::validate`] precedent.  [`TrafficEngine::new`]
-    /// panics on a non-empty result, so misconfiguration (a zero capacity that the
-    /// arbiter used to clamp silently, a zero VC count, …) fails loudly up front.
+    /// panics on a non-empty result, so misconfiguration (zero-flit worms, a zero
+    /// VC count, …) fails loudly up front.
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if !self.injection_rate.is_finite() || self.injection_rate < 0.0 {
@@ -232,9 +222,6 @@ impl TrafficSpec {
                 "injection_rate must be finite and non-negative, got {}",
                 self.injection_rate
             ));
-        }
-        if self.link_capacity == 0 {
-            problems.push("link_capacity must be at least 1 flit per cycle".into());
         }
         if self.flits_per_packet == 0 {
             problems.push("flits_per_packet must be at least 1".into());
@@ -362,8 +349,8 @@ enum HeadMove {
     /// the owner of the lowest held VC on the wanted link ([`NO_OWNER`] when the
     /// buffer is full only of tail-crossed flits, which always drain).
     Blocked(u64),
-    /// The link already moved `link_capacity` flits this cycle — a transient
-    /// bandwidth stall, never a deadlock edge.
+    /// The link already moved its one flit this cycle — a transient bandwidth
+    /// stall, never a deadlock edge.
     NoBandwidth,
 }
 
@@ -411,13 +398,7 @@ impl TrafficEngine {
         let threads = lgfi_sim::resolve_threads(spec.traffic_threads);
         let workers: Vec<Box<dyn Router>> = (0..threads).map(|_| make_router()).collect();
         TrafficEngine {
-            link: LinkState::new(
-                &mesh,
-                spec.link_capacity,
-                spec.vc_count,
-                spec.vc_buffer_flits,
-                spec.escape_vc,
-            ),
+            link: LinkState::new(&mesh, spec.vc_count, spec.vc_buffer_flits, spec.escape_vc),
             workers,
             pool: lgfi_sim::PoolHandle::new(),
             mesh,
@@ -997,40 +978,9 @@ fn detect_deadlocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockSet;
-    use crate::boundary::BoundaryMap;
-    use crate::labeling::LabelingEngine;
-    use crate::routing::{route_static, LgfiRouter};
+    use crate::layout::StaticLayout;
+    use crate::routing::LgfiRouter;
     use lgfi_topology::coord;
-
-    /// A stabilised fault layout, whose environment every static cycle reads.
-    struct Layout {
-        statuses: Vec<NodeStatus>,
-        blocks: BlockSet,
-        boundary: BoundaryMap,
-    }
-
-    impl Layout {
-        fn env(&self) -> RouteEnv<'_> {
-            RouteEnv {
-                statuses: &self.statuses,
-                blocks: self.blocks.blocks(),
-                boundary: self.boundary.view(),
-            }
-        }
-    }
-
-    fn static_layout(mesh: &Mesh, faults: &[lgfi_topology::Coord]) -> Layout {
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(faults);
-        let blocks = BlockSet::extract(mesh, eng.statuses());
-        let boundary = BoundaryMap::construct(mesh, &blocks);
-        Layout {
-            statuses: eng.statuses().to_vec(),
-            blocks,
-            boundary,
-        }
-    }
 
     fn lgfi_engine(mesh: &Mesh, spec: TrafficSpec) -> TrafficEngine {
         TrafficEngine::new(mesh.clone(), spec, &|| Box::new(LgfiRouter::new()))
@@ -1041,7 +991,7 @@ mod tests {
         // A 1xN line mesh: two packets injected at the same end must share the same
         // outgoing links; the younger id stalls exactly once behind the older one.
         let mesh = Mesh::new(&[1, 8]);
-        let layout = static_layout(&mesh, &[]);
+        let layout = StaticLayout::new(mesh.clone(), &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let a = eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
         let b = eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
@@ -1060,24 +1010,13 @@ mod tests {
     }
 
     #[test]
-    fn higher_link_capacity_removes_the_stall() {
-        let mesh = Mesh::new(&[1, 8]);
-        let layout = static_layout(&mesh, &[]);
-        let mut eng = lgfi_engine(&mesh, TrafficSpec::new().link_capacity(2));
-        eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
-        eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
-        eng.drain_static(&layout.env(), 1_000);
-        assert!(eng.records().iter().all(|r| r.delivered() && r.stalls == 0));
-    }
-
-    #[test]
     fn uncontended_hops_match_the_probe_engine() {
         // With a static environment, contention only delays packets — it never
         // changes their route.  Every delivered packet must take exactly the hops
         // the one-probe-at-a-time engine takes for the same pair.
         let mesh = Mesh::cubic(12, 2);
         let faults = [coord![5, 5], coord![6, 6], coord![5, 6], coord![6, 5]];
-        let layout = static_layout(&mesh, &faults);
+        let layout = StaticLayout::new(mesh.clone(), &faults);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let pairs = [
             (coord![0, 0], coord![11, 11]),
@@ -1091,16 +1030,7 @@ mod tests {
         eng.drain_static(&layout.env(), 10_000);
         for rec in eng.records() {
             assert!(rec.delivered(), "{rec:?}");
-            let solo = route_static(
-                &mesh,
-                &layout.statuses,
-                layout.blocks.blocks(),
-                &layout.boundary,
-                &LgfiRouter::new(),
-                rec.source,
-                rec.dest,
-                100_000,
-            );
+            let solo = layout.route(&LgfiRouter::new(), rec.source, rec.dest, 100_000);
             assert_eq!(rec.hops, solo.steps, "contention must not change the route");
             assert_eq!(rec.latency(), rec.hops + rec.stalls);
         }
@@ -1121,7 +1051,7 @@ mod tests {
     #[test]
     fn cycle_budget_exhaustion_is_reported() {
         let mesh = Mesh::cubic(10, 2);
-        let layout = static_layout(&mesh, &[]);
+        let layout = StaticLayout::new(mesh.clone(), &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new().max_packet_cycles(3));
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![9, 9]));
         eng.drain_static(&layout.env(), 100);
@@ -1132,7 +1062,7 @@ mod tests {
     fn faulty_destination_is_unreachable() {
         let mesh = Mesh::cubic(8, 2);
         let faults = [coord![4, 4]];
-        let layout = static_layout(&mesh, &faults);
+        let layout = StaticLayout::new(mesh.clone(), &faults);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![4, 4]));
         eng.drain_static(&layout.env(), 100);
@@ -1143,7 +1073,7 @@ mod tests {
     fn recycled_buffers_route_identically() {
         let mesh = Mesh::cubic(10, 2);
         let faults = [coord![4, 4], coord![5, 5], coord![4, 5], coord![5, 4]];
-        let layout = static_layout(&mesh, &faults);
+        let layout = StaticLayout::new(mesh.clone(), &faults);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let pairs = [
             (coord![0, 0], coord![9, 9]),
@@ -1176,7 +1106,7 @@ mod tests {
         // accepted throughput must saturate below the offered load and queueing
         // delay must show up in the latency.
         let mesh = Mesh::cubic(8, 2);
-        let layout = static_layout(&mesh, &[]);
+        let layout = StaticLayout::new(mesh.clone(), &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new());
         let hot = mesh.id_of(&coord![4, 4]);
         let mut sources: Vec<NodeId> = (0..mesh.node_count()).filter(|&n| n != hot).collect();
@@ -1204,13 +1134,6 @@ mod tests {
     #[test]
     fn spec_validate_accepts_the_default() {
         assert!(TrafficSpec::new().validate().is_empty());
-    }
-
-    #[test]
-    fn spec_validate_rejects_zero_link_capacity() {
-        let problems = TrafficSpec::new().link_capacity(0).validate();
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("link_capacity"), "{problems:?}");
     }
 
     #[test]
@@ -1266,7 +1189,7 @@ mod tests {
     #[should_panic(expected = "invalid TrafficSpec")]
     fn engine_rejects_an_invalid_spec() {
         let mesh = Mesh::cubic(4, 2);
-        let _ = lgfi_engine(&mesh, TrafficSpec::new().link_capacity(0));
+        let _ = lgfi_engine(&mesh, TrafficSpec::new().flits_per_packet(0));
     }
 
     #[test]
@@ -1275,7 +1198,7 @@ mod tests {
         // single-flit packet (same hops, no stalls) and the tail takes F - 1 more
         // cycles to drain at capacity 1, so latency = hops + F - 1.
         let mesh = Mesh::new(&[1, 8]);
-        let layout = static_layout(&mesh, &[]);
+        let layout = StaticLayout::new(mesh.clone(), &[]);
         for flits in [1u32, 2, 4, 8] {
             let mut eng = lgfi_engine(&mesh, TrafficSpec::new().flits_per_packet(flits));
             eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 7]));
@@ -1298,7 +1221,7 @@ mod tests {
         // ejection link.  Its remaining flits must still stream across, one per
         // cycle at capacity 1: latency = 1 + F - 1 = F.
         let mesh = Mesh::new(&[1, 4]);
-        let layout = static_layout(&mesh, &[]);
+        let layout = StaticLayout::new(mesh.clone(), &[]);
         let mut eng = lgfi_engine(&mesh, TrafficSpec::new().flits_per_packet(8));
         eng.inject(mesh.id_of(&coord![0, 0]), mesh.id_of(&coord![0, 1]));
         eng.drain_static(&layout.env(), 100);
@@ -1315,7 +1238,7 @@ mod tests {
         // only adaptive VC the first worm's tail still holds, so long worms
         // produce more blocking than single-flit packets on the same traffic.
         let mesh = Mesh::new(&[1, 10]);
-        let layout = static_layout(&mesh, &[]);
+        let layout = StaticLayout::new(mesh.clone(), &[]);
         let spec = TrafficSpec::new()
             .flits_per_packet(6)
             .vc_count(1)
@@ -1337,7 +1260,7 @@ mod tests {
     /// The adversarial ring-cluster pattern: a central faulty block forces four
     /// long worms around its ring of healthy nodes, each turning one corner, each
     /// blocked by the previous worm's tail — a textbook cyclic credit wait.
-    fn ring_cluster() -> (Mesh, Layout, Vec<(NodeId, NodeId)>) {
+    fn ring_cluster() -> (Mesh, StaticLayout, Vec<(NodeId, NodeId)>) {
         let mesh = Mesh::cubic(8, 2);
         let mut faults = Vec::new();
         for x in 2..=5i32 {
@@ -1345,7 +1268,7 @@ mod tests {
                 faults.push(coord![x as usize, y as usize]);
             }
         }
-        let layout = static_layout(&mesh, &faults);
+        let layout = StaticLayout::new(mesh.clone(), &faults);
         let pairs = vec![
             (mesh.id_of(&coord![1, 1]), mesh.id_of(&coord![6, 4])),
             (mesh.id_of(&coord![6, 1]), mesh.id_of(&coord![3, 6])),

@@ -249,12 +249,12 @@ impl FaultPlan {
 
 /// An allocation-free forward scanner over a [`FaultPlan`].
 ///
-/// [`FaultPlan::events_at`] walks the whole event list on every call, which turns a
-/// long churn run into an O(steps × events) scan.  A cursor remembers where the last
+/// [`FaultPlan::events_at`] binary-searches the sorted plan on every call, so a
+/// long churn run pays O(log events) per step.  A cursor remembers where the last
 /// query left off: the plan is sorted by `(step, node)`, so the events of any step are
 /// one contiguous slice and successive queries with non-decreasing steps advance the
-/// cursor monotonically.  Querying the same step again returns the same slice; the
-/// engines' step loop holds one cursor per plan.
+/// cursor monotonically, O(1) per step amortised.  Querying the same step again
+/// returns the same slice; the engines' step loop holds one cursor per plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlanCursor {
     idx: usize,

@@ -60,9 +60,9 @@ pub struct SloCampaign {
     /// part of the network configuration).
     pub probe_threads: usize,
     /// The unified traffic surface: injection rate, injection cycles
-    /// (`traffic.cycles` is the campaign horizon), drain window, link capacity,
-    /// the wormhole knobs (flits, VCs, buffers, escape class) and the traffic
-    /// decision-worker count.
+    /// (`traffic.cycles` is the campaign horizon), drain window, the wormhole
+    /// knobs (flits, VCs, buffers, escape class) and the traffic decision-worker
+    /// count.
     pub traffic: TrafficSpec,
     /// Traffic pattern for the injected packets.
     pub pattern: TrafficPattern,

@@ -27,8 +27,8 @@ fn main() {
 
     let mut labeling = LabelingEngine::new(mesh.clone());
     let rounds = labeling.apply_faults(&faults);
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
+    let layout = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
+    let (blocks, boundary) = (layout.blocks(), layout.boundary());
     println!(
         "{} faults, {} blocks after {rounds} labeling rounds; {} nodes hold boundary information\n",
         faults.len(),
@@ -48,11 +48,7 @@ fn main() {
     // Route a message straight through the wall's shadow.
     let source = coord![9, 2];
     let dest = coord![9, 17];
-    let out = route_static(
-        &mesh,
-        labeling.statuses(),
-        blocks.blocks(),
-        &boundary,
+    let out = layout.route(
         &LgfiRouter::new(),
         mesh.id_of(&source),
         mesh.id_of(&dest),
@@ -72,11 +68,7 @@ fn main() {
         let mut probe =
             lgfi::core::routing::Probe::new(&mesh, mesh.id_of(&source), mesh.id_of(&dest));
         let router = LgfiRouter::new();
-        let env = RouteEnv {
-            statuses: labeling.statuses(),
-            blocks: blocks.blocks(),
-            boundary: boundary.view(),
-        };
+        let env = layout.env();
         while probe.status == ProbeStatus::InFlight && probe.steps < 10_000 {
             let decision = probe.decide(&mesh, &env, &router);
             probe.apply(&mesh, decision);

@@ -33,8 +33,11 @@ fn main() {
     ];
     let mut labeling = LabelingEngine::new(mesh.clone());
     labeling.apply_faults(&faults);
-    let before = BlockSet::extract(&mesh, labeling.statuses());
-    println!("initial block (Figure 1): {}", before.blocks()[0].region);
+    let before = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
+    println!(
+        "initial block (Figure 1): {}",
+        before.blocks().blocks()[0].region
+    );
     print_slice(&labeling, 3);
 
     // Figure 4: recover (5,5,3) and watch the clean wave.
@@ -58,39 +61,18 @@ fn main() {
             break;
         }
     }
-    let after = BlockSet::extract(&mesh, labeling.statuses());
+    let after = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
     println!(
         "block after recovery: {} (paper: shrinks, Figure 4 (b))",
-        after.blocks()[0].region
+        after.blocks().blocks()[0].region
     );
     print_slice(&labeling, 3);
 
     // Theorem 1: routing across the block is never worse after the recovery.
-    let boundary_before = BoundaryMap::construct(&mesh, &before);
-    let boundary_after = BoundaryMap::construct(&mesh, &after);
-    let mut eng_before = LabelingEngine::new(mesh.clone());
-    eng_before.apply_faults(&faults);
     let (s, d) = (coord![4, 1, 3], coord![4, 8, 4]);
-    let route_before = route_static(
-        &mesh,
-        eng_before.statuses(),
-        before.blocks(),
-        &boundary_before,
-        &LgfiRouter::new(),
-        mesh.id_of(&s),
-        mesh.id_of(&d),
-        10_000,
-    );
-    let route_after = route_static(
-        &mesh,
-        labeling.statuses(),
-        after.blocks(),
-        &boundary_after,
-        &LgfiRouter::new(),
-        mesh.id_of(&s),
-        mesh.id_of(&d),
-        10_000,
-    );
+    let (source, dest) = (mesh.id_of(&s), mesh.id_of(&d));
+    let route_before = before.route(&LgfiRouter::new(), source, dest, 10_000);
+    let route_after = after.route(&LgfiRouter::new(), source, dest, 10_000);
     println!(
         "\nTheorem 1 check, routing {s} -> {d}: steps before recovery = {}, after = {} (never worse: {})",
         route_before.steps,

@@ -43,33 +43,23 @@ fn main() {
 
         let mut labeling = LabelingEngine::new(mesh.clone());
         let a = labeling.apply_faults(&faults);
-        let blocks = BlockSet::extract(&mesh, labeling.statuses());
-        let block = &blocks.blocks()[0];
+        let layout = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
+        let block = &layout.blocks().blocks()[0];
 
         let ident = IdentificationProcess::default();
         let b = ident
-            .run_from_default_corner(&mesh, &block.region, labeling.statuses())
+            .run_from_default_corner(&mesh, &block.region, layout.statuses())
             .map(|o| o.completed_round)
             .unwrap_or(0);
 
-        let boundary = BoundaryMap::construct(&mesh, &blocks);
-        let c = boundary.construction_rounds();
+        let c = layout.boundary().construction_rounds();
 
         // Corner-to-corner routing straight across the cluster.
         let source = mesh.id_of(&Coord::origin(n));
         let dest = mesh.id_of(&Coord::new(
             mesh.dims().iter().map(|&k| k - 1).collect::<Vec<i32>>(),
         ));
-        let out = route_static(
-            &mesh,
-            labeling.statuses(),
-            blocks.blocks(),
-            &boundary,
-            &LgfiRouter::new(),
-            source,
-            dest,
-            100_000,
-        );
+        let out = layout.route(&LgfiRouter::new(), source, dest, 100_000);
 
         table.row(&[
             format!("{dims:?}"),

@@ -27,8 +27,10 @@ fn main() {
     let (f, d, _, e) = labeling.census();
     println!("labeling stabilised after {a_rounds} rounds: {f} faulty, {d} disabled, {e} enabled");
 
-    // 3. The faulty block and its frame (Definitions 1 and 2).
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
+    // 3. The static layout: the faulty block and its boundaries.  First the block
+    //    and its frame (Definitions 1 and 2).
+    let layout = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
+    let blocks = layout.blocks();
     let block = &blocks.blocks()[0];
     println!(
         "faulty block: {} ({} nodes, rectangular = {})",
@@ -46,7 +48,7 @@ fn main() {
 
     // 4. Algorithm 2: identification from the corner used in Figure 5.
     let ident = IdentificationProcess::default();
-    let outcome = ident.run(&mesh, &block.region, labeling.statuses(), &coord![6, 4, 5]);
+    let outcome = ident.run(&mesh, &block.region, layout.statuses(), &coord![6, 4, 5]);
     println!(
         "identification: info formed at {} after {} rounds, distributed to {} frame nodes after {} rounds (b_i)",
         outcome.opposite_corner,
@@ -55,8 +57,8 @@ fn main() {
         outcome.completed_round
     );
 
-    // 5. Definition 3: boundary construction.
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
+    // 5. Definition 3: the boundaries the layout constructed.
+    let boundary = layout.boundary();
     println!(
         "boundaries: {} nodes hold block information, constructed in {} rounds (c_i)",
         boundary.nodes_with_info(),
@@ -67,11 +69,7 @@ fn main() {
     let source = coord![4, 0, 3];
     let dest = coord![4, 9, 4];
     let safe = is_safe_source(&source, &dest, blocks.blocks());
-    let out = route_static(
-        &mesh,
-        labeling.statuses(),
-        blocks.blocks(),
-        &boundary,
+    let out = layout.route(
         &LgfiRouter::new(),
         mesh.id_of(&source),
         mesh.id_of(&dest),
@@ -88,8 +86,8 @@ fn main() {
     );
 
     // 7. Memory footprint of the limited-global information.
-    let store = InfoStore::build(&mesh, &blocks, &boundary);
-    let fp = store.footprint(&mesh, &blocks);
+    let store = InfoStore::build(&mesh, blocks, boundary);
+    let fp = store.footprint(&mesh, blocks);
     println!(
         "\ninformation placement: {} of {} nodes ({:.1}%) store block records; {} records vs {} under a global model",
         fp.nodes_with_info,

@@ -14,7 +14,7 @@
 //!   and the cycle-driven concurrent-traffic engine ([`core::traffic_engine`]) with its
 //!   finite-capacity link-state layer ([`core::linkstate`]); every hop loop reads one
 //!   [`core::routing::RouteEnv`] (statuses, blocks and the boundary entries each node
-//!   holds),
+//!   holds), and every static route runs over a [`core::layout::StaticLayout`],
 //! * [`baselines`] — comparison routers (dimension-order, local-only, global
 //!   information, Wu-style minimal block routing),
 //! * [`workloads`] — fault schedules, traffic patterns, scenarios and sweeps,
@@ -25,21 +25,17 @@
 //! ```
 //! use lgfi::prelude::*;
 //!
-//! // A 10x10x10 mesh with the fault pattern of Figure 1 of the paper.
+//! // A 10x10x10 mesh with the fault pattern of Figure 1 of the paper: the
+//! // labeling runs to its fixpoint, the faults form one block, and the block
+//! // information is distributed along its boundaries.
 //! let mesh = Mesh::cubic(10, 3);
-//! let mut labeling = LabelingEngine::new(mesh.clone());
-//! labeling.apply_faults(&[
-//!     coord![3, 5, 4], coord![4, 5, 4], coord![5, 5, 3], coord![3, 6, 3],
-//! ]);
-//! let blocks = BlockSet::extract(&mesh, labeling.statuses());
-//! assert_eq!(blocks.len(), 1);
+//! let faults = [coord![3, 5, 4], coord![4, 5, 4], coord![5, 5, 3], coord![3, 6, 3]];
+//! let layout = StaticLayout::new(mesh.clone(), &faults);
+//! assert_eq!(layout.blocks().len(), 1);
 //!
-//! // Distribute the block information along the boundaries and route a message.
-//! let boundary = BoundaryMap::construct(&mesh, &blocks);
-//! let outcome = route_static(
-//!     &mesh, labeling.statuses(), blocks.blocks(), &boundary, &LgfiRouter::new(),
-//!     mesh.id_of(&coord![0, 0, 0]), mesh.id_of(&coord![9, 9, 9]), 10_000,
-//! );
+//! // Route a message across the mesh.
+//! let (source, dest) = (mesh.id_of(&coord![0, 0, 0]), mesh.id_of(&coord![9, 9, 9]));
+//! let outcome = layout.route(&LgfiRouter::new(), source, dest, 10_000);
 //! assert!(outcome.delivered());
 //! ```
 
@@ -66,14 +62,14 @@ pub mod prelude {
     pub use lgfi_core::identification::{IdentificationOutcome, IdentificationProcess};
     pub use lgfi_core::infostore::{InfoStore, MemoryFootprint};
     pub use lgfi_core::labeling::LabelingEngine;
+    pub use lgfi_core::layout::StaticLayout;
     pub use lgfi_core::linkstate::LinkState;
     pub use lgfi_core::network::{LgfiNetwork, NetworkConfig, ProbeReport};
     pub use lgfi_core::route_service::{
         EpochSnapshot, RouteReader, RouteService, RouteServiceStats, RoutedQuery,
     };
     pub use lgfi_core::routing::{
-        route_static, sweep_static, LgfiRouter, ProbeEngine, ProbeOutcome, ProbeStatus, RouteEnv,
-        Router, RoutingDecision,
+        LgfiRouter, ProbeEngine, ProbeOutcome, ProbeStatus, RouteEnv, Router, RoutingDecision,
     };
     pub use lgfi_core::safety::{is_safe_source, is_safe_source_in};
     pub use lgfi_core::status::NodeStatus;
@@ -93,15 +89,11 @@ mod tests {
     #[test]
     fn facade_reexports_work_together() {
         let mesh = Mesh::cubic(6, 2);
-        let mut labeling = LabelingEngine::new(mesh.clone());
-        labeling.apply_faults(&[coord![2, 2], coord![3, 3], coord![2, 3], coord![3, 2]]);
-        let blocks = BlockSet::extract(&mesh, labeling.statuses());
-        let boundary = BoundaryMap::construct(&mesh, &blocks);
-        let out = route_static(
-            &mesh,
-            labeling.statuses(),
-            blocks.blocks(),
-            &boundary,
+        let layout = StaticLayout::new(
+            mesh.clone(),
+            &[coord![2, 2], coord![3, 3], coord![2, 3], coord![3, 2]],
+        );
+        let out = layout.route(
             &LgfiRouter::new(),
             mesh.id_of(&coord![0, 0]),
             mesh.id_of(&coord![5, 5]),

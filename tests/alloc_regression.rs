@@ -25,10 +25,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use lgfi_core::block::BlockSet;
-use lgfi_core::boundary::BoundaryMap;
 use lgfi_core::labeling::{LabelingEngine, LabelingProtocol};
-use lgfi_core::routing::{LgfiRouter, ProbeEngine, ProbeOutcome, RouteEnv, Router};
+use lgfi_core::layout::StaticLayout;
+use lgfi_core::routing::{LgfiRouter, ProbeEngine, ProbeOutcome, Router};
 use lgfi_sim::{NeighborView, NodeCtx, Protocol, RoundEngine};
 use lgfi_topology::{coord, Mesh, NodeId};
 
@@ -195,7 +194,6 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
     // of hops including backtracks and boundary-informed detours — must not touch
     // the heap at all: zero steady-state allocations per hop.
     let mesh = Mesh::cubic(32, 2);
-    let mut labeling = LabelingEngine::new(mesh.clone());
     let mut faults = Vec::new();
     for (x, y) in [
         (8, 8),
@@ -210,15 +208,8 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         faults.push(coord![x, y]);
     }
     faults.push(coord![14, 22]);
-    labeling.apply_faults(&faults);
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    let statuses = labeling.statuses().to_vec();
-    let env = RouteEnv {
-        statuses: &statuses,
-        blocks: blocks.blocks(),
-        boundary: boundary.view(),
-    };
+    let layout = StaticLayout::new(mesh.clone(), &faults);
+    let env = layout.env();
     // Pairs crossing the blocks' shadows (forcing detours and backtracking) plus
     // plain corner-to-corner traffic.
     let pairs: Vec<(NodeId, NodeId)> = vec![

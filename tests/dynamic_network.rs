@@ -26,9 +26,8 @@ fn information_distribution_is_gradual_and_complete() {
         "coverage must saturate"
     );
     // And it matches the statically computed information placement.
-    let blocks = BlockSet::extract(&mesh, net.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    assert_eq!(final_coverage, boundary.nodes_with_info());
+    let layout = StaticLayout::from_statuses(mesh, net.statuses());
+    assert_eq!(final_coverage, layout.boundary().nodes_with_info());
 }
 
 #[test]

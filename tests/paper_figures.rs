@@ -12,18 +12,14 @@ fn figure1_faults() -> Vec<Coord> {
     ]
 }
 
-fn figure1_world() -> (Mesh, LabelingEngine, BlockSet, BoundaryMap) {
-    let mesh = Mesh::cubic(10, 3);
-    let mut labeling = LabelingEngine::new(mesh.clone());
-    labeling.apply_faults(&figure1_faults());
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    (mesh, labeling, blocks, boundary)
+fn figure1_layout() -> StaticLayout {
+    StaticLayout::new(Mesh::cubic(10, 3), &figure1_faults())
 }
 
 #[test]
 fn figure1_block_and_surfaces() {
-    let (mesh, labeling, blocks, _boundary) = figure1_world();
+    let layout = figure1_layout();
+    let (mesh, blocks) = (layout.mesh(), layout.blocks());
     // One block with the extent quoted in the paper.
     assert_eq!(blocks.len(), 1);
     let block = &blocks.blocks()[0];
@@ -33,12 +29,16 @@ fn figure1_block_and_surfaces() {
     // Exactly the nodes of the block are faulty or disabled.
     for c in mesh.coords() {
         let expected = block.region.contains(&c);
-        assert_eq!(labeling.status_at(&c).in_block(), expected, "{c:?}");
+        assert_eq!(
+            layout.statuses()[mesh.id_of(&c)].in_block(),
+            expected,
+            "{c:?}"
+        );
     }
     // The six adjacent surfaces of Definition 3 all exist and are one unit away.
-    let frame = BlockFrame::of_block(&mesh, block);
+    let frame = BlockFrame::of_block(mesh, block);
     for dir in Direction::all(3) {
-        let surface = frame.adjacent_surface(&mesh, dir).unwrap();
+        let surface = frame.adjacent_surface(mesh, dir).unwrap();
         assert!(!surface.intersects(&block.region));
         assert_eq!(surface.volume(), {
             let mut dims: Vec<u64> = (0..3).map(|d| block.region.len(d) as u64).collect();
@@ -50,8 +50,9 @@ fn figure1_block_and_surfaces() {
 
 #[test]
 fn figure2_corner_structure() {
-    let (mesh, _labeling, blocks, _boundary) = figure1_world();
-    let frame = BlockFrame::of_block(&mesh, &blocks.blocks()[0]);
+    let layout = figure1_layout();
+    let mesh = layout.mesh();
+    let frame = BlockFrame::of_block(mesh, &layout.blocks().blocks()[0]);
     // The 3-level corner (6,4,5) and the exact neighbor structure described in the
     // paper.
     assert_eq!(
@@ -77,17 +78,14 @@ fn figure2_corner_structure() {
 
 #[test]
 fn figure3_boundary_guards_the_dangerous_area() {
-    let (mesh, labeling, blocks, boundary) = figure1_world();
+    let layout = figure1_layout();
+    let (mesh, blocks, boundary) = (layout.mesh(), layout.blocks(), layout.boundary());
     // Destination right over S4, source right below S1 -> every minimal path is
     // blocked (critical routing), yet the message is delivered with a bounded detour.
     let source = coord![4, 2, 3];
     let dest = coord![4, 8, 4];
     assert!(!is_safe_source(&source, &dest, blocks.blocks()));
-    let out = route_static(
-        &mesh,
-        labeling.statuses(),
-        blocks.blocks(),
-        &boundary,
+    let out = layout.route(
         &LgfiRouter::new(),
         mesh.id_of(&source),
         mesh.id_of(&dest),
@@ -108,43 +106,26 @@ fn figure3_boundary_guards_the_dangerous_area() {
 
 #[test]
 fn figure4_recovery_shrinks_the_block_and_keeps_routing_optimal() {
-    let (mesh, mut labeling, blocks_before, boundary_before) = figure1_world();
+    let layout_before = figure1_layout();
+    let mesh = layout_before.mesh();
+    let mut labeling = LabelingEngine::new(mesh.clone());
+    labeling.apply_faults(&figure1_faults());
     labeling.recover_coord(&coord![5, 5, 3]);
     labeling.run_to_fixpoint(200).unwrap();
-    let blocks_after = BlockSet::extract(&mesh, labeling.statuses());
+    let layout_after = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
     assert_eq!(
-        blocks_after.blocks()[0].region,
+        layout_after.blocks().blocks()[0].region,
         Region::new(vec![3, 5, 3], vec![4, 6, 4])
     );
-    let boundary_after = BoundaryMap::construct(&mesh, &blocks_after);
     // Theorem 1: the recovery construction does not make routing worse.
-    let mut labeling_before = LabelingEngine::new(mesh.clone());
-    labeling_before.apply_faults(&figure1_faults());
     for (s, d) in [
         (coord![4, 1, 3], coord![4, 8, 4]),
         (coord![1, 5, 3], coord![8, 6, 4]),
         (coord![0, 0, 0], coord![9, 9, 9]),
     ] {
-        let before = route_static(
-            &mesh,
-            labeling_before.statuses(),
-            blocks_before.blocks(),
-            &boundary_before,
-            &LgfiRouter::new(),
-            mesh.id_of(&s),
-            mesh.id_of(&d),
-            10_000,
-        );
-        let after = route_static(
-            &mesh,
-            labeling.statuses(),
-            blocks_after.blocks(),
-            &boundary_after,
-            &LgfiRouter::new(),
-            mesh.id_of(&s),
-            mesh.id_of(&d),
-            10_000,
-        );
+        let (source, dest) = (mesh.id_of(&s), mesh.id_of(&d));
+        let before = layout_before.route(&LgfiRouter::new(), source, dest, 10_000);
+        let after = layout_after.route(&LgfiRouter::new(), source, dest, 10_000);
         assert!(before.delivered() && after.delivered());
         assert!(
             after.steps <= before.steps,
@@ -157,17 +138,18 @@ fn figure4_recovery_shrinks_the_block_and_keeps_routing_optimal() {
 
 #[test]
 fn figure5_identification_reaches_every_frame_node() {
-    let (mesh, labeling, blocks, _boundary) = figure1_world();
+    let layout = figure1_layout();
+    let mesh = layout.mesh();
     let ident = IdentificationProcess::default();
     let outcome = ident.run(
-        &mesh,
-        &blocks.blocks()[0].region,
-        labeling.statuses(),
+        mesh,
+        &layout.blocks().blocks()[0].region,
+        layout.statuses(),
         &coord![6, 4, 5],
     );
     assert!(outcome.stable);
     assert_eq!(outcome.opposite_corner, coord![2, 7, 2]);
-    let frame = BlockFrame::of_block(&mesh, &blocks.blocks()[0]);
+    let frame = BlockFrame::of_block(mesh, &layout.blocks().blocks()[0]);
     assert_eq!(outcome.info_arrival.len(), frame.len());
     // Arrival times grow with frame distance from the opposite corner and every
     // arrival is at least the formation round.
@@ -180,12 +162,13 @@ fn figure5_identification_reaches_every_frame_node() {
 
 #[test]
 fn figure6_information_is_propagated_back_to_the_initialization_corner() {
-    let (mesh, labeling, blocks, _boundary) = figure1_world();
+    let layout = figure1_layout();
+    let mesh = layout.mesh();
     let ident = IdentificationProcess::default();
     let outcome = ident.run(
-        &mesh,
-        &blocks.blocks()[0].region,
-        labeling.statuses(),
+        mesh,
+        &layout.blocks().blocks()[0].region,
+        layout.statuses(),
         &coord![6, 4, 5],
     );
     let at_init = outcome.arrival_of(mesh.id_of(&coord![6, 4, 5])).unwrap();

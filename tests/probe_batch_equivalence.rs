@@ -1,14 +1,14 @@
 //! Equivalence property matrix for the batched/parallel probe data plane.
 //!
 //! The routing rework introduced recycled probe engines ([`ProbeEngine`]), batched
-//! static sweeps ([`sweep_static`]) and sharded per-step probe decisions in the
+//! static sweeps ([`StaticLayout::sweep`]) and sharded per-step probe decisions in the
 //! dynamic network (`NetworkConfig::probe_threads`).  All of them are execution
 //! details: this suite asserts, over a matrix of routers × thread counts × fault
 //! patterns (static and dynamic, with recoveries), that every configuration produces
 //! **bit-identical** outcomes and [`ProbeReport`]s to the serial one-probe-at-a-time
 //! seed path.
 
-use lgfi::core::routing::{sweep_static, ProbeEngine, ProbeOutcome, RouteEnv, Router};
+use lgfi::core::routing::{ProbeEngine, ProbeOutcome, Router};
 use lgfi::prelude::*;
 use lgfi::workloads::DynamicFaultConfig;
 use lgfi_sim::FaultEvent;
@@ -32,57 +32,38 @@ const ROUTERS: [&str; 5] = [
     "dimension-order",
 ];
 
-struct StaticWorld {
-    mesh: Mesh,
-    statuses: Vec<NodeStatus>,
-    blocks: BlockSet,
-    boundary: BoundaryMap,
-    pairs: Vec<(NodeId, NodeId)>,
-}
-
-fn static_world(dims: &[i32], fault_count: usize, seed: u64, probes: usize) -> StaticWorld {
+/// `fault_count` uniform faults, stabilised, and `probes` seeded pairs among
+/// the enabled nodes.
+fn static_world(
+    dims: &[i32],
+    fault_count: usize,
+    seed: u64,
+    probes: usize,
+) -> (StaticLayout, Vec<(NodeId, NodeId)>) {
     let mesh = Mesh::new(dims);
     let mut generator = FaultGenerator::new(mesh.clone(), seed);
     let faults = generator.place(fault_count, FaultPlacement::UniformInterior);
-    let mut labeling = LabelingEngine::new(mesh.clone());
-    labeling.apply_faults(&faults);
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    let statuses = labeling.statuses().to_vec();
-    let usable = statuses.clone();
     let mut traffic = TrafficGenerator::new(mesh.clone(), TrafficPattern::UniformRandom, seed ^ 7);
+    let layout = StaticLayout::new(mesh, &faults);
+    let statuses = layout.statuses();
     let pairs = traffic
-        .requests(probes, |id| usable[id] == NodeStatus::Enabled)
+        .requests(probes, |id| statuses[id] == NodeStatus::Enabled)
         .into_iter()
         .map(|r| (r.source, r.dest))
         .collect();
-    StaticWorld {
-        mesh,
-        statuses,
-        blocks,
-        boundary,
-        pairs,
-    }
+    (layout, pairs)
 }
 
-/// The serial seed path: one fresh one-shot engine per probe (what the free
-/// `route_static` function does), no buffer recycling anywhere.
-fn seed_outcomes(world: &StaticWorld, router: &dyn Router) -> Vec<ProbeOutcome> {
-    world
-        .pairs
+/// The serial seed path: one fresh one-shot engine per probe
+/// ([`StaticLayout::route`]), no buffer recycling anywhere.
+fn seed_outcomes(
+    layout: &StaticLayout,
+    pairs: &[(NodeId, NodeId)],
+    router: &dyn Router,
+) -> Vec<ProbeOutcome> {
+    pairs
         .iter()
-        .map(|&(s, d)| {
-            route_static(
-                &world.mesh,
-                &world.statuses,
-                world.blocks.blocks(),
-                &world.boundary,
-                router,
-                s,
-                d,
-                100_000,
-            )
-        })
+        .map(|&(s, d)| layout.route(router, s, d, 100_000))
         .collect()
 }
 
@@ -92,20 +73,15 @@ fn recycled_probe_engine_matches_one_shot_engines() {
     // invisible: a single warm engine routing the whole batch produces the same
     // outcomes as a fresh engine per probe.
     for (dims, faults) in [(&[16i32, 16][..], 14usize), (&[8, 8, 8][..], 20)] {
-        let world = static_world(dims, faults, 3, 30);
+        let (layout, pairs) = static_world(dims, faults, 3, 30);
         for name in ROUTERS {
             let router = router_by_name(name);
-            let fresh = seed_outcomes(&world, router.as_ref());
+            let fresh = seed_outcomes(&layout, &pairs, router.as_ref());
             let mut engine = ProbeEngine::new();
-            let env = RouteEnv {
-                statuses: &world.statuses,
-                blocks: world.blocks.blocks(),
-                boundary: world.boundary.view(),
-            };
-            let recycled: Vec<ProbeOutcome> = world
-                .pairs
+            let env = layout.env();
+            let recycled: Vec<ProbeOutcome> = pairs
                 .iter()
-                .map(|&(s, d)| engine.route(&world.mesh, &env, router.as_ref(), s, d, 100_000))
+                .map(|&(s, d)| engine.route(layout.mesh(), &env, router.as_ref(), s, d, 100_000))
                 .collect();
             assert_eq!(fresh, recycled, "router {name} dims {dims:?}");
         }
@@ -119,20 +95,11 @@ fn batched_sweeps_are_bit_identical_to_serial_for_every_router_and_thread_count(
         (&[12, 12][..], 8, 5),
         (&[9, 9, 9][..], 22, 2),
     ] {
-        let world = static_world(dims, faults, seed, 40);
+        let (layout, pairs) = static_world(dims, faults, seed, 40);
         for name in ROUTERS {
-            let serial = seed_outcomes(&world, router_by_name(name).as_ref());
+            let serial = seed_outcomes(&layout, &pairs, router_by_name(name).as_ref());
             for threads in [1usize, 2, 3, 8] {
-                let batched = sweep_static(
-                    &world.mesh,
-                    &world.statuses,
-                    world.blocks.blocks(),
-                    &world.boundary,
-                    &|| router_by_name(name),
-                    &world.pairs,
-                    100_000,
-                    threads,
-                );
+                let batched = layout.sweep(&|| router_by_name(name), &pairs, 100_000, threads);
                 assert_eq!(
                     serial, batched,
                     "router {name} threads {threads} dims {dims:?} seed {seed}"
@@ -142,28 +109,18 @@ fn batched_sweeps_are_bit_identical_to_serial_for_every_router_and_thread_count(
     }
 }
 
-/// Pool-lifecycle cross-check: every `sweep_static` call spins up its own
+/// Pool-lifecycle cross-check: every `StaticLayout::sweep` call spins up its own
 /// worker pool, so back-to-back pooled sweeps (pool spawn → sweep → pool
 /// teardown, repeated) must reproduce each other and the one-engine-per-probe
 /// serial path exactly — no state may leak between pools or linger in a
 /// half-torn-down one.
 #[test]
 fn repeated_pooled_sweeps_are_stable_and_match_serial() {
-    let world = static_world(&[18, 18], 16, 11, 48);
+    let (layout, pairs) = static_world(&[18, 18], 16, 11, 48);
     for name in ROUTERS {
-        let serial = seed_outcomes(&world, router_by_name(name).as_ref());
-        let sweep = |threads: usize| {
-            sweep_static(
-                &world.mesh,
-                &world.statuses,
-                world.blocks.blocks(),
-                &world.boundary,
-                &|| router_by_name(name),
-                &world.pairs,
-                100_000,
-                threads,
-            )
-        };
+        let serial = seed_outcomes(&layout, &pairs, router_by_name(name).as_ref());
+        let sweep =
+            |threads: usize| layout.sweep(&|| router_by_name(name), &pairs, 100_000, threads);
         let first = sweep(4);
         let second = sweep(4);
         let narrower = sweep(2);
@@ -184,29 +141,11 @@ fn repeated_pooled_sweeps_are_stable_and_match_serial() {
 
 #[test]
 fn empty_and_single_probe_batches_are_handled() {
-    let world = static_world(&[10, 10], 6, 9, 1);
-    assert!(sweep_static(
-        &world.mesh,
-        &world.statuses,
-        world.blocks.blocks(),
-        &world.boundary,
-        &|| router_by_name("lgfi"),
-        &[],
-        100_000,
-        4,
-    )
-    .is_empty());
-    let one = sweep_static(
-        &world.mesh,
-        &world.statuses,
-        world.blocks.blocks(),
-        &world.boundary,
-        &|| router_by_name("lgfi"),
-        &world.pairs,
-        100_000,
-        4,
-    );
-    assert_eq!(one, seed_outcomes(&world, router_by_name("lgfi").as_ref()));
+    let (layout, pairs) = static_world(&[10, 10], 6, 9, 1);
+    let lgfi = || router_by_name("lgfi");
+    assert!(layout.sweep(&lgfi, &[], 100_000, 4).is_empty());
+    let one = layout.sweep(&lgfi, &pairs, 100_000, 4);
+    assert_eq!(one, seed_outcomes(&layout, &pairs, lgfi().as_ref()));
 }
 
 /// Runs a dynamic scenario (faults appearing mid-flight, one recovery wave) with

@@ -63,14 +63,9 @@ fn sample_mesh_and_faults(rng: &mut DetRng) -> (Vec<i32>, Vec<Vec<i32>>) {
     (dims, faults)
 }
 
-fn build(dims: &[i32], faults: &[Vec<i32>]) -> (Mesh, LabelingEngine, BlockSet, BoundaryMap) {
-    let mesh = Mesh::new(dims);
+fn build(dims: &[i32], faults: &[Vec<i32>]) -> StaticLayout {
     let coords: Vec<Coord> = faults.iter().map(|f| Coord::from_slice(f)).collect();
-    let mut labeling = LabelingEngine::new(mesh.clone());
-    labeling.apply_faults(&coords);
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    (mesh, labeling, blocks, boundary)
+    StaticLayout::new(Mesh::new(dims), &coords)
 }
 
 #[test]
@@ -78,7 +73,8 @@ fn labeling_stabilises_into_rectangular_disjoint_blocks() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0xB10C).derive(case);
         let (dims, faults) = sample_mesh_and_faults(&mut rng);
-        let (_mesh, labeling, blocks, _boundary) = build(&dims, &faults);
+        let layout = build(&dims, &faults);
+        let (statuses, blocks) = (layout.statuses(), layout.blocks());
         // Every fault is inside some block; every block is rectangular; block extents
         // are pairwise disjoint; no clean node survives at the fixpoint.
         for f in &faults {
@@ -90,11 +86,11 @@ fn labeling_stabilises_into_rectangular_disjoint_blocks() {
         }
         assert!(blocks.all_rectangular(), "case {case}");
         assert!(blocks.all_disjoint(), "case {case}");
-        let (_, _, clean, _) = labeling.census();
+        let clean = statuses.iter().filter(|&&s| s == NodeStatus::Clean).count();
         assert_eq!(clean, 0, "case {case}");
         assert_eq!(
             blocks.total_block_nodes(),
-            labeling.block_nodes().len(),
+            statuses.iter().filter(|s| s.in_block()).count(),
             "case {case}"
         );
     }
@@ -190,26 +186,15 @@ fn safe_sources_get_minimal_routes() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0x5AFE).derive(case);
         let (dims, faults) = sample_mesh_and_faults(&mut rng);
-        let (mesh, labeling, blocks, boundary) = build(&dims, &faults);
+        let layout = build(&dims, &faults);
+        let mesh = layout.mesh();
+        let enabled = |c: &Coord| layout.statuses()[mesh.id_of(c)] == NodeStatus::Enabled;
         let s = mesh.coord_of(rng.below(mesh.node_count()));
         let d = mesh.coord_of(rng.below(mesh.node_count()));
-        if s == d
-            || labeling.status_at(&s) != NodeStatus::Enabled
-            || labeling.status_at(&d) != NodeStatus::Enabled
-            || !is_safe_source(&s, &d, blocks.blocks())
-        {
+        if s == d || !enabled(&s) || !enabled(&d) || !is_safe_source_in(&s, &d, layout.blocks()) {
             continue;
         }
-        let out = route_static(
-            &mesh,
-            labeling.statuses(),
-            blocks.blocks(),
-            &boundary,
-            &LgfiRouter::new(),
-            mesh.id_of(&s),
-            mesh.id_of(&d),
-            100_000,
-        );
+        let out = layout.route(&LgfiRouter::new(), mesh.id_of(&s), mesh.id_of(&d), 100_000);
         assert!(out.delivered(), "case {case}");
         assert_eq!(out.detours(), Some(0), "case {case}");
         executed += 1;
@@ -225,21 +210,17 @@ fn corner_to_corner_routing_terminates_and_delivers() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0xC04E).derive(case);
         let (dims, faults) = sample_mesh_and_faults(&mut rng);
-        let (mesh, labeling, blocks, boundary) = build(&dims, &faults);
+        let layout = build(&dims, &faults);
+        let mesh = layout.mesh();
+        let enabled = |c: &Coord| layout.statuses()[mesh.id_of(c)] == NodeStatus::Enabled;
         let s = Coord::origin(mesh.ndim());
         let d = Coord::new(mesh.dims().iter().map(|&k| k - 1).collect::<Vec<i32>>());
         // Corners are never faulted (interior-only faults) and, for these densities,
         // rarely disabled — skip the cases where they are.
-        if labeling.status_at(&s) != NodeStatus::Enabled
-            || labeling.status_at(&d) != NodeStatus::Enabled
-        {
+        if !enabled(&s) || !enabled(&d) {
             continue;
         }
-        let out = route_static(
-            &mesh,
-            labeling.statuses(),
-            blocks.blocks(),
-            &boundary,
+        let out = layout.route(
             &LgfiRouter::new(),
             mesh.id_of(&s),
             mesh.id_of(&d),
@@ -263,7 +244,8 @@ fn boundary_entries_never_sit_inside_blocks() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0xB04D).derive(case);
         let (dims, faults) = sample_mesh_and_faults(&mut rng);
-        let (mesh, labeling, blocks, boundary) = build(&dims, &faults);
+        let layout = build(&dims, &faults);
+        let (mesh, blocks, boundary) = (layout.mesh(), layout.blocks(), layout.boundary());
         for id in mesh.node_ids() {
             let entries = boundary.entries(id);
             if entries.is_empty() {
@@ -271,7 +253,7 @@ fn boundary_entries_never_sit_inside_blocks() {
             }
             // Nodes holding boundary information are never part of a block themselves.
             assert!(
-                !labeling.status(id).in_block(),
+                !layout.statuses()[id].in_block(),
                 "case {case}: {:?}",
                 mesh.coord_of(id)
             );
@@ -291,8 +273,9 @@ fn criticality_requires_destination_in_the_opposite_shadow() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0xC217).derive(case);
         let (dims, faults) = sample_mesh_and_faults(&mut rng);
-        let (mesh, _labeling, blocks, boundary) = build(&dims, &faults);
-        if blocks.is_empty() {
+        let layout = build(&dims, &faults);
+        let (mesh, boundary) = (layout.mesh(), layout.boundary());
+        if layout.blocks().is_empty() {
             continue;
         }
         executed += 1;
@@ -422,8 +405,9 @@ fn per_block_builder_matches_the_whole_map_construction() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0xB1D).derive(case);
         let (dims, faults) = sample_mesh_and_faults(&mut rng);
-        let (mesh, _labeling, blocks, boundary) = build(&dims, &faults);
-        let (reference, merges) = whole_map_construct(&mesh, &blocks);
+        let layout = build(&dims, &faults);
+        let (mesh, boundary) = (layout.mesh(), layout.boundary());
+        let (reference, merges) = whole_map_construct(mesh, layout.blocks());
         for id in mesh.node_ids() {
             assert_eq!(
                 boundary.entries(id),
@@ -614,7 +598,8 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0x4E4B).derive(case);
         let (dims, faults) = sample_nd_mesh_and_faults(&mut rng);
-        let (mesh, labeling, blocks, boundary) = build(&dims, &faults);
+        let layout = build(&dims, &faults);
+        let (mesh, blocks, boundary) = (layout.mesh(), layout.blocks(), layout.boundary());
         let n = mesh.ndim();
         let real: Vec<BoundaryEntry> = mesh
             .node_ids()
@@ -646,13 +631,13 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
                 }
             }
             for _ in 0..rng.below(4) {
-                info.push(random_entry(&mut rng, &mesh));
+                info.push(random_entry(&mut rng, mesh));
             }
             if rng.chance(0.5) {
                 info.extend(aimed_entry(&mut rng, &current, &dest));
             }
             let ctx = RouteCtx {
-                mesh: &mesh,
+                mesh,
                 current: &current,
                 dest: &dest,
                 current_status: if rng.chance(0.1) {
@@ -692,22 +677,18 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
         // applied hop the carried coordinates equal the probe's nodes, and the
         // kernel's decision equals the transcription over a context built the
         // old way (coordinates and neighbors derived from the node ids).
-        let statuses = labeling.statuses();
-        let env = RouteEnv {
-            statuses,
-            blocks: blocks.blocks(),
-            boundary: boundary.view(),
-        };
+        let statuses = layout.statuses();
+        let env = layout.env();
         let pick_pair =
             |rng: &mut DetRng| (rng.below(mesh.node_count()), rng.below(mesh.node_count()));
         let (s, d) = pick_pair(&mut rng);
-        let mut probe = Probe::new(&mesh, s, d);
+        let mut probe = Probe::new(mesh, s, d);
         for hop in 0..400 {
             // A self-pair starts delivered: draw until the walk has a probe in
             // flight.
             while probe.status != ProbeStatus::InFlight {
                 let (s, d) = pick_pair(&mut rng);
-                probe.reset(&mesh, s, d);
+                probe.reset(mesh, s, d);
             }
             let router = &routers[hop % 2];
             let here = mesh.coord_of(probe.current);
@@ -716,7 +697,7 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
                 .map(|dir| mesh.neighbor_id(probe.current, dir).map(|id| statuses[id]))
                 .collect();
             let old_ctx = RouteCtx {
-                mesh: &mesh,
+                mesh,
                 current: &here,
                 dest: &there,
                 current_status: statuses[probe.current],
@@ -726,7 +707,7 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
                 used: probe.used_here(),
                 incoming: probe.incoming,
             };
-            let kernel = probe.decide(&mesh, &env, router);
+            let kernel = probe.decide(mesh, &env, router);
             assert_eq!(
                 kernel,
                 reference_decide(router, &old_ctx),
@@ -742,7 +723,7 @@ fn hop_kernel_matches_a_literal_algorithm_3() {
             } else {
                 RoutingDecision::Forward(*rng.choose(&in_mesh))
             };
-            probe.apply(&mesh, decision);
+            probe.apply(mesh, decision);
             assert_eq!(
                 probe.current_coord(),
                 &mesh.coord_of(probe.current),

@@ -8,7 +8,7 @@
 //! epoch, mid-convergence (information partially distributed — the snapshot must
 //! faithfully copy the *partial* view, not an idealised one), and after recovery
 //! churn.  At the converged epoch, two more owners of the same environment must
-//! agree as well: `route_static` over `BoundaryMap::construct` of the same static
+//! agree as well: `StaticLayout::route` over the static layout of the same
 //! faults, and probes launched on the network's own probe plane.  Also covered
 //! here: reader-count independence (the same
 //! batch resolved through 1 or 4 reader objects is identical), epoch
@@ -18,11 +18,9 @@
 
 use std::collections::BTreeMap;
 
-use lgfi_core::block::BlockSet;
-use lgfi_core::boundary::BoundaryMap;
-use lgfi_core::labeling::LabelingEngine;
+use lgfi_core::layout::StaticLayout;
 use lgfi_core::network::{LgfiNetwork, NetworkConfig};
-use lgfi_core::routing::{route_static, ProbeEngine};
+use lgfi_core::routing::ProbeEngine;
 use lgfi_core::status::NodeStatus;
 use lgfi_sim::{FaultEvent, FaultPlan};
 use lgfi_topology::{Mesh, NodeId};
@@ -61,8 +59,8 @@ fn pairs(mesh: &Mesh, statuses: &[NodeStatus], count: usize, seed: u64) -> Vec<(
 }
 
 /// Asserts that a fully converged network routes `batch` like the static layout
-/// of its faults, for every router: `route_static` over `BoundaryMap::construct`,
-/// and probes launched on the network's probe plane, both equal
+/// of its faults, for every router: `StaticLayout::route`, and probes launched
+/// on the network's probe plane, both equal
 /// `resolve_live` (which [`assert_snapshot_matches_live`] ties to the snapshot).
 fn assert_static_and_probes_match_live(
     net: &mut LgfiNetwork,
@@ -70,28 +68,16 @@ fn assert_static_and_probes_match_live(
     batch: &[(NodeId, NodeId)],
 ) {
     let mesh = net.mesh().clone();
-    let mut labeling = LabelingEngine::new(mesh.clone());
     let coords: Vec<_> = faults.iter().map(|&id| mesh.coord_of(id)).collect();
-    labeling.apply_faults(&coords);
-    assert_eq!(labeling.statuses(), net.statuses(), "converged statuses");
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
+    let layout = StaticLayout::new(mesh, &coords);
+    assert_eq!(layout.statuses(), net.statuses(), "converged statuses");
     for router_name in ROUTERS {
         let router = router_by_name(router_name);
         let mut live_engine = ProbeEngine::new();
         let mut live = BTreeMap::new();
         for &(s, d) in batch {
             let outcome = net.resolve_live(&*router, s, d, 100_000, &mut live_engine);
-            let fixed = route_static(
-                &mesh,
-                labeling.statuses(),
-                blocks.blocks(),
-                &boundary,
-                &*router,
-                s,
-                d,
-                100_000,
-            );
+            let fixed = layout.route(&*router, s, d, 100_000);
             assert_eq!(
                 fixed, outcome,
                 "router {router_name}: static route {s}->{d} diverged from the live network"

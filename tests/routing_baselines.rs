@@ -4,38 +4,9 @@
 use lgfi::core::routing::Router;
 use lgfi::prelude::*;
 
-struct World {
-    mesh: Mesh,
-    statuses: Vec<NodeStatus>,
-    blocks: BlockSet,
-    boundary: BoundaryMap,
-}
-
-fn world(dims: &[i32], faults: &[Coord]) -> World {
-    let mesh = Mesh::new(dims);
-    let mut labeling = LabelingEngine::new(mesh.clone());
-    labeling.apply_faults(faults);
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    World {
-        statuses: labeling.statuses().to_vec(),
-        blocks,
-        boundary,
-        mesh,
-    }
-}
-
-fn route(world: &World, router: &dyn Router, s: &Coord, d: &Coord) -> ProbeOutcome {
-    route_static(
-        &world.mesh,
-        &world.statuses,
-        world.blocks.blocks(),
-        &world.boundary,
-        router,
-        world.mesh.id_of(s),
-        world.mesh.id_of(d),
-        100_000,
-    )
+fn route(world: &StaticLayout, router: &dyn Router, s: &Coord, d: &Coord) -> ProbeOutcome {
+    let mesh = world.mesh();
+    world.route(router, mesh.id_of(s), mesh.id_of(d), 100_000)
 }
 
 fn wall_faults() -> Vec<Coord> {
@@ -49,7 +20,7 @@ fn wall_faults() -> Vec<Coord> {
 
 #[test]
 fn all_adaptive_routers_agree_on_a_fault_free_mesh() {
-    let world = world(&[12, 12, 12], &[]);
+    let world = StaticLayout::new(Mesh::cubic(12, 3), &[]);
     let routers: Vec<Box<dyn Router>> = vec![
         Box::new(LgfiRouter::new()),
         Box::new(GlobalInfoRouter::new()),
@@ -66,8 +37,8 @@ fn all_adaptive_routers_agree_on_a_fault_free_mesh() {
 
 #[test]
 fn informed_routing_is_never_worse_than_uninformed_on_the_wall_scenario() {
-    let world = world(&[18, 18], &wall_faults());
-    assert_eq!(world.blocks.len(), 1);
+    let world = StaticLayout::new(Mesh::cubic(18, 2), &wall_faults());
+    assert_eq!(world.blocks().len(), 1);
     let lgfi = LgfiRouter::new();
     let global = GlobalInfoRouter::new();
     let local = LocalInfoRouter::new();
@@ -96,7 +67,7 @@ fn informed_routing_is_never_worse_than_uninformed_on_the_wall_scenario() {
 
 #[test]
 fn dimension_order_fails_exactly_when_its_path_is_cut() {
-    let world = world(&[18, 18], &wall_faults());
+    let world = StaticLayout::new(Mesh::cubic(18, 2), &wall_faults());
     let dor = DimensionOrderRouter::new();
     // The x-first path from (2,2) to (2,15) at x = 2 misses the wall entirely.
     let clear = route(&world, &dor, &coord![2, 2], &coord![2, 15]);
@@ -109,7 +80,7 @@ fn dimension_order_fails_exactly_when_its_path_is_cut() {
 
 #[test]
 fn minimal_block_router_only_succeeds_when_a_minimal_path_survives() {
-    let world = world(&[18, 18], &wall_faults());
+    let world = StaticLayout::new(Mesh::cubic(18, 2), &wall_faults());
     let wu = StaticBlockRouter::new();
     // Destination reachable minimally (off to the side of the wall).
     let ok = route(&world, &wu, &coord![2, 2], &coord![16, 15]);
@@ -135,8 +106,8 @@ fn delivery_ranking_over_random_fault_patterns() {
         let mesh = Mesh::new(&mesh_dims);
         let mut generator = FaultGenerator::new(mesh.clone(), seed);
         let faults = generator.place(20, FaultPlacement::UniformInterior);
-        let world = world(&mesh_dims, &faults);
-        let statuses = world.statuses.clone();
+        let world = StaticLayout::new(mesh.clone(), &faults);
+        let statuses = world.statuses();
         let mut traffic = TrafficGenerator::new(mesh, TrafficPattern::UniformRandom, seed);
         let requests = traffic.requests(20, |id| statuses[id] == NodeStatus::Enabled);
         let routers: Vec<Box<dyn Router>> = vec![
@@ -153,8 +124,8 @@ fn delivery_ranking_over_random_fault_patterns() {
                     route(
                         &world,
                         router.as_ref(),
-                        &world.mesh.coord_of(r.source),
-                        &world.mesh.coord_of(r.dest),
+                        &world.mesh().coord_of(r.source),
+                        &world.mesh().coord_of(r.dest),
                     )
                     .delivered()
                 })

@@ -12,7 +12,7 @@
 //!
 //! The cases cover the four places a hop decision is made:
 //!
-//! * `sweep_static` over 4,096 seeded pairs on a 64×64 mesh with 160 clustered
+//! * `StaticLayout::sweep` over 4,096 seeded pairs on a 64×64 mesh with 160 clustered
 //!   faults, for the LGFI router (default and reactive) and every baseline router;
 //! * the same over 1,024 pairs on a 3-D 12×12×12 mesh;
 //! * the probe reports of a seeded `LgfiNetwork` run under Poisson churn;
@@ -35,6 +35,7 @@
 //! the standard library's hashing algorithm.
 
 use lgfi::prelude::*;
+use lgfi_core::slo::SloObserver;
 use lgfi_sim::{Histogram, SloTracker};
 use lgfi_topology::NodeId;
 use lgfi_workloads::{
@@ -135,32 +136,13 @@ fn fold_tracker(h: &mut Fnv, t: &SloTracker) {
     h.word(t.unreachable());
 }
 
-/// A stabilised static environment: the labeling fixpoint of the seeded fault
-/// set, its blocks and the complete boundary map.
-struct Layout {
-    mesh: Mesh,
-    statuses: Vec<NodeStatus>,
-    blocks: BlockSet,
-    boundary: BoundaryMap,
-}
-
 /// `faults` clustered faults drawn by `FaultGenerator` seed 13 (the fault layout
-/// of the `wormhole64` benchmark workload on 64×64).
-fn clustered_layout(dims: &[i32], faults: usize, clusters: usize) -> Layout {
+/// of the `wormhole64` benchmark workload on 64×64), stabilised.
+fn clustered_layout(dims: &[i32], faults: usize, clusters: usize) -> StaticLayout {
     let mesh = Mesh::new(dims);
     let placed =
         FaultGenerator::new(mesh.clone(), 13).place(faults, FaultPlacement::Clustered { clusters });
-    let mut labeling = LabelingEngine::new(mesh.clone());
-    labeling.apply_faults(&placed);
-    let statuses = labeling.statuses().to_vec();
-    let blocks = BlockSet::extract(&mesh, &statuses);
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    Layout {
-        mesh,
-        statuses,
-        blocks,
-        boundary,
-    }
+    StaticLayout::new(mesh, &placed)
 }
 
 /// `count` seeded source/destination pairs among the enabled nodes.
@@ -190,19 +172,10 @@ fn routers() -> [(&'static str, MakeRouter); 6] {
 
 /// Sweeps `pairs` through `layout` with every router and checks each router's
 /// outcome fingerprint against `expected` (same order as [`routers`]).
-fn assert_sweeps(layout: &Layout, pairs: &[(NodeId, NodeId)], expected: [u64; 6]) {
+fn assert_sweeps(layout: &StaticLayout, pairs: &[(NodeId, NodeId)], expected: [u64; 6]) {
     let mut actual = Vec::new();
     for (name, make) in routers() {
-        let outcomes = sweep_static(
-            &layout.mesh,
-            &layout.statuses,
-            layout.blocks.blocks(),
-            &layout.boundary,
-            &make,
-            pairs,
-            20_000,
-            2,
-        );
+        let outcomes = layout.sweep(&make, pairs, 20_000, 2);
         let mut h = Fnv::new();
         for o in &outcomes {
             fold_outcome(&mut h, o);
@@ -221,7 +194,7 @@ fn assert_sweeps(layout: &Layout, pairs: &[(NodeId, NodeId)], expected: [u64; 6]
 #[test]
 fn static_sweeps_on_64x64_match_the_golden_routes() {
     let layout = clustered_layout(&[64, 64], 160, 20);
-    let pairs = enabled_pairs(&layout.statuses, 4_096, 0x601D_0002);
+    let pairs = enabled_pairs(layout.statuses(), 4_096, 0x601D_0002);
     assert_sweeps(
         &layout,
         &pairs,
@@ -239,7 +212,7 @@ fn static_sweeps_on_64x64_match_the_golden_routes() {
 #[test]
 fn static_sweeps_on_a_3d_mesh_match_the_golden_routes() {
     let layout = clustered_layout(&[12, 12, 12], 48, 6);
-    let pairs = enabled_pairs(&layout.statuses, 1_024, 0x601D_0003);
+    let pairs = enabled_pairs(layout.statuses(), 1_024, 0x601D_0003);
     assert_sweeps(
         &layout,
         &pairs,
@@ -317,19 +290,15 @@ fn network_probe_reports_under_churn_match_the_golden_routes() {
 fn wormhole_packet_records_match_the_golden_routes() {
     const CYCLES: u64 = 1_500;
     let layout = clustered_layout(&[64, 64], 160, 20);
-    let env = RouteEnv {
-        statuses: &layout.statuses,
-        blocks: layout.blocks.blocks(),
-        boundary: layout.boundary.view(),
-    };
+    let env = layout.env();
     let spec = TrafficSpec::new()
         .flits_per_packet(4)
         .vc_count(2)
         .escape_vc(true)
         .max_packet_cycles(2_000);
     let mut traffic =
-        TrafficEngine::new(layout.mesh.clone(), spec, &|| Box::new(LgfiRouter::new()));
-    let pairs = enabled_pairs(&layout.statuses, CYCLES as usize, 0x601D_0005);
+        TrafficEngine::new(layout.mesh().clone(), spec, &|| Box::new(LgfiRouter::new()));
+    let pairs = enabled_pairs(layout.statuses(), CYCLES as usize, 0x601D_0005);
     for &(s, d) in &pairs {
         traffic.inject(s, d);
         traffic.run_static_cycles(&env, 1);
@@ -556,5 +525,59 @@ fn small_churn_campaign_matches_the_golden_slos() {
         campaign_fingerprint(&result),
         (750, 7, 0x27e3_cd7c_2a13_d8ab),
         "churn campaign moved: (injected, drained, fingerprint)"
+    );
+}
+
+#[test]
+fn slo_observer_on_a_network_with_its_own_plan_matches_the_golden_slos() {
+    // The campaign drivers build their networks with an empty plan and pass
+    // each step's events as `external`.  Here the network carries the plan, so
+    // the observer finds the step's bursts through `LgfiNetwork::plan`.
+    const INJECTION: u64 = 80;
+    let mesh = Mesh::cubic(16, 2);
+    let plan = FaultGenerator::new(mesh.clone(), 37).dynamic_plan(
+        DynamicFaultConfig {
+            fault_count: 10,
+            first_step: 6,
+            interval: 7,
+            with_recovery: true,
+            recovery_delay: 25,
+        },
+        FaultPlacement::Clustered { clusters: 3 },
+    );
+    let mut net = LgfiNetwork::new(mesh.clone(), plan, NetworkConfig::default());
+    let mut engine = TrafficEngine::new(mesh.clone(), TrafficSpec::new(), &|| {
+        Box::new(LgfiRouter::new())
+    });
+    let mut observer = SloObserver::new(mesh.node_count());
+    let mut rng = DetRng::seed_from_u64(0x601D_0006);
+    let n = mesh.node_count();
+    let mut step = 0;
+    while step < INJECTION || (engine.in_flight() > 0 && step < INJECTION + 5_000) {
+        if step < INJECTION {
+            for _ in 0..2 {
+                let (s, d) = (rng.below(n), rng.below(n));
+                if net.statuses()[s] == NodeStatus::Enabled
+                    && net.statuses()[d] == NodeStatus::Enabled
+                {
+                    engine.inject(s, d);
+                }
+            }
+        }
+        net.run_traffic_step(&mut engine);
+        observer.observe_step(&net, &engine, &[]);
+        step += 1;
+    }
+    assert_eq!(engine.in_flight(), 0, "every packet finishes");
+    let tracker = observer.tracker();
+    assert!(tracker.bursts() > 0, "the plan's failures are bursts");
+    let mut h = Fnv::new();
+    fold_tracker(&mut h, tracker);
+    h.word(observer.e_max_seen());
+    h.word(observer.a_steps_max());
+    assert_eq!(
+        (tracker.injected(), tracker.bursts(), h.0),
+        (157, 10, 0xf7b0_6670_5b38_8ede),
+        "observer on a planned network moved: (injected, bursts, fingerprint)"
     );
 }

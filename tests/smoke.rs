@@ -11,14 +11,14 @@ use lgfi::prelude::*;
 #[test]
 fn facade_smoke_every_router_routes_across_a_faulty_mesh() {
     let mesh = Mesh::cubic(8, 2);
-    let mut labeling = LabelingEngine::new(mesh.clone());
-    labeling.apply_faults(&[coord![3, 3], coord![4, 3], coord![3, 4]]);
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    assert_eq!(blocks.len(), 1, "the 3-fault cluster must form one block");
-
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
+    let layout = StaticLayout::new(mesh.clone(), &[coord![3, 3], coord![4, 3], coord![3, 4]]);
+    assert_eq!(
+        layout.blocks().len(),
+        1,
+        "the 3-fault cluster must form one block"
+    );
     assert!(
-        boundary.nodes_with_info() > 0,
+        layout.boundary().nodes_with_info() > 0,
         "boundary construction must distribute information"
     );
 
@@ -32,16 +32,7 @@ fn facade_smoke_every_router_routes_across_a_faulty_mesh() {
     let source = mesh.id_of(&coord![0, 0]);
     let dest = mesh.id_of(&coord![7, 7]);
     for (name, router) in &routers {
-        let out = route_static(
-            &mesh,
-            labeling.statuses(),
-            blocks.blocks(),
-            &boundary,
-            router.as_ref(),
-            source,
-            dest,
-            10_000,
-        );
+        let out = layout.route(router.as_ref(), source, dest, 10_000);
         // Corner-to-corner with one interior block: every router delivers here —
         // even oblivious dimension-order, whose x-then-y path hugs the mesh edge
         // and never meets the block.

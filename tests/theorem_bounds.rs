@@ -43,28 +43,16 @@ fn theorem2_safe_sources_get_minimal_paths() {
     for seed in 0..6u64 {
         let mut generator = FaultGenerator::new(mesh.clone(), seed);
         let faults = generator.place(10, FaultPlacement::UniformInterior);
-        let mut labeling = LabelingEngine::new(mesh.clone());
-        labeling.apply_faults(&faults);
-        let blocks = BlockSet::extract(&mesh, labeling.statuses());
-        let boundary = BoundaryMap::construct(&mesh, &blocks);
+        let layout = StaticLayout::new(mesh.clone(), &faults);
         let mut traffic = TrafficGenerator::new(mesh.clone(), TrafficPattern::UniformRandom, seed);
-        let statuses = labeling.statuses().to_vec();
+        let statuses = layout.statuses();
         for req in traffic.requests(25, |id| statuses[id] == NodeStatus::Enabled) {
             let s = mesh.coord_of(req.source);
             let d = mesh.coord_of(req.dest);
-            if !is_safe_source_in(&s, &d, &blocks) {
+            if !is_safe_source_in(&s, &d, layout.blocks()) {
                 continue;
             }
-            let out = route_static(
-                &mesh,
-                labeling.statuses(),
-                blocks.blocks(),
-                &boundary,
-                &LgfiRouter::new(),
-                req.source,
-                req.dest,
-                10_000,
-            );
+            let out = layout.route(&LgfiRouter::new(), req.source, req.dest, 10_000);
             assert!(out.delivered());
             assert_eq!(out.detours(), Some(0), "safe {s:?}->{d:?} must be minimal");
         }
@@ -145,41 +133,19 @@ fn theorem1_recovery_never_hurts_over_many_random_cases() {
         let faults = generator.place(6, FaultPlacement::Clustered { clusters: 1 });
         let mut labeling = LabelingEngine::new(mesh.clone());
         labeling.apply_faults(&faults);
-        let blocks_before = BlockSet::extract(&mesh, labeling.statuses());
-        let boundary_before = BoundaryMap::construct(&mesh, &blocks_before);
-        let statuses_before = labeling.statuses().to_vec();
+        let layout_before = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
         // Recover half the faults.
         let recovered: Vec<Coord> = faults.iter().take(faults.len() / 2).copied().collect();
         labeling.apply_recoveries(&recovered);
-        let blocks_after = BlockSet::extract(&mesh, labeling.statuses());
-        let boundary_after = BoundaryMap::construct(&mesh, &blocks_after);
+        let layout_after = StaticLayout::from_statuses(mesh.clone(), labeling.statuses());
         let mut traffic =
             TrafficGenerator::new(mesh.clone(), TrafficPattern::UniformRandom, seed + 99);
-        let sb = statuses_before.clone();
-        let sa = labeling.statuses().to_vec();
+        let (sb, sa) = (layout_before.statuses(), layout_after.statuses());
         for req in traffic.requests(15, |id| {
             sb[id] == NodeStatus::Enabled && sa[id] == NodeStatus::Enabled
         }) {
-            let before = route_static(
-                &mesh,
-                &statuses_before,
-                blocks_before.blocks(),
-                &boundary_before,
-                &LgfiRouter::new(),
-                req.source,
-                req.dest,
-                10_000,
-            );
-            let after = route_static(
-                &mesh,
-                labeling.statuses(),
-                blocks_after.blocks(),
-                &boundary_after,
-                &LgfiRouter::new(),
-                req.source,
-                req.dest,
-                10_000,
-            );
+            let before = layout_before.route(&LgfiRouter::new(), req.source, req.dest, 10_000);
+            let after = layout_after.route(&LgfiRouter::new(), req.source, req.dest, 10_000);
             if before.delivered() && after.delivered() {
                 cases += 1;
                 if after.steps > before.steps {

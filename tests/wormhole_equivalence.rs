@@ -22,9 +22,6 @@
 
 use lgfi::prelude::*;
 use lgfi::workloads::DynamicFaultConfig;
-use lgfi_core::block::BlockSet;
-use lgfi_core::boundary::BoundaryMap;
-use lgfi_core::labeling::LabelingEngine;
 use lgfi_core::traffic_engine::{TrafficEngine, TrafficSpec};
 use lgfi_sim::TrafficStats;
 use lgfi_topology::coord;
@@ -195,45 +192,36 @@ fn env_configured_wormhole_is_bit_identical_to_serial() {
 /// The adversarial ring-cluster pattern: a central faulty block forces four long
 /// worms around its ring of healthy nodes, each turning one corner, each blocked
 /// by the previous worm's tail — a textbook cyclic credit wait.
-fn ring_cluster() -> (Mesh, LabelingEngine, Vec<(NodeId, NodeId)>) {
+fn ring_cluster() -> (StaticLayout, Vec<(NodeId, NodeId)>) {
     let mesh = Mesh::cubic(8, 2);
-    let mut labeling = LabelingEngine::new(mesh.clone());
     let mut faults = Vec::new();
     for x in 2..=5usize {
         for y in 2..=5usize {
             faults.push(coord![x, y]);
         }
     }
-    labeling.apply_faults(&faults);
     let pairs = vec![
         (mesh.id_of(&coord![1, 1]), mesh.id_of(&coord![6, 4])),
         (mesh.id_of(&coord![6, 1]), mesh.id_of(&coord![3, 6])),
         (mesh.id_of(&coord![6, 6]), mesh.id_of(&coord![1, 3])),
         (mesh.id_of(&coord![1, 6]), mesh.id_of(&coord![4, 1])),
     ];
-    (mesh, labeling, pairs)
+    (StaticLayout::new(mesh, &faults), pairs)
 }
 
 fn run_ring_cluster(router: &str, escape: bool) -> (u64, u64, usize) {
-    let (mesh, labeling, pairs) = ring_cluster();
-    let blocks = BlockSet::extract(&mesh, labeling.statuses());
-    let boundary = BoundaryMap::construct(&mesh, &blocks);
-    let env = RouteEnv {
-        statuses: labeling.statuses(),
-        blocks: blocks.blocks(),
-        boundary: boundary.view(),
-    };
+    let (layout, pairs) = ring_cluster();
     let spec = TrafficSpec::new()
         .flits_per_packet(8)
         .vc_count(if escape { 2 } else { 1 })
         .escape_vc(escape)
         .vc_buffer_flits(1)
         .deadlock_threshold(16);
-    let mut eng = TrafficEngine::new(mesh, spec, &|| router_by_name(router));
+    let mut eng = TrafficEngine::new(layout.mesh().clone(), spec, &|| router_by_name(router));
     for &(s, d) in &pairs {
         eng.inject(s, d);
     }
-    eng.drain_static(&env, 10_000);
+    eng.drain_static(&layout.env(), 10_000);
     assert_eq!(
         eng.in_flight(),
         0,
